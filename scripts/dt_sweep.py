@@ -1,23 +1,18 @@
 #!/usr/bin/env python3
 """Grid-convergence sweep: rerun the baseline scenario over a range of time
 steps and tabulate THD and the energy-audit imbalance.
-
-Runs are independent, so they may execute in parallel; the worker count is
-capped by the HARMFLOW_THREADS environment variable (default 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import harmflow as hf
 from harmflow import presets
-from harmflow.cli import sweep_thread_cap
 
 
 def run_one(dt: float, filtered: bool) -> tuple[float, float, float]:
@@ -50,10 +45,7 @@ def main() -> int:
     args = parser.parse_args()
     dts = [float(v) for v in args.dts.split(",")]
 
-    workers = sweep_thread_cap()
-    print(f"sweeping {len(dts)} steps with {workers} worker(s)")
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda dt: run_one(dt, args.filtered), dts))
+    rows = [run_one(dt, args.filtered) for dt in dts]
 
     print(f"{'dt [s]':>10} {'THD [%]':>10} {'energy imbalance':>18}")
     for dt, thd, imbalance in sorted(rows, reverse=True):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -40,15 +39,6 @@ from .simulator import (
     last_cycles_window,
     run,
 )
-
-
-def sweep_thread_cap() -> int:
-    """Parallelism cap for parameter sweeps, from ``HARMFLOW_THREADS``
-    (default 1)."""
-    try:
-        return max(1, int(os.environ.get("HARMFLOW_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _float_list(text: str) -> list[float]:
@@ -188,6 +178,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "n_samples": waves.n_samples,
             "channels": list(CHANNEL_IDS),
             "flagged_steps": list(waves.flagged_steps),
+            "diode_states": waves.diode_states,
+            "switch_iterations": waves.switch_iterations,
             "wall_time_s": wall,
         },
         meta_path,

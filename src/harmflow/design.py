@@ -69,20 +69,15 @@ class SystemBasis:
     source_inductance_h: float = 0.0016
 
     def __post_init__(self) -> None:
-        if not self.fundamental_hz > 0.0:
+        if not 0.0 < self.fundamental_hz < math.inf:
             raise DesignError(
-                f"fundamental_hz must be positive, got {self.fundamental_hz!r}"
+                f"fundamental_hz must be positive and finite, got {self.fundamental_hz!r}"
             )
         # Zero volts is allowed so unexcited networks can be simulated.
-        if self.source_vrms < 0.0:
-            raise DesignError(
-                f"source_vrms must be non-negative, got {self.source_vrms!r}"
-            )
-        if self.source_inductance_h < 0.0:
-            raise DesignError(
-                "source_inductance_h must be non-negative, got "
-                f"{self.source_inductance_h!r}"
-            )
+        for name in ("source_vrms", "source_inductance_h"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise DesignError(f"{name} must be non-negative and finite, got {value!r}")
 
     @classmethod
     def from_line_to_line(

@@ -15,8 +15,17 @@ to a Norton equivalent at its PCC node, so the system solves for eight node
 voltages plus the three source branch currents.  Diodes are two-state
 resistors; conduction states are resolved per step by fixed-point iteration
 (turn on when the anode-cathode voltage exceeds zero, turn off when the
-current falls below zero).  Because the matrix depends only on the diode
-state word, LU factorizations are cached per state.
+current falls below zero).
+
+The companion-model history terms, one per inductor and capacitor, form a
+vector ``z``.  The right-hand side is the same affine map of ``z`` and the
+source sample in every diode state, and the system matrix depends only on
+the state word, so each state visited gets one cached step map (the
+constant-matrix-per-topology scheme of EMTP; Dommel, IEEE Trans. PAS,
+1969): LU factors plus one output matrix giving the diode voltages, the
+next ``z`` and the recorded row.  A step is a matvec, a triangular solve, a
+matvec and a sign test.  The LU solve stays in the step because an explicit
+inverse pre-multiplied into the maps loses accuracy to cancellation.
 
 All states start at zero; analysis windows exclude the start-up transient.
 """
@@ -24,13 +33,12 @@ All states start at zero; analysis windows exclude the start-up transient.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import IO, Mapping
 
 import numpy as np
 from scipy.integrate import trapezoid
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .design import FilterBank, SystemBasis
 
@@ -52,6 +60,7 @@ _BT = (3, 4, 5)
 _P, _N = 6, 7
 _NUM_NODES = 8
 _NUM_UNKNOWNS = 11
+_I_DC = CHANNEL_IDS.index("i_dc")
 
 
 class SolverError(RuntimeError):
@@ -81,8 +90,9 @@ class RectifierLoad:
             "load_resistance_ohm",
             "load_capacitance_f",
         ):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -100,10 +110,10 @@ class SolverConfig:
     max_switch_iterations: int = 10
 
     def __post_init__(self) -> None:
-        if not self.dt_s > 0.0:
-            raise ValueError(f"dt_s must be positive, got {self.dt_s!r}")
-        if not self.duration_s > 0.0:
-            raise ValueError(f"duration_s must be positive, got {self.duration_s!r}")
+        for name in ("dt_s", "duration_s"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not self.diode_on_ohm > 0.0:
             raise ValueError(f"diode_on_ohm must be positive, got {self.diode_on_ohm!r}")
         if not self.diode_off_ohm / self.diode_on_ohm >= 1e6:
@@ -144,12 +154,16 @@ class WaveformSet:
     DC bus voltage.  ``aux`` carries solver bookkeeping traces (per-branch
     filter states and the bridge terminal voltages) consumed by
     :func:`energy_audit`; they are not part of the CSV export.
+    ``diode_states`` counts the distinct diode state words the run visited
+    and ``switch_iterations`` the fixed-point solves over all steps.
     """
 
     sample_rate_hz: float
     channels: Mapping[str, np.ndarray]
     flagged_steps: tuple[int, ...] = ()
     aux: Mapping[str, np.ndarray] = field(default_factory=dict)
+    diode_states: int = 0
+    switch_iterations: int = 0
 
     def __post_init__(self) -> None:
         if not self.sample_rate_hz > 0.0:
@@ -187,13 +201,19 @@ def run(scenario: Scenario) -> WaveformSet:
 
     Deterministic for identical inputs.  Steps whose diode-state iteration
     hits the cap are recorded in ``flagged_steps`` rather than raised.
+    Raises :class:`SolverError` for a singular system matrix or a
+    non-finite solution, naming the step.
     """
     return _TransientSolver(scenario).run()
 
 
 class _TransientSolver:
+    """Per-state step maps over ``w = [x; z; e]`` (unknowns, history terms,
+    source sample).  ``z`` holds the Ls and Lfe histories per phase, the
+    Cdc history, then the single-tuned L and C and the high-pass C and L
+    histories per filter branch-phase."""
+
     def __init__(self, scenario: Scenario) -> None:
-        self.scenario = scenario
         cfg = scenario.solver
         self.dt = cfg.dt_s
         self.n_samples = int(round(cfg.duration_s / cfg.dt_s))
@@ -228,16 +248,21 @@ class _TransientSolver:
         self.hp_glp = dt / (2.0 * self.hp_l)
         self.hp_rsec = 1.0 / (1.0 / self.hp_r + self.hp_glp)
         self.hp_g = 1.0 / (self.hp_rceq + self.hp_rsec)
+        self.n_z = 7 + 6 * (self.n_st + self.n_hp)
 
         self._base_matrix = self._assemble_base()
-        self._lu_cache: dict[int, tuple] = {}
+        self._rhs, self._out_base, self._aux_slices = self._assemble_maps()
+        self._maps: dict[int, tuple] = {}
 
         t = np.arange(self.n_samples) * dt
         vpeak = math.sqrt(2.0) * basis.source_vrms
         offsets = np.array([0.0, -TWO_PI / 3.0, -2.0 * TWO_PI / 3.0])
-        self.esrc = vpeak * np.sin(
-            TWO_PI * basis.fundamental_hz * t[:, None] + offsets[None, :]
-        )
+        # An overflowing amplitude is reported by the guard after the step
+        # loop, not as a warning here.
+        with np.errstate(invalid="ignore"):
+            self.esrc = vpeak * np.sin(
+                TWO_PI * basis.fundamental_hz * t[:, None] + offsets[None, :]
+            )
 
     def _assemble_base(self) -> np.ndarray:
         a = np.zeros((_NUM_UNKNOWNS, _NUM_UNKNOWNS))
@@ -256,161 +281,152 @@ class _TransientSolver:
             a[k, j] -= g
         return a
 
-    def _factored(self, state: np.ndarray, step: int):
-        key = int(np.dot(state, 1 << np.arange(6)))
-        cached = self._lu_cache.get(key)
-        if cached is not None:
-            return cached
+    def _assemble_maps(self) -> tuple[np.ndarray, np.ndarray, dict[str, slice]]:
+        """State-independent linear forms over ``w = [x; z; e]``: the
+        right-hand-side map (``x`` columns dropped), the output rows
+        (unsigned diode voltages, next ``z``, record row with a zero
+        ``i_dc`` row) and the record columns of each aux trace."""
+        nx, nz = _NUM_UNKNOWNS, self.n_z
+        unit = np.eye(nx + nz + 3)
+        x, e = unit[:nx], unit[nx + nz :]
+        z_ls, z_fe, z_c = unit[nx : nx + 3], unit[nx + 3 : nx + 6], unit[nx + 6]
+        n3st, n3hp = 3 * self.n_st, 3 * self.n_hp
+        st_el, st_ec, hp_ec, hp_hl = (
+            rows.reshape(-1, 3, nx + nz + 3)
+            for rows in np.split(
+                unit[nx + 7 : nx + nz], np.cumsum([n3st, n3st, n3hp])
+            )
+        )
+
+        def per_branch(values: np.ndarray) -> np.ndarray:
+            return values[:, None, None]
+
+        def flat(forms: np.ndarray) -> np.ndarray:
+            return forms.reshape(-1, nx + nz + 3)
+
+        vp, vbt, i_src = x[list(_PCC)], x[list(_BT)], x[_NUM_NODES:]
+        v_fe = vp - vbt
+        v_dc = x[_P] - x[_N]
+        i_fe = self.g_fe * v_fe + z_fe
+        # Series R-L-C: inductor history el, capacitor history ec.
+        st_i = per_branch(self.st_g) * (vp - st_el - st_ec)
+        st_vc = per_branch(self.st_rceq) * st_i + st_ec
+        # C in series with R || L: capacitor history ec, inductor history hl.
+        hp_i = per_branch(self.hp_g) * (vp - hp_ec + per_branch(self.hp_rsec) * hp_hl)
+        hp_vc = per_branch(self.hp_rceq) * hp_i + hp_ec
+        hp_vrl = per_branch(self.hp_rsec) * (hp_i - hp_hl)
+        hp_il = per_branch(self.hp_glp) * hp_vrl + hp_hl
+
+        z_next = np.vstack([
+            -2.0 * self.r_ls * i_src - z_ls,
+            i_fe + self.g_fe * v_fe,
+            -2.0 * self.g_cdc * v_dc - z_c,
+            flat(-2.0 * per_branch(self.st_rleq) * st_i - st_el),
+            flat(2.0 * per_branch(self.st_rceq) * st_i + st_ec),
+            flat(2.0 * per_branch(self.hp_rceq) * hp_i + hp_ec),
+            flat(2.0 * per_branch(self.hp_glp) * hp_vrl + hp_hl),
+        ])
+
+        b = np.zeros((nx, nx + nz + 3))
+        b[list(_PCC)] = (
+            (per_branch(self.st_g) * (st_el + st_ec)).sum(axis=0)
+            + (per_branch(self.hp_g) * (hp_ec - per_branch(self.hp_rsec) * hp_hl)).sum(axis=0)
+            - z_fe
+        )
+        b[list(_BT)] = z_fe
+        b[_P] = -z_c
+        b[_N] = z_c
+        b[_NUM_NODES:] = e - z_ls
+
+        channels = [
+            e, vp, i_src, i_fe,
+            st_i.sum(axis=0) + hp_i.sum(axis=0),
+            v_dc,
+            np.zeros(nx + nz + 3),  # i_dc, set per state
+        ]
+        aux = [
+            ("st_i", flat(st_i)), ("st_vc", flat(st_vc)),
+            ("hp_i", flat(hp_i)), ("hp_il", flat(hp_il)),
+            ("hp_vc", flat(hp_vc)), ("hp_vrl", flat(hp_vrl)),
+            ("v_bt", vbt),
+        ]
+        aux_slices = {}
+        pos = len(CHANNEL_IDS)
+        for name, forms in aux:
+            aux_slices[name] = slice(pos, pos + len(forms))
+            pos += len(forms)
+        vd = np.vstack([vbt - x[_P], x[_N] - vbt])
+        out = np.vstack([vd, z_next, *channels, *(forms for _, forms in aux)])
+        return np.ascontiguousarray(b[:, nx:]), out, aux_slices
+
+    def _step_map(self, key: int, step: int) -> tuple:
+        """LU factors and output matrix of diode state word ``key``
+        (bit i set when diode i conducts), built on its first visit."""
+        on = (key >> np.arange(6)) & 1 == 1
+        g_d = np.where(on, self.g_on, self.g_off)
         a = self._base_matrix.copy()
-        g_d = np.where(state, self.g_on, self.g_off)
         for ph in range(3):
             for other, g in ((_P, g_d[ph]), (_N, g_d[3 + ph])):
                 a[_BT[ph], _BT[ph]] += g
                 a[other, other] += g
                 a[_BT[ph], other] -= g
                 a[other, _BT[ph]] -= g
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LinAlgWarning)
-                lu = lu_factor(a, check_finite=False)
-        except np.linalg.LinAlgError:
-            raise SolverError(f"singular system matrix at step {step}") from None
-        if np.abs(np.diag(lu[0])).min() < 1e-250:
+        lu, piv, _ = dgetrf(a)
+        if not np.abs(np.diag(lu)).min() >= 1e-250:
             raise SolverError(f"singular system matrix at step {step}")
-        self._lu_cache[key] = lu
-        return lu
+        out = self._out_base.copy()
+        # Sign the diode rows so every entry is >= 0 exactly when the state
+        # is consistent: conducting diodes need v >= 0, blocking ones v <= 0.
+        out[:6] *= np.where(on, 1.0, -1.0)[:, None]
+        out[6 + self.n_z + _I_DC] = g_d[:3] @ self._out_base[:3]
+        self._maps[key] = lu, piv, out
+        return self._maps[key]
 
     def run(self) -> WaveformSet:
-        n = self.n_samples
-        n_st, n_hp = self.n_st, self.n_hp
-        dt = self.dt
+        n, nx, nz = self.n_samples, _NUM_UNKNOWNS, self.n_z
+        record = np.zeros((n, self._out_base.shape[0] - 6 - nz))
+        record[0, 0:3] = self.esrc[0]
+        w = np.zeros(nx + nz + 3)
+        w_x, w_ze, w_z, w_e = w[:nx], w[nx:], w[nx : nx + nz], w[nx + nz :]
+        rhs, esrc, maps, max_iter = self._rhs, self.esrc, self._maps, self.max_iter
+        z_stop = 6 + nz
 
-        channels = np.zeros((n, len(CHANNEL_IDS)))
-        channels[:, 0:3] = self.esrc
-
-        # Aux layout: ST branch currents and capacitor voltages, HP branch
-        # current / inductor current / capacitor voltage / damping voltage,
-        # each (branch, phase) flattened, then the bridge terminal voltages.
-        aux_groups = [
-            ("st_i", 3 * n_st), ("st_vc", 3 * n_st),
-            ("hp_i", 3 * n_hp), ("hp_il", 3 * n_hp),
-            ("hp_vc", 3 * n_hp), ("hp_vrl", 3 * n_hp),
-            ("v_bt", 3),
-        ]
-        aux = np.zeros((n, sum(width for _, width in aux_groups)))
-        aux_slices: dict[str, slice] = {}
-        pos = 0
-        for name, width in aux_groups:
-            aux_slices[name] = slice(pos, pos + width)
-            pos += width
-
-        # Histories (all-zero initial conditions).
-        i_src = np.zeros(3)
-        v_ls = np.zeros(3)
-        i_fe = np.zeros(3)
-        v_fe = np.zeros(3)
-        st_i = np.zeros((n_st, 3))
-        st_vl = np.zeros((n_st, 3))
-        st_vc = np.zeros((n_st, 3))
-        hp_i = np.zeros((n_hp, 3))
-        hp_il = np.zeros((n_hp, 3))
-        hp_vc = np.zeros((n_hp, 3))
-        hp_vrl = np.zeros((n_hp, 3))
-        i_cdc = 0.0
-        v_cdc = 0.0
-
-        st_rleq = self.st_rleq[:, None]
-        st_rceq = self.st_rceq[:, None]
-        st_g = self.st_g[:, None]
-        hp_rceq = self.hp_rceq[:, None]
-        hp_glp = self.hp_glp[:, None]
-        hp_rsec = self.hp_rsec[:, None]
-        hp_g = self.hp_g[:, None]
-
-        state = np.zeros(6, dtype=bool)
+        key = 0  # all diodes blocking
+        solves = 0
         flagged: list[int] = []
-        b = np.zeros(_NUM_UNKNOWNS)
-
         for k in range(1, n):
-            st_el = -st_rleq * st_i - st_vl
-            st_e = st_el + st_vc + st_rceq * st_i
-            hp_hl = hp_il + hp_glp * hp_vrl
-            hp_e = hp_vc + hp_rceq * hp_i - hp_rsec * hp_hl
-            h_fe = i_fe + self.g_fe * v_fe
-            h_c = -self.g_cdc * v_cdc - i_cdc
-            e_hist = -self.r_ls * i_src - v_ls
-
-            b[0:3] = self.st_g @ st_e + self.hp_g @ hp_e - h_fe
-            b[3:6] = h_fe
-            b[_P] = -h_c
-            b[_N] = h_c
-            b[8:11] = self.esrc[k] - e_hist
-
-            converged = False
-            for it in range(self.max_iter):
-                x = lu_solve(self._factored(state, k), b, check_finite=False)
-                vd = np.empty(6)
-                vd[0:3] = x[3:6] - x[_P]
-                vd[3:6] = x[_N] - x[3:6]
-                new_state = (~state & (vd > 0.0)) | (state & (vd >= 0.0))
-                if np.array_equal(new_state, state):
-                    converged = True
+            w_e[:] = esrc[k]
+            b = rhs @ w_ze
+            for it in range(max_iter):
+                lu, piv, out = maps.get(key) or self._step_map(key, k)
+                w_x[:] = dgetrs(lu, piv, b)[0]
+                y = out @ w
+                signed_vd = y[:6].tolist()
+                flips = 0 if min(signed_vd) >= 0.0 else sum(
+                    1 << i for i, v in enumerate(signed_vd) if v < 0.0
+                )
+                if not flips:
                     break
-                if it < self.max_iter - 1:
-                    state = new_state
-            if not converged:
+                if it < max_iter - 1:
+                    key ^= flips
+            else:
                 flagged.append(k)
+            solves += it + 1
+            w_z[:] = y[6:z_stop]
+            record[k] = y[z_stop:]
 
-            vp = x[0:3]
-            v_bt = x[3:6]
-            i_src = x[8:11].copy()
-            v_ls = self.r_ls * i_src + e_hist
-
-            v_fe = vp - v_bt
-            i_fe = self.g_fe * v_fe + h_fe
-
-            st_inew = st_g * (vp[None, :] - st_e)
-            st_vl = st_rleq * st_inew + st_el
-            st_vc = st_vc + st_rceq * (st_inew + st_i)
-            st_i = st_inew
-
-            hp_inew = hp_g * (vp[None, :] - hp_e)
-            hp_vc = hp_vc + hp_rceq * (hp_inew + hp_i)
-            hp_vrl = (hp_inew - hp_hl) * hp_rsec
-            hp_il = hp_glp * hp_vrl + hp_hl
-            hp_i = hp_inew
-
-            v_cdc = x[_P] - x[_N]
-            i_cdc = self.g_cdc * v_cdc + h_c
-
-            g_upper = np.where(state[0:3], self.g_on, self.g_off)
-            i_dc = float(np.dot(g_upper, v_bt - x[_P]))
-            i_filter = st_inew.sum(axis=0) + hp_inew.sum(axis=0)
-
-            row = channels[k]
-            row[3:6] = vp
-            row[6:9] = i_src
-            row[9:12] = i_fe
-            row[12:15] = i_filter
-            row[15] = v_cdc
-            row[16] = i_dc
-
-            arow = aux[k]
-            arow[aux_slices["st_i"]] = st_inew.ravel()
-            arow[aux_slices["st_vc"]] = st_vc.ravel()
-            arow[aux_slices["hp_i"]] = hp_inew.ravel()
-            arow[aux_slices["hp_il"]] = hp_il.ravel()
-            arow[aux_slices["hp_vc"]] = hp_vc.ravel()
-            arow[aux_slices["hp_vrl"]] = hp_vrl.ravel()
-            arow[aux_slices["v_bt"]] = v_bt
-
-        channel_map = {name: channels[:, i] for i, name in enumerate(CHANNEL_IDS)}
-        aux_map = {name: aux[:, sl] for name, sl in aux_slices.items()}
+        # Row extremes propagate NaN and reach any infinity, without a
+        # record-sized temporary.
+        finite = np.isfinite(record.min(axis=1)) & np.isfinite(record.max(axis=1))
+        if not finite.all():
+            raise SolverError(f"non-finite solution at step {int(np.argmin(finite))}")
         return WaveformSet(
-            sample_rate_hz=1.0 / dt,
-            channels=channel_map,
+            sample_rate_hz=1.0 / self.dt,
+            channels={name: record[:, i] for i, name in enumerate(CHANNEL_IDS)},
             flagged_steps=tuple(flagged),
-            aux=aux_map,
+            aux={name: record[:, sl] for name, sl in self._aux_slices.items()},
+            diode_states=len(maps),
+            switch_iterations=solves,
         )
 
 

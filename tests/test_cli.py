@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,8 @@ def test_simulate_outputs_csv_and_metadata(short_waveform, short_scenario_path):
     assert meta["duration_s"] == 0.2
     assert meta["n_samples"] == 4000
     assert meta["flagged_steps"] == []
+    assert meta["diode_states"] >= 1
+    assert meta["switch_iterations"] >= meta["n_samples"] - 1
     assert meta["channels"] == list(CHANNEL_IDS)
     assert meta["wall_time_s"] > 0.0
 
@@ -185,6 +188,45 @@ def test_simulate_solver_failure_exit_3(tmp_path, capsys):
     rc = main(["simulate", str(path), "-o", str(tmp_path / "x.csv")])
     assert rc == 3
     assert "singular" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("basis", "source_vrms", math.nan),
+        ("basis", "source_inductance_h", math.nan),
+        ("solver", "duration_s", math.inf),
+    ],
+)
+def test_simulate_non_finite_input_exit_2(tmp_path, capsys, section, key, value):
+    doc = scenario_to_dict(
+        presets.baseline_scenario(hf.SolverConfig(dt_s=1e-4, duration_s=0.2))
+    )
+    doc[section][key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", str(path), "-o", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert key in err and "finite" in err
+    assert not out.exists()
+
+
+def test_simulate_overflowing_output_exit_3(tmp_path, capsys):
+    doc = scenario_to_dict(
+        presets.baseline_scenario(hf.SolverConfig(dt_s=1e-4, duration_s=0.2))
+    )
+    doc["basis"]["source_vrms"] = 1e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", str(path), "-o", str(out)])
+    assert rc == 3
+    assert "non-finite solution at step" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_determinism(tmp_path, short_scenario_path):
@@ -391,17 +433,6 @@ def test_scenario_requires_integer_iteration_cap():
 
 
 # --- misc -----------------------------------------------------------------------
-
-
-def test_thread_cap_env(monkeypatch):
-    from harmflow.cli import sweep_thread_cap
-
-    monkeypatch.delenv("HARMFLOW_THREADS", raising=False)
-    assert sweep_thread_cap() == 1
-    monkeypatch.setenv("HARMFLOW_THREADS", "4")
-    assert sweep_thread_cap() == 4
-    monkeypatch.setenv("HARMFLOW_THREADS", "junk")
-    assert sweep_thread_cap() == 1
 
 
 def test_unknown_subcommand_exit_2():

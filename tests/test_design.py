@@ -279,6 +279,8 @@ def test_basis_validation():
         hf.SystemBasis(fundamental_hz=50.0, source_vrms=-1.0, source_inductance_h=0.0)
     with pytest.raises(DesignError):
         hf.SystemBasis(fundamental_hz=50.0, source_vrms=220.0, source_inductance_h=-1e-3)
+    with pytest.raises(DesignError, match="fundamental_hz must be positive and finite"):
+        hf.SystemBasis(fundamental_hz=math.inf, source_vrms=220.0, source_inductance_h=0.0)
 
 
 def test_basis_from_line_to_line():

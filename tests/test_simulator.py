@@ -32,6 +32,8 @@ def test_solver_config_validation():
         hf.SolverConfig(dt_s=0.0)
     with pytest.raises(ValueError):
         hf.SolverConfig(duration_s=-1.0)
+    with pytest.raises(ValueError, match="dt_s must be positive and finite"):
+        hf.SolverConfig(dt_s=math.nan)
     with pytest.raises(ValueError):
         hf.SolverConfig(diode_on_ohm=1.0, diode_off_ohm=1e5)
     with pytest.raises(ValueError):
@@ -43,6 +45,8 @@ def test_load_validation():
         hf.RectifierLoad(front_end_inductance_h=0.0)
     with pytest.raises(ValueError):
         hf.RectifierLoad(load_resistance_ohm=-5.0)
+    with pytest.raises(ValueError, match="load_capacitance_f must be positive and finite"):
+        hf.RectifierLoad(load_capacitance_f=math.inf)
 
 
 def test_scenario_requires_ten_periods():
@@ -143,6 +147,28 @@ def test_dc_current_never_reverses(baseline_run):
     window = hf.steady_state_window(waves, scenario.basis, 5)
     i_dc = waves.channels["i_dc"][window.start : window.stop]
     assert np.min(i_dc) > -1e-6 * float(np.mean(i_dc))
+
+
+@pytest.mark.parametrize(
+    "fixture, thd, dpf",
+    [
+        ("baseline_run", 0.20414539086686642, 0.9146771881975087),
+        ("filtered_run", 0.04117319293437536, 0.9057651089521072),
+    ],
+)
+def test_bundled_figures_pinned(fixture, thd, dpf, request):
+    # Any reformulation of the step must reproduce these to near roundoff;
+    # a looser match means the solver's arithmetic drifted.
+    scenario, waves, _ = request.getfixturevalue(fixture)
+    window = hf.steady_state_window(waves, scenario.basis, 5)
+    sl = slice(window.start, window.stop)
+    f1 = scenario.basis.fundamental_hz
+    i_a = waves.channels["i_src_a"][sl]
+    assert hf.spectrum(i_a, waves.sample_rate_hz, f1, 50).thd == pytest.approx(
+        thd, rel=1e-9
+    )
+    report = hf.power_report(waves.channels["v_src_a"][sl], i_a, waves.sample_rate_hz, f1)
+    assert report.displacement_power_factor == pytest.approx(dpf, rel=1e-9)
 
 
 def test_filter_current_matches_frequency_domain_model(filtered_run):
@@ -246,6 +272,12 @@ def test_iteration_cap_flags_steps():
     waves = hf.run(presets.baseline_scenario(solver))
     assert len(waves.flagged_steps) > 0
     assert all(1 <= k < waves.n_samples for k in waves.flagged_steps)
+
+
+def test_switch_counters(baseline_run, filtered_run):
+    for _, waves, _ in (baseline_run, filtered_run):
+        assert waves.diode_states == 13
+        assert waves.switch_iterations >= waves.n_samples - 1
 
 
 def test_default_iteration_budget_converges(baseline_run, filtered_run):
