@@ -92,7 +92,12 @@ class HarmonicSpectrum:
 
 @dataclass(frozen=True)
 class PowerReport:
-    """Active/apparent power and the two power-factor figures."""
+    """Active/apparent power and the two power-factor figures.
+
+    |true PF| <= 1 always, and <= |DPF| when the voltage is sinusoidal;
+    with a distorted voltage, harmonic active power can raise P/S above
+    the fundamental's cos(phi).
+    """
 
     active_power_w: float
     apparent_power_va: float
@@ -103,11 +108,6 @@ class PowerReport:
         if not abs(self.true_power_factor) <= 1.0:
             raise AnalysisError(
                 f"true power factor {self.true_power_factor!r} outside [-1, 1]"
-            )
-        if abs(self.true_power_factor) > abs(self.displacement_power_factor) + 1e-12:
-            raise AnalysisError(
-                "true power factor cannot exceed displacement power factor "
-                f"({self.true_power_factor!r} vs {self.displacement_power_factor!r})"
             )
 
 

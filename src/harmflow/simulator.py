@@ -18,14 +18,20 @@ resistors; conduction states are resolved per step by fixed-point iteration
 current falls below zero).
 
 The companion-model history terms, one per inductor and capacitor, form a
-vector ``z``.  The right-hand side is the same affine map of ``z`` and the
-source sample in every diode state, and the system matrix depends only on
-the state word, so each state visited gets one cached step map (the
-constant-matrix-per-topology scheme of EMTP; Dommel, IEEE Trans. PAS,
-1969): LU factors plus one output matrix giving the diode voltages, the
-next ``z`` and the recorded row.  A step is a matvec, a triangular solve, a
-matvec and a sign test.  The LU solve stays in the step because an explicit
-inverse pre-multiplied into the maps loses accuracy to cancellation.
+vector ``z``.  The right-hand side is the same linear map of ``z`` in every
+diode state, plus the source sample added into the source branch rows, and
+the system matrix depends only on the state word, so each state visited
+gets one cached step map (the constant-matrix-per-topology scheme of EMTP;
+Dommel, IEEE Trans. PAS, 1969): LU factors plus one output matrix that
+takes the unknowns ``x`` and ``z`` to the diode voltages, the next
+right-hand side without its source term, the next ``z`` and the recorded
+row.  Two preallocated rows in that layout take turns: a step adds the
+source sample into one row's right-hand side, solves it into ``x`` in
+place, maps ``[x; z]`` into the other row with one matvec, tests the diode
+voltages' signs and copies the record row.  The LU solve stays in the step
+because an explicit inverse pre-multiplied into the maps loses accuracy to
+cancellation.  The source voltages are recorded from the source samples,
+not through the map.
 
 All states start at zero; analysis windows exclude the start-up transient.
 """
@@ -61,6 +67,13 @@ _P, _N = 6, 7
 _NUM_NODES = 8
 _NUM_UNKNOWNS = 11
 _I_DC = CHANNEL_IDS.index("i_dc")
+
+# Most samples one run may record, checked before anything is allocated.
+# The record holds 8 bytes per sample per column, so this bounds it at 12 MB
+# per column: 0.67 GB at the bundled bank's 56 columns (17 channels plus
+# the aux traces).  The longest bundled study, the 1.2 s settled run,
+# records 120k samples.
+MAX_SAMPLES = 1_500_000
 
 
 class SolverError(RuntimeError):
@@ -110,12 +123,17 @@ class SolverConfig:
     max_switch_iterations: int = 10
 
     def __post_init__(self) -> None:
-        for name in ("dt_s", "duration_s"):
+        for name in ("dt_s", "duration_s", "diode_on_ohm", "diode_off_ohm"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not self.diode_on_ohm > 0.0:
-            raise ValueError(f"diode_on_ohm must be positive, got {self.diode_on_ohm!r}")
+        samples = self.duration_s / self.dt_s
+        # The solver records round(samples) samples.
+        if not samples < MAX_SAMPLES + 0.5:
+            raise ValueError(
+                f"duration_s / dt_s must be finite and round to at most "
+                f"{MAX_SAMPLES} samples, got {samples!r}"
+            )
         if not self.diode_off_ohm / self.diode_on_ohm >= 1e6:
             raise ValueError(
                 "diode_off_ohm / diode_on_ohm must be at least 1e6, got "
@@ -208,10 +226,10 @@ def run(scenario: Scenario) -> WaveformSet:
 
 
 class _TransientSolver:
-    """Per-state step maps over ``w = [x; z; e]`` (unknowns, history terms,
-    source sample).  ``z`` holds the Ls and Lfe histories per phase, the
-    Cdc history, then the single-tuned L and C and the high-pass C and L
-    histories per filter branch-phase."""
+    """Per-state step maps over ``w = [x; z]`` (unknowns, history terms),
+    stepped in place in two alternating output rows.  ``z`` holds the Ls
+    and Lfe histories per phase, the Cdc history, then the single-tuned L
+    and C and the high-pass C and L histories per filter branch-phase."""
 
     def __init__(self, scenario: Scenario) -> None:
         cfg = scenario.solver
@@ -251,7 +269,7 @@ class _TransientSolver:
         self.n_z = 7 + 6 * (self.n_st + self.n_hp)
 
         self._base_matrix = self._assemble_base()
-        self._rhs, self._out_base, self._aux_slices = self._assemble_maps()
+        self._out_base, self._aux_slices = self._assemble_maps()
         self._maps: dict[int, tuple] = {}
 
         t = np.arange(self.n_samples) * dt
@@ -281,11 +299,12 @@ class _TransientSolver:
             a[k, j] -= g
         return a
 
-    def _assemble_maps(self) -> tuple[np.ndarray, np.ndarray, dict[str, slice]]:
-        """State-independent linear forms over ``w = [x; z; e]``: the
-        right-hand-side map (``x`` columns dropped), the output rows
-        (unsigned diode voltages, next ``z``, record row with a zero
-        ``i_dc`` row) and the record columns of each aux trace."""
+    def _assemble_maps(self) -> tuple[np.ndarray, dict[str, slice]]:
+        """State-independent linear forms over ``w = [x; z]`` (unknowns,
+        history terms): the output rows (unsigned diode voltages, next
+        right-hand side without its source term, next ``z``, record row
+        with zero ``v_src`` and ``i_dc`` rows) and the record columns of
+        each aux trace."""
         nx, nz = _NUM_UNKNOWNS, self.n_z
         unit = np.eye(nx + nz + 3)
         x, e = unit[:nx], unit[nx + nz :]
@@ -337,6 +356,9 @@ class _TransientSolver:
         b[_P] = -z_c
         b[_N] = z_c
         b[_NUM_NODES:] = e - z_ls
+        # The source sample enters the right-hand side as a unit vector
+        # into the source branch rows, so the step adds it in place.
+        assert np.array_equal(b[:, nx + nz :], np.eye(nx)[:, _NUM_NODES:])
 
         channels = [
             e, vp, i_src, i_fe,
@@ -356,8 +378,16 @@ class _TransientSolver:
             aux_slices[name] = slice(pos, pos + len(forms))
             pos += len(forms)
         vd = np.vstack([vbt - x[_P], x[_N] - vbt])
-        out = np.vstack([vd, z_next, *channels, *(forms for _, forms in aux)])
-        return np.ascontiguousarray(b[:, nx:]), out, aux_slices
+        out = np.vstack([
+            vd, b[:, nx : nx + nz] @ z_next, z_next, *channels,
+            *(forms for _, forms in aux),
+        ])
+        # Beyond the right-hand side, the source sample reaches only the
+        # v_src record rows, which the run fills from the source samples.
+        e_out = np.zeros((len(out), 3))
+        e_out[6 + nx + nz : 9 + nx + nz] = np.eye(3)
+        assert np.array_equal(out[:, nx + nz :], e_out)
+        return np.ascontiguousarray(out[:, : nx + nz]), aux_slices
 
     def _step_map(self, key: int, step: int) -> tuple:
         """LU factors and output matrix of diode state word ``key``
@@ -378,42 +408,54 @@ class _TransientSolver:
         # Sign the diode rows so every entry is >= 0 exactly when the state
         # is consistent: conducting diodes need v >= 0, blocking ones v <= 0.
         out[:6] *= np.where(on, 1.0, -1.0)[:, None]
-        out[6 + self.n_z + _I_DC] = g_d[:3] @ self._out_base[:3]
+        out[6 + _NUM_UNKNOWNS + self.n_z + _I_DC] = g_d[:3] @ self._out_base[:3]
         self._maps[key] = lu, piv, out
         return self._maps[key]
 
     def run(self) -> WaveformSet:
         n, nx, nz = self.n_samples, _NUM_UNKNOWNS, self.n_z
-        record = np.zeros((n, self._out_base.shape[0] - 6 - nz))
-        record[0, 0:3] = self.esrc[0]
-        w = np.zeros(nx + nz + 3)
-        w_x, w_ze, w_z, w_e = w[:nx], w[nx:], w[nx : nx + nz], w[nx + nz :]
-        rhs, esrc, maps, max_iter = self._rhs, self.esrc, self._maps, self.max_iter
-        z_stop = 6 + nz
+        rec_at = 6 + nx + nz
+        record = np.zeros((n, self._out_base.shape[0] - rec_at))
+        # Two rows laid out as the output map's rows take turns: step k adds
+        # the source sample into the b of one, solves that b into x in
+        # place, maps w = [x; z] into the other and records it.
+        cur, nxt = (
+            (row, row[:6], row[6 : 6 + nx], row[6 + _NUM_NODES : 6 + nx],
+             row[6:rec_at], row[rec_at:])
+            for row in np.zeros((2, self._out_base.shape[0]))
+        )
+        b_saved = np.empty(nx)
+        esrc, maps, max_iter = self.esrc, self._maps, self.max_iter
 
         key = 0  # all diodes blocking
         solves = 0
         flagged: list[int] = []
-        for k in range(1, n):
-            w_e[:] = esrc[k]
-            b = rhs @ w_ze
-            for it in range(max_iter):
-                lu, piv, out = maps.get(key) or self._step_map(key, k)
-                w_x[:] = dgetrs(lu, piv, b)[0]
-                y = out @ w
-                signed_vd = y[:6].tolist()
-                flips = 0 if min(signed_vd) >= 0.0 else sum(
-                    1 << i for i, v in enumerate(signed_vd) if v < 0.0
-                )
-                if not flips:
-                    break
-                if it < max_iter - 1:
-                    key ^= flips
-            else:
-                flagged.append(k)
-            solves += it + 1
-            w_z[:] = y[6:z_stop]
-            record[k] = y[z_stop:]
+        # Overflow is reported by the guard after the loop.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, n):
+                _, _, b, b_src, w, _ = cur
+                y, signed_vd, _, _, _, rec = nxt
+                b_src += esrc[k]
+                b_saved[:] = b
+                for it in range(max_iter):
+                    lu, piv, out = maps.get(key) or self._step_map(key, k)
+                    dgetrs(lu, piv, b, overwrite_b=1)
+                    np.dot(out, w, out=y)
+                    vd = signed_vd.tolist()
+                    flips = 0 if min(vd) >= 0.0 else sum(
+                        1 << i for i, v in enumerate(vd) if v < 0.0
+                    )
+                    if not flips:
+                        break
+                    if it < max_iter - 1:
+                        key ^= flips
+                        b[:] = b_saved
+                else:
+                    flagged.append(k)
+                solves += it + 1
+                record[k] = rec
+                cur, nxt = nxt, cur
+        record[:, 0:3] = esrc  # v_src, whose map rows are zero
 
         # Row extremes propagate NaN and reach any infinity, without a
         # record-sized temporary.

@@ -247,6 +247,23 @@ def test_power_report_distortion_lowers_true_pf():
     assert rep.displacement_power_factor == pytest.approx(expected_dpf, abs=1e-9)
 
 
+def test_power_report_harmonic_power_can_raise_true_pf():
+    # With a distorted voltage, in-phase harmonics carry active power, so
+    # P/S can exceed the fundamental's cos(phi): 0.5 cos 80deg plus 0.125
+    # over S = 0.625 gives 0.339 against a DPF of 0.174.
+    spp, periods = 600, 2
+    t = np.arange(spp * periods) / spp
+    v = np.sin(TWO_PI * t) + 0.5 * np.sin(3 * TWO_PI * t)
+    i = np.sin(TWO_PI * t - math.radians(80.0)) + 0.5 * np.sin(3 * TWO_PI * t)
+    rep = hf.power_report(v, i, spp * 50.0, 50.0)
+    assert rep.displacement_power_factor == pytest.approx(
+        math.cos(math.radians(80.0)), abs=1e-9
+    )
+    expected_pf = (0.5 * math.cos(math.radians(80.0)) + 0.125) / 0.625
+    assert rep.true_power_factor == pytest.approx(expected_pf, abs=1e-9)
+    assert rep.displacement_power_factor < rep.true_power_factor <= 1.0
+
+
 def test_power_report_rejects_zero_apparent_power():
     x = np.zeros(100)
     with pytest.raises(AnalysisError):

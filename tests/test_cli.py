@@ -182,7 +182,7 @@ def test_simulate_solver_failure_exit_3(tmp_path, capsys):
     doc = scenario_to_dict(
         presets.baseline_scenario(hf.SolverConfig(dt_s=1e-4, duration_s=0.2))
     )
-    doc["solver"]["diode_off_ohm"] = math.inf
+    doc["solver"]["diode_off_ohm"] = 1e300
     path = tmp_path / "singular.json"
     path.write_text(json.dumps(doc))
     rc = main(["simulate", str(path), "-o", str(tmp_path / "x.csv")])
@@ -196,6 +196,7 @@ def test_simulate_solver_failure_exit_3(tmp_path, capsys):
         ("basis", "source_vrms", math.nan),
         ("basis", "source_inductance_h", math.nan),
         ("solver", "duration_s", math.inf),
+        ("solver", "diode_off_ohm", math.inf),
     ],
 )
 def test_simulate_non_finite_input_exit_2(tmp_path, capsys, section, key, value):
@@ -210,6 +211,20 @@ def test_simulate_non_finite_input_exit_2(tmp_path, capsys, section, key, value)
     err = capsys.readouterr().err
     assert rc == 2
     assert key in err and "finite" in err
+    assert not out.exists()
+
+
+def test_simulate_overflowing_sample_count_exit_2(tmp_path, capsys):
+    doc = scenario_to_dict(presets.baseline_scenario())
+    doc["solver"]["duration_s"] = 1e300
+    doc["solver"]["dt_s"] = 1e-300
+    path = tmp_path / "endless.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", str(path), "-o", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "duration_s" in err and "dt_s" in err
     assert not out.exists()
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import harmflow as hf
 from harmflow import presets
 from harmflow.simulator import (
     CHANNEL_IDS,
+    MAX_SAMPLES,
     SampleGridError,
     SolverError,
     WindowError,
@@ -36,8 +38,24 @@ def test_solver_config_validation():
         hf.SolverConfig(dt_s=math.nan)
     with pytest.raises(ValueError):
         hf.SolverConfig(diode_on_ohm=1.0, diode_off_ohm=1e5)
+    with pytest.raises(ValueError, match="diode_off_ohm must be positive and finite"):
+        hf.SolverConfig(diode_off_ohm=math.inf)
     with pytest.raises(ValueError):
         hf.SolverConfig(max_switch_iterations=0)
+
+
+def test_solver_config_sample_budget():
+    # The budget is checked on the config, before any record exists.
+    assert MAX_SAMPLES >= 10 * 120_000  # the settled fixture's run
+    hf.SolverConfig(dt_s=1e-5, duration_s=MAX_SAMPLES * 1e-5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"duration_s / dt_s .* at most"):
+            hf.SolverConfig(dt_s=1e-5, duration_s=(MAX_SAMPLES + 1) * 1e-5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_load_validation():
@@ -278,6 +296,20 @@ def test_switch_counters(baseline_run, filtered_run):
     for _, waves, _ in (baseline_run, filtered_run):
         assert waves.diode_states == 13
         assert waves.switch_iterations >= waves.n_samples - 1
+    # The filtered run retries some step with a restored right-hand side,
+    # so the pinned figures cover that path of the step loop.
+    assert filtered_run[1].switch_iterations > filtered_run[1].n_samples - 1
+
+
+def test_source_channels_are_exact_samples(baseline_run, filtered_run):
+    for scenario, waves, _ in (baseline_run, filtered_run):
+        basis = scenario.basis
+        t = np.arange(waves.n_samples) * scenario.solver.dt_s
+        for ph, phase in enumerate("abc"):
+            expected = math.sqrt(2.0) * basis.source_vrms * np.sin(
+                2.0 * math.pi * basis.fundamental_hz * t - ph * 2.0 * math.pi / 3.0
+            )
+            assert np.array_equal(waves.channels[f"v_src_{phase}"], expected)
 
 
 def test_default_iteration_budget_converges(baseline_run, filtered_run):
@@ -287,7 +319,7 @@ def test_default_iteration_budget_converges(baseline_run, filtered_run):
 
 def test_singular_matrix_names_step():
     solver = hf.SolverConfig(
-        dt_s=1e-4, duration_s=0.2, diode_on_ohm=1e-3, diode_off_ohm=math.inf
+        dt_s=1e-4, duration_s=0.2, diode_on_ohm=1e-3, diode_off_ohm=1e300
     )
     with pytest.raises(SolverError, match="step 1"):
         hf.run(presets.baseline_scenario(solver))
