@@ -194,7 +194,10 @@ def _read_waveform_csv(path) -> tuple[list[str], np.ndarray, float]:
     names = header.split(",")
     if not names or names[0] != "t_s":
         raise AnalysisError(f"{path}: expected a waveform CSV with a t_s column")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise AnalysisError(f"{path}: {exc}") from None
     if data.shape[1] != len(names):
         raise AnalysisError(f"{path}: header and data column counts differ")
     t = data[:, 0]

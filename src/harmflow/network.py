@@ -16,7 +16,7 @@ Grid density is the caller's accuracy knob; no interpolation is applied.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -162,32 +162,18 @@ def scan(
     return ImpedanceCurve(freqs, z)
 
 
-def _runs(values: np.ndarray) -> Iterable[tuple[int, float]]:
-    """Compress consecutive equal values to (start_index, value) runs."""
-    start = 0
-    for i in range(1, len(values)):
-        if values[i] != values[start]:
-            yield start, values[start]
-            start = i
-    yield start, values[start]
-
-
 def find_resonances(curve: ImpedanceCurve) -> ResonanceReport:
     """Interior local minima/maxima of |Z| on the scan grid.
 
     Plateaus count once and report their lowest frequency; runs touching
-    either endpoint are excluded.
+    either endpoint are excluded.  NaN equals nothing, so each NaN is a run
+    of its own and never an extremum.
     """
     mags = curve.magnitudes
-    runs = list(_runs(mags))
-    series: list[float] = []
-    parallel: list[float] = []
-    for k in range(1, len(runs) - 1):
-        idx, val = runs[k]
-        left = runs[k - 1][1]
-        right = runs[k + 1][1]
-        if left > val < right:
-            series.append(float(curve.frequencies_hz[idx]))
-        elif left < val > right:
-            parallel.append(float(curve.frequencies_hz[idx]))
-    return ResonanceReport(tuple(series), tuple(parallel))
+    starts = np.flatnonzero(np.r_[True, mags[1:] != mags[:-1]])
+    vals = mags[starts]
+    left, mid, right = vals[:-2], vals[1:-1], vals[2:]
+    interior = curve.frequencies_hz[starts[1:-1]]
+    series = interior[(left > mid) & (mid < right)]
+    parallel = interior[(left < mid) & (mid > right)]
+    return ResonanceReport(tuple(series.tolist()), tuple(parallel.tolist()))

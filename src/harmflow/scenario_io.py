@@ -62,9 +62,9 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
     load_doc = _section(doc, "load", _LOAD_KEYS)
     solver_doc = _section(doc, "solver", _SOLVER_KEYS)
     iterations = solver_doc["max_switch_iterations"]
-    if iterations != int(iterations):
+    if isinstance(iterations, float) and not iterations.is_integer():
         raise ScenarioError(
-            f"solver.max_switch_iterations must be an integer, got {iterations!r}"
+            f"solver.max_switch_iterations must be a finite integer, got {iterations!r}"
         )
     solver_doc["max_switch_iterations"] = int(iterations)
 

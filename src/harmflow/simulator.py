@@ -202,12 +202,16 @@ class WaveformSet:
         return np.arange(self.n_samples) * self.dt_s
 
     def write_csv(self, out: IO[str]) -> None:
-        """First column ``t_s`` then one column per contract channel."""
+        """First column ``t_s`` then one column per contract channel.
+
+        Every value is written as ``%.17g``: 17 significant digits, which
+        read back as the same double, so the round trip is exact.
+        """
         out.write("t_s," + ",".join(CHANNEL_IDS) + "\n")
         columns = [self.time()] + [np.asarray(self.channels[c]) for c in CHANNEL_IDS]
-        rows = np.column_stack(columns).tolist()
-        out.write("\n".join(",".join(map(repr, row)) for row in rows))
-        out.write("\n")
+        rows = np.column_stack(columns)
+        row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        out.write((row * len(rows)) % tuple(rows.ravel().tolist()))
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:

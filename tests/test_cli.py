@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import warnings
@@ -11,7 +12,7 @@ import pytest
 
 import harmflow as hf
 from harmflow import presets
-from harmflow.cli import main
+from harmflow.cli import _read_waveform_csv, main
 from harmflow.scenario_io import (
     ScenarioError,
     load_scenario,
@@ -197,6 +198,9 @@ def test_simulate_solver_failure_exit_3(tmp_path, capsys):
         ("basis", "source_inductance_h", math.nan),
         ("solver", "duration_s", math.inf),
         ("solver", "diode_off_ohm", math.inf),
+        ("solver", "max_switch_iterations", math.inf),
+        ("solver", "max_switch_iterations", -math.inf),
+        ("solver", "max_switch_iterations", math.nan),
     ],
 )
 def test_simulate_non_finite_input_exit_2(tmp_path, capsys, section, key, value):
@@ -313,6 +317,32 @@ def test_analyze_unknown_channel_lists_available(tmp_path, short_waveform, capsy
     assert "i_src_a" in err and "v_dc" in err
 
 
+def _assert_csv_round_trip(waves: hf.WaveformSet, path) -> None:
+    waves.to_csv(path)
+    names, data, sample_rate = _read_waveform_csv(path)
+    assert names == list(CHANNEL_IDS)
+    times = np.loadtxt(path, delimiter=",", skiprows=1, usecols=0)
+    assert np.array_equal(times, waves.time())
+    for i, channel in enumerate(CHANNEL_IDS):
+        assert np.array_equal(data[:, i], waves.channels[channel]), channel
+    assert sample_rate == pytest.approx(waves.sample_rate_hz, rel=1e-9)
+
+
+def test_waveform_csv_round_trip_is_bit_exact(tmp_path):
+    solver = hf.SolverConfig(dt_s=1e-4, duration_s=0.2)
+    _assert_csv_round_trip(hf.run(presets.filtered_scenario(solver)), tmp_path / "run.csv")
+    # Doubles across the whole exponent range, subnormals and signed zeros.
+    rng = np.random.default_rng(5)
+    bits = rng.integers(0, 2**64, size=(len(CHANNEL_IDS), 400), dtype=np.uint64)
+    values = bits.view(np.float64)
+    values[~np.isfinite(values)] = 0.0
+    values[:, :4] = [-0.0, 5e-324, -1.7976931348623157e308, 0.1]
+    synthetic = hf.WaveformSet(
+        sample_rate_hz=3.0, channels=dict(zip(CHANNEL_IDS, values))
+    )
+    _assert_csv_round_trip(synthetic, tmp_path / "synthetic.csv")
+
+
 # --- scan ---------------------------------------------------------------------
 
 
@@ -397,6 +427,31 @@ def test_report_mismatched_sample_rates_exit_2(tmp_path, short_waveform, capsys)
     assert "sample rates differ" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "report"])
+@pytest.mark.parametrize("defect", ["ragged", "non_numeric"])
+def test_malformed_waveform_csv_names_file(tmp_path, short_waveform, capsys, command, defect):
+    lines = short_waveform.read_text().splitlines()
+    cells = lines[10].split(",")
+    if defect == "ragged":
+        del cells[-1]
+    else:
+        # v_dc is read by neither command below, yet must still be numeric.
+        cells[1 + CHANNEL_IDS.index("v_dc")] = "abc"
+    lines[10] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    if command == "analyze":
+        argv = ["analyze", str(bad), "--channel", "i_src_a"]
+    else:
+        argv = ["report", str(short_waveform), str(bad)]
+    rc = main(argv + ["-o", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {bad}: ")
+    assert "row" in err
+    assert not list(tmp_path.glob("out*"))
+
+
 # --- scenario document validation ----------------------------------------------
 
 
@@ -441,10 +496,53 @@ def test_scenario_rejects_bank_fundamental_mismatch(ref_bank):
 
 
 def test_scenario_requires_integer_iteration_cap():
-    doc = scenario_to_dict(presets.baseline_scenario())
-    doc["solver"]["max_switch_iterations"] = 2.5
-    with pytest.raises(ScenarioError, match="max_switch_iterations"):
-        scenario_from_dict(doc)
+    for value in (2.5, math.inf, -math.inf, math.nan):
+        doc = scenario_to_dict(presets.baseline_scenario())
+        doc["solver"]["max_switch_iterations"] = value
+        with pytest.raises(ScenarioError, match="max_switch_iterations"):
+            scenario_from_dict(doc)
+
+
+def _numeric_fields(node, path=()):
+    """Key paths of every number in a scenario document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _numeric_fields(value, path + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path + (key,)
+
+
+def test_simulate_extreme_values_fuzz(tmp_path, capsys):
+    """Each numeric field of a short bundled scenario set to each extreme value
+    exits 0, 2 or 3 with no escaping exception, and writes a CSV only on
+    success, with finite values."""
+    base = scenario_to_dict(
+        presets.filtered_scenario(hf.SolverConfig(dt_s=1e-4, duration_s=0.2))
+    )
+    fields = list(_numeric_fields(base))
+    assert len(fields) == 3 + 3 + 5 + 1 + 5 * 5  # basis, load, solver, bank
+    path = tmp_path / "scenario.json"
+    out = tmp_path / "x.csv"
+    for field in fields:
+        for value in (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, 1e-300):
+            doc = copy.deepcopy(base)
+            node = doc
+            for key in field[:-1]:
+                node = node[key]
+            node[field[-1]] = value
+            path.write_text(json.dumps(doc))
+            rc = main(["simulate", str(path), "-o", str(out)])
+            err = capsys.readouterr().err
+            case = f"{'.'.join(map(str, field))} = {value!r}: {err}"
+            assert rc in (0, 2, 3), case
+            if rc == 0:
+                data = np.loadtxt(out, delimiter=",", skiprows=1)
+                assert np.isfinite(data).all(), case
+                out.unlink()
+            else:
+                assert not out.exists(), case
+                assert err.startswith("error: " if rc == 2 else "solver error: "), case
 
 
 # --- misc -----------------------------------------------------------------------

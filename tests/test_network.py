@@ -252,6 +252,68 @@ def test_find_resonances_staircase_has_no_extrema():
     assert report.parallel_resonances_hz == ()
 
 
+@pytest.mark.parametrize(
+    "ls, series, parallel",
+    [
+        (
+            0.0,
+            (249.94, 349.95, 549.9000000000001, 650.03, 918.0600000000001),
+            (269.78999999999996, 390.15000000000003, 589.9300000000001, 772.35),
+        ),
+        (
+            0.0016,
+            (250.19, 350.13, 550.01, 650.13, 932.94),
+            (243.06, 332.17, 478.81, 605.09, 795.32),
+        ),
+    ],
+)
+def test_find_resonances_dense_bundled_scan_pinned(ref_bank, ls, series, parallel):
+    # 95,001 points over 50-1000 Hz (0.01 Hz steps), as in the design sweep.
+    report = find_resonances(hf.scan(ref_bank, ls, 50.0, 1000.0, 95001))
+    assert report.series_resonances_hz == series
+    assert report.parallel_resonances_hz == parallel
+
+
+def _reference_resonances(freqs, mags):
+    """Per-element loop over runs of equal |Z|: the reference the vectorized
+    ``find_resonances`` must match exactly."""
+    runs = []
+    start = 0
+    for i in range(1, len(mags)):
+        if mags[i] != mags[start]:
+            runs.append((start, mags[start]))
+            start = i
+    runs.append((start, mags[start]))
+    series, parallel = [], []
+    for k in range(1, len(runs) - 1):
+        idx, val = runs[k]
+        left, right = runs[k - 1][1], runs[k + 1][1]
+        if left > val < right:
+            series.append(float(freqs[idx]))
+        elif left < val > right:
+            parallel.append(float(freqs[idx]))
+    return tuple(series), tuple(parallel)
+
+
+@given(
+    st.lists(
+        st.sampled_from([0.0, 1.0, 2.0, 3.0, math.nan, math.inf, -math.inf]),
+        min_size=2,
+        max_size=40,
+    )
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_find_resonances_matches_reference_loop(values):
+    # Few distinct values make plateaus, endpoint runs and NaN neighbours common.
+    freqs = np.arange(1.0, len(values) + 1.0)
+    curve = hf.ImpedanceCurve(freqs, np.array(values) + 0j)
+    report = find_resonances(curve)
+    expected = _reference_resonances(curve.frequencies_hz, curve.magnitudes)
+    assert (report.series_resonances_hz, report.parallel_resonances_hz) == expected
+    found = report.series_resonances_hz + report.parallel_resonances_hz
+    assert all(type(f) is float for f in found)
+
+
 def test_find_resonances_reversal_symmetry(ref_bank):
     curve = hf.scan(ref_bank, 0.0016, 50.0, 1000.0, 701)
     total = curve.frequencies_hz[0] + curve.frequencies_hz[-1]
