@@ -197,7 +197,7 @@ def _read_waveform_csv(path) -> tuple[list[str], np.ndarray, float]:
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
-        raise AnalysisError(f"{path}: {exc}") from None
+        raise AnalysisError(f"{path}: {_first_bad_line(path, names) or exc}") from None
     if data.shape[1] != len(names):
         raise AnalysisError(f"{path}: header and data column counts differ")
     t = data[:, 0]
@@ -205,6 +205,27 @@ def _read_waveform_csv(path) -> tuple[list[str], np.ndarray, float]:
         raise AnalysisError(f"{path}: need at least two samples")
     sample_rate = (len(t) - 1) / (t[-1] - t[0])
     return names[1:], data[:, 1:], sample_rate
+
+
+def _first_bad_line(path, names: list[str]) -> str | None:
+    """Describe the first line of a waveform CSV, counting the header as
+    line 1, whose field count differs from the header's or which holds a
+    field that is not a number; None if there is no such line."""
+    with open(path) as fh:
+        next(fh)
+        for number, line in enumerate(fh, start=2):
+            line = line.split("#", 1)[0]
+            if not line.strip():
+                continue  # np.loadtxt skips blank and comment lines
+            fields = line.split(",")
+            if len(fields) != len(names):
+                return f"line {number} has {len(fields)} fields, expected {len(names)}"
+            for name, value in zip(names, fields):
+                try:
+                    float(value)
+                except ValueError:
+                    return f"line {number}: {name} value {value.strip()!r} is not a number"
+    return None
 
 
 def _channel_column(names: list[str], data: np.ndarray, channel: str, path) -> np.ndarray:

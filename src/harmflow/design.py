@@ -108,8 +108,8 @@ class SingleTunedFilter:
             resistance_ohm=self.resistance_ohm,
             quality_factor=self.quality_factor,
         )
-        if self.order < 2.0:
-            raise DesignError(f"harmonic order must be >= 2, got {self.order!r}")
+        if not 2.0 <= self.order < math.inf:
+            raise DesignError(f"harmonic order must be >= 2 and finite, got {self.order!r}")
         q_check = math.sqrt(self.inductance_h / self.capacitance_f) / self.resistance_ohm
         if not math.isclose(q_check, self.quality_factor, rel_tol=_REL_TOL):
             raise DesignError(
@@ -219,8 +219,8 @@ def capacitor_from_reactive_power(q_var: float, basis: SystemBasis) -> float:
 def tune_inductor(c: float, order: float, basis: SystemBasis) -> float:
     """Inductance resonating with ``c`` at ``order`` times the fundamental."""
     _require_positive(capacitance=c, order=order)
-    if order < 1.0:
-        raise DesignError(f"harmonic order must be >= 1, got {order!r}")
+    if not 1.0 <= order < math.inf:
+        raise DesignError(f"harmonic order must be >= 1 and finite, got {order!r}")
     w = TWO_PI * order * basis.fundamental_hz
     return 1.0 / (w * w * c)
 
@@ -240,8 +240,8 @@ def design_single_tuned(
 ) -> SingleTunedFilter:
     """Size a series R-L-C branch tuned to ``order`` times the fundamental."""
     _require_positive(capacitance=c, quality_factor=q)
-    if order < 2.0:
-        raise DesignError(f"harmonic order must be >= 2, got {order!r}")
+    if not 2.0 <= order < math.inf:
+        raise DesignError(f"harmonic order must be >= 2 and finite, got {order!r}")
     if not q_range[0] <= q <= q_range[1]:
         warnings.warn(
             f"single-tuned quality factor {q:.4g} outside recommended range "
@@ -368,6 +368,15 @@ def bank_to_dict(bank: FilterBank) -> dict:
     return {"fundamental_hz": bank.fundamental_hz, "branches": branches}
 
 
+def _float(doc: dict, key: str, where: str) -> float:
+    try:
+        return float(doc[key])
+    except OverflowError:
+        raise DesignError(
+            f"{where}.{key} must be finite, got an integer too large for a double"
+        ) from None
+
+
 def _branch_from_dict(doc: dict, where: str) -> FilterBranch:
     known_common = {"kind", "c_farads", "l_henries", "r_ohms", "q"}
     kind = doc.get("kind")
@@ -383,21 +392,22 @@ def _branch_from_dict(doc: dict, where: str) -> FilterBranch:
     missing = allowed - set(doc)
     if missing:
         raise DesignError(f"missing key {sorted(missing)[0]!r} in {where}")
+    value = {key: _float(doc, key, where) for key in sorted(allowed - {"kind"})}
     try:
         if kind == "single_tuned":
             return SingleTunedFilter(
-                order=float(doc["order"]),
-                capacitance_f=float(doc["c_farads"]),
-                inductance_h=float(doc["l_henries"]),
-                resistance_ohm=float(doc["r_ohms"]),
-                quality_factor=float(doc["q"]),
+                order=value["order"],
+                capacitance_f=value["c_farads"],
+                inductance_h=value["l_henries"],
+                resistance_ohm=value["r_ohms"],
+                quality_factor=value["q"],
             )
         return HighPassFilter(
-            capacitance_f=float(doc["c_farads"]),
-            inductance_h=float(doc["l_henries"]),
-            resistance_ohm=float(doc["r_ohms"]),
-            quality_factor=float(doc["q"]),
-            corner_hz=float(doc["corner_hz"]),
+            capacitance_f=value["c_farads"],
+            inductance_h=value["l_henries"],
+            resistance_ohm=value["r_ohms"],
+            quality_factor=value["q"],
+            corner_hz=value["corner_hz"],
         )
     except DesignError as exc:
         raise DesignError(f"{where}: {exc}") from None
@@ -416,7 +426,7 @@ def bank_from_dict(doc: dict, where: str = "bank") -> FilterBank:
         for i, b in enumerate(doc["branches"])
     ]
     return FilterBank(
-        fundamental_hz=float(doc["fundamental_hz"]), branches=tuple(branches)
+        fundamental_hz=_float(doc, "fundamental_hz", where), branches=tuple(branches)
     )
 
 

@@ -44,6 +44,12 @@ def _section(doc: Mapping[str, Any], name: str, keys: tuple[str, ...]) -> dict:
         value = section[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioError(f"{name}.{key} must be a number, got {value!r}")
+        try:
+            float(value)
+        except OverflowError:
+            raise ScenarioError(
+                f"{name}.{key} must be finite, got an integer too large for a double"
+            ) from None
         out[key] = value
     return out
 

@@ -191,6 +191,31 @@ def test_simulate_solver_failure_exit_3(tmp_path, capsys):
     assert "singular" in capsys.readouterr().err
 
 
+def _section_of(doc, section):
+    """The JSON object at a field path such as ``basis`` or ``bank.branches[3]``."""
+    for part in section.split("."):
+        name, _, index = part.partition("[")
+        doc = doc[name]
+        if index:
+            doc = doc[int(index[:-1])]
+    return doc
+
+
+def _simulate_with(tmp_path, capsys, section, key, value):
+    """Run ``simulate`` on a short bundled scenario (filtered when the field
+    is in the bank) with one field replaced; return the exit code, stderr
+    and whether a CSV was written."""
+    solver = hf.SolverConfig(dt_s=1e-4, duration_s=0.2)
+    make = presets.filtered_scenario if section.startswith("bank") else presets.baseline_scenario
+    doc = scenario_to_dict(make(solver))
+    _section_of(doc, section)[key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", str(path), "-o", str(out)])
+    return rc, capsys.readouterr().err, out.exists()
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [
@@ -201,21 +226,32 @@ def test_simulate_solver_failure_exit_3(tmp_path, capsys):
         ("solver", "max_switch_iterations", math.inf),
         ("solver", "max_switch_iterations", -math.inf),
         ("solver", "max_switch_iterations", math.nan),
+        ("bank.branches[0]", "order", math.nan),
+        ("bank.branches[3]", "order", math.inf),  # the last tuned branch
     ],
 )
 def test_simulate_non_finite_input_exit_2(tmp_path, capsys, section, key, value):
-    doc = scenario_to_dict(
-        presets.baseline_scenario(hf.SolverConfig(dt_s=1e-4, duration_s=0.2))
-    )
-    doc[section][key] = value
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(doc))
-    out = tmp_path / "x.csv"
-    rc = main(["simulate", str(path), "-o", str(out)])
-    err = capsys.readouterr().err
+    rc, err, wrote = _simulate_with(tmp_path, capsys, section, key, value)
     assert rc == 2
-    assert key in err and "finite" in err
-    assert not out.exists()
+    assert section in err and key in err and "finite" in err
+    assert not wrote
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("basis", "fundamental_hz"),
+        ("solver", "max_switch_iterations"),
+        ("bank", "fundamental_hz"),
+        ("bank.branches[2]", "l_henries"),
+    ],
+)
+def test_simulate_integer_too_large_for_double_exit_2(tmp_path, capsys, section, key):
+    # JSON integers are exact, so 10**400 parses but overflows a double.
+    rc, err, wrote = _simulate_with(tmp_path, capsys, section, key, 10**400)
+    assert rc == 2
+    assert f"{section}.{key} must be finite" in err
+    assert not wrote
 
 
 def test_simulate_overflowing_sample_count_exit_2(tmp_path, capsys):
@@ -447,8 +483,11 @@ def test_malformed_waveform_csv_names_file(tmp_path, short_waveform, capsys, com
     rc = main(argv + ["-o", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith(f"error: {bad}: ")
-    assert "row" in err
+    # The header is line 1, so lines[10] is line 11 for either defect.
+    if defect == "ragged":
+        assert err == f"error: {bad}: line 11 has 17 fields, expected 18\n"
+    else:
+        assert err == f"error: {bad}: line 11: v_dc value 'abc' is not a number\n"
     assert not list(tmp_path.glob("out*"))
 
 
@@ -525,7 +564,7 @@ def test_simulate_extreme_values_fuzz(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     out = tmp_path / "x.csv"
     for field in fields:
-        for value in (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, 1e-300):
+        for value in (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, 1e-300, 10**400):
             doc = copy.deepcopy(base)
             node = doc
             for key in field[:-1]:

@@ -5,19 +5,25 @@ from __future__ import annotations
 
 import io
 import math
+import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from scipy.linalg.lapack import dgetrf, dgetrs
+
 import harmflow as hf
 from harmflow import presets
+from harmflow.design import QualityFactorWarning
 from harmflow.simulator import (
     CHANNEL_IDS,
     MAX_SAMPLES,
     SampleGridError,
     SolverError,
     WindowError,
+    _TransientSolver,
     last_cycles_window,
 )
 
@@ -315,6 +321,117 @@ def test_source_channels_are_exact_samples(baseline_run, filtered_run):
 def test_default_iteration_budget_converges(baseline_run, filtered_run):
     assert baseline_run[1].flagged_steps == ()
     assert filtered_run[1].flagged_steps == ()
+
+
+def _reference_run(scenario):
+    """The step loop with a per-step LU solve: each diode state caches LU
+    factors and the output map over ``[x; z]``; a step adds the source
+    sample into the right-hand side, solves it with ``dgetrs`` and maps
+    ``[x; z]`` with one matvec.  Returns the record, the flagged steps, the
+    number of diode states and the number of solves."""
+    s = _TransientSolver(scenario)
+    nx, nz = 11, s.n_z
+    rec_at = 6 + nx + nz
+    maps = {}
+
+    def step_map(key):
+        on = (key >> np.arange(6)) & 1 == 1
+        g_d = np.where(on, s.g_on, s.g_off)
+        a = s._base_matrix.copy()
+        for ph in range(3):
+            bt = 3 + ph
+            for other, g in ((6, g_d[ph]), (7, g_d[3 + ph])):
+                a[bt, bt] += g
+                a[other, other] += g
+                a[bt, other] -= g
+                a[other, bt] -= g
+        lu, piv, _ = dgetrf(a)
+        out = s._out_base.copy()
+        out[:6] *= np.where(on, 1.0, -1.0)[:, None]
+        out[rec_at + CHANNEL_IDS.index("i_dc")] = g_d[:3] @ s._out_base[:3]
+        return lu, piv, out
+
+    record = np.zeros((s.n_samples, s._out_base.shape[0] - rec_at))
+    w = np.zeros(nx + nz)  # [right-hand side, then x; z]
+    key, solves, flagged = 0, 0, []
+    for k in range(1, s.n_samples):
+        w[8:11] += s.esrc[k]
+        b = w[:nx].copy()
+        for it in range(s.max_iter):
+            if key not in maps:
+                maps[key] = step_map(key)
+            lu, piv, out = maps[key]
+            w[:nx] = dgetrs(lu, piv, b)[0]
+            y = out @ w
+            flips = sum(1 << i for i, v in enumerate(y[:6].tolist()) if v < 0.0)
+            if not flips:
+                break
+            if it < s.max_iter - 1:
+                key ^= flips
+        else:
+            flagged.append(k)
+        solves += it + 1
+        record[k] = y[rec_at:]
+        w = y[6:rec_at].copy()
+    record[:, :3] = s.esrc
+    return record, tuple(flagged), len(maps), solves
+
+
+def _off_grid_candidate(seed):
+    """Filtered scenario with a seeded non-integer samples-per-period grid,
+    source inductance and bank."""
+    rng = random.Random(seed)
+    basis = hf.SystemBasis(50.0, 220.0, rng.uniform(0.5e-3, 3e-3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QualityFactorWarning)
+        bank = hf.design_bank_six_pulse(
+            basis,
+            rng.uniform(5e-6, 20e-6),
+            tuple(rng.uniform(20.0, 100.0) for _ in range(4)),
+            rng.uniform(700.0, 1500.0),
+            rng.uniform(0.5, 3.0),
+        )
+    spp = rng.uniform(300.0, 700.0)
+    return hf.Scenario(
+        basis=basis,
+        load=presets.bundled_load(),
+        bank=bank,
+        solver=hf.SolverConfig(dt_s=0.02 / spp, duration_s=0.24),
+    )
+
+
+# Largest channel or aux deviation from the reference, relative to that
+# trace's maximum magnitude.
+_REFERENCE_REL_TOL = 1e-8
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: presets.baseline_scenario(hf.SolverConfig(duration_s=0.24)),
+        lambda: presets.filtered_scenario(hf.SolverConfig(duration_s=0.24)),
+        lambda: _off_grid_candidate(3),
+        lambda: _off_grid_candidate(8),
+    ],
+    ids=["baseline", "filtered", "candidate3", "candidate8"],
+)
+def test_step_maps_match_per_step_lu_reference(make):
+    scenario = make()
+    record, flagged, states, solves = _reference_run(scenario)
+    waves = hf.run(scenario)
+    assert waves.flagged_steps == flagged
+    assert waves.diode_states == states
+    assert waves.switch_iterations == solves
+    got = np.column_stack(
+        [waves.channels[name] for name in CHANNEL_IDS] + list(waves.aux.values())
+    )
+    assert got.shape == record.shape
+    assert np.array_equal(got[:, :3], record[:, :3])  # v_src_*
+    deviation = np.max(np.abs(got - record), axis=0)
+    scale = np.max(np.abs(record), axis=0)
+    assert np.all(deviation <= _REFERENCE_REL_TOL * scale), np.max(
+        deviation / np.maximum(scale, 1e-300)
+    )
 
 
 def test_singular_matrix_names_step():
