@@ -30,7 +30,7 @@ from .analyzer import (
 )
 from .design import DesignError, SystemBasis, bank_from_dict, bank_to_dict, design_bank
 from .network import NetworkError, find_resonances, scan
-from .scenario_io import ScenarioError, load_scenario
+from .scenario_io import ScenarioError, load_json, load_scenario
 from .simulator import (
     CHANNEL_IDS,
     SampleGridError,
@@ -294,8 +294,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    with open(args.bank) as fh:
-        bank = bank_from_dict(json.load(fh))
+    bank = bank_from_dict(load_json(args.bank))
     curve = scan(bank, args.ls, args.f_start, args.f_end, args.points)
     report = find_resonances(curve)
     prefix = Path(

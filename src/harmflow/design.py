@@ -22,7 +22,6 @@ evaluated at the corner (where X_L = X_C).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -368,13 +367,19 @@ def bank_to_dict(bank: FilterBank) -> dict:
     return {"fundamental_hz": bank.fundamental_hz, "branches": branches}
 
 
-def _float(doc: dict, key: str, where: str) -> float:
+def json_number(value, path: str, error: type[ValueError] = DesignError):
+    """``value`` unchanged if it is a JSON number (an int or float, not a
+    bool) that fits a double; otherwise ``error`` naming the field
+    ``path``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{path} must be a number, got {value!r}")
     try:
-        return float(doc[key])
+        float(value)
     except OverflowError:
-        raise DesignError(
-            f"{where}.{key} must be finite, got an integer too large for a double"
+        raise error(
+            f"{path} must be finite, got an integer too large for a double"
         ) from None
+    return value
 
 
 def _branch_from_dict(doc: dict, where: str) -> FilterBranch:
@@ -392,7 +397,10 @@ def _branch_from_dict(doc: dict, where: str) -> FilterBranch:
     missing = allowed - set(doc)
     if missing:
         raise DesignError(f"missing key {sorted(missing)[0]!r} in {where}")
-    value = {key: _float(doc, key, where) for key in sorted(allowed - {"kind"})}
+    value = {
+        key: float(json_number(doc[key], f"{where}.{key}"))
+        for key in sorted(allowed - {"kind"})
+    }
     try:
         if kind == "single_tuned":
             return SingleTunedFilter(
@@ -426,14 +434,6 @@ def bank_from_dict(doc: dict, where: str = "bank") -> FilterBank:
         for i, b in enumerate(doc["branches"])
     ]
     return FilterBank(
-        fundamental_hz=_float(doc, "fundamental_hz", where), branches=tuple(branches)
+        fundamental_hz=float(json_number(doc["fundamental_hz"], f"{where}.fundamental_hz")),
+        branches=tuple(branches),
     )
-
-
-def bank_to_json(bank: FilterBank) -> str:
-    """Serialize with full round-trip float precision."""
-    return json.dumps(bank_to_dict(bank), indent=2)
-
-
-def bank_from_json(text: str) -> FilterBank:
-    return bank_from_dict(json.loads(text))

@@ -20,7 +20,7 @@ from typing import IO
 
 import numpy as np
 
-from .design import FilterBank, HighPassFilter, SingleTunedFilter
+from .design import FilterBank, FilterBranch, HighPassFilter, SingleTunedFilter
 
 TWO_PI = 2.0 * np.pi
 
@@ -68,20 +68,12 @@ def _bank_z(bank: FilterBank, w: np.ndarray) -> np.ndarray:
     return 1.0 / y
 
 
-def st_impedance(branch: SingleTunedFilter, f):
-    """Series-branch impedance R + j(wL - 1/(wC)) at ``f`` Hz.
+def branch_impedance(branch: FilterBranch, f):
+    """Impedance of one branch at ``f`` Hz: R + j(wL - 1/(wC)) for a
+    single-tuned branch, 1/(jwC) + 1/(1/R + 1/(jwL)) for a high-pass one.
 
     Accepts a scalar or an array of frequencies.
     """
-    return _scalar_or_array(_st_z(branch, _angular(f)), f)
-
-
-def hp_impedance(branch: HighPassFilter, f):
-    """High-pass branch impedance 1/(jwC) + 1/(1/R + 1/(jwL)) at ``f`` Hz."""
-    return _scalar_or_array(_hp_z(branch, _angular(f)), f)
-
-
-def branch_impedance(branch, f):
     return _scalar_or_array(_branch_z(branch, _angular(f)), f)
 
 

@@ -9,9 +9,10 @@ field-path error message.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any, Mapping
 
-from .design import DesignError, SystemBasis, bank_from_dict, bank_to_dict
+from .design import DesignError, SystemBasis, bank_from_dict, bank_to_dict, json_number
 from .simulator import RectifierLoad, Scenario, SolverConfig
 
 
@@ -41,16 +42,7 @@ def _section(doc: Mapping[str, Any], name: str, keys: tuple[str, ...]) -> dict:
     for key in keys:
         if key not in section:
             raise ScenarioError(f"missing key {name}.{key}")
-        value = section[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"{name}.{key} must be a number, got {value!r}")
-        try:
-            float(value)
-        except OverflowError:
-            raise ScenarioError(
-                f"{name}.{key} must be finite, got an integer too large for a double"
-            ) from None
-        out[key] = value
+        out[key] = json_number(section[key], f"{name}.{key}", ScenarioError)
     return out
 
 
@@ -130,15 +122,35 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return doc
 
 
-def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario file.
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        # A JSON integer literal fails only Python's digit limit.
+        raise ScenarioError(
+            f"integer literal too long: {len(text.lstrip('-'))} digits, "
+            f"at most {sys.get_int_max_str_digits()} are read"
+        ) from None
+
+
+def load_json(path) -> Any:
+    """Read a JSON file.
 
     ``json.JSONDecodeError`` (with line/column) propagates for malformed
-    JSON; validation failures raise :class:`ScenarioError`.
+    JSON; an integer literal too long to convert raises
+    :class:`ScenarioError` starting with the path.
     """
     with open(path) as fh:
-        doc = json.load(fh)
-    return scenario_from_dict(doc)
+        try:
+            return json.load(fh, parse_int=_parse_int)
+        except ScenarioError as exc:
+            raise ScenarioError(f"{path}: {exc}") from None
+
+
+def load_scenario(path) -> Scenario:
+    """Parse and validate a scenario file (see :func:`load_json`);
+    validation failures raise :class:`ScenarioError`."""
+    return scenario_from_dict(load_json(path))
 
 
 def save_scenario(scenario: Scenario, path) -> None:

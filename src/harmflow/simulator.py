@@ -17,28 +17,29 @@ resistors; conduction states are resolved per step by fixed-point iteration
 (turn on when the anode-cathode voltage exceeds zero, turn off when the
 current falls below zero).
 
-The companion-model history terms, one per inductor and capacitor, form a
-vector ``z``.  The right-hand side is the same linear map of ``z`` in every
-diode state, plus the source sample added into the source branch rows, and
-the system matrix ``A`` depends only on the state word (the
-constant-matrix-per-topology scheme of EMTP; Dommel, IEEE Trans. PAS,
-1969).  The source is carried as ``s_k = (sin w1 t_k, cos w1 t_k)``, which
-one rotation by ``w1 dt`` advances, and each phase's sample is a
-fixed linear form of ``s_k``.  So each state visited gets one cached
-linear map over ``w = [b; z; s]`` (``b`` the right-hand side without its
-source term) to the signed diode voltages, the next ``w`` and the recorded
-row.  The map's dependence on the unknowns, ``C x = C A^-1 (b + e)``, is
-folded in as ``K = C A^-1``, solved from ``A^T K^T = C^T`` against the
-state's LU factors: a backward-stable solve, not an explicit inverse.  A
-step is one matrix-vector product into the other of two preallocated rows,
-the sign test of the diode voltages and the record copy; a diode flip
-applies the new state's map to the same ``w``.  Against a loop that solves
-``A x = b`` at every step, the contract channels of the bundled runs agree
-to 2e-10 of each channel's maximum, the aux traces to 7e-9 (the worst is a
-blocked bridge terminal, held only by the diodes' off conductance) and THD
-and DPF to 4e-12 relative; the rotation drifts by under 1e-10 of the
-amplitude over ``MAX_SAMPLES`` steps.  The source voltages are recorded
-from the source samples, not through the map.
+Every quantity the step uses is a linear form over ``[x; z; s]``: the
+unknowns ``x``, the companion-model history terms ``z`` (one per inductor
+and capacitor) and the source phase ``s_k = (sin w1 t_k, cos w1 t_k)``.
+Each phase's source sample is a fixed form of ``s``, and one rotation by
+``w1 dt`` advances it.  The system matrix is stamped from the same forms: a
+conductance g across a voltage form d adds ``g d^T d``, so the diodes add
+``vd^T diag(g_d) vd`` over the diode-voltage forms ``vd`` that the state
+test reads.  The matrix therefore depends only on the diode state word
+(the constant-matrix-per-topology scheme of EMTP; Dommel, IEEE Trans. PAS,
+1969), and the right-hand side is a fixed form ``B`` of ``w = [z; s]``.
+Solving ``A_s X = B`` against the state's LU factors (no explicit inverse)
+gives the unknowns as ``x = X w``, so each state visited gets one cached
+linear map ``F_s`` from ``w`` to the signed diode voltages, the next ``w``
+and the recorded row.  A step is one matrix-vector product into the other
+of two preallocated rows, the sign test of the diode voltages and the
+record copy; a diode flip applies the new state's map to the same ``w``.
+Against a loop that solves ``A x = b`` at every step, the contract
+channels of the bundled runs agree to 5e-10 of each channel's maximum, the
+aux traces to 1e-8 (the worst is a blocked bridge terminal, held only by
+the diodes' off conductance) and THD and DPF to 3e-12 relative; the
+rotation drifts by under 1e-10 of the amplitude over ``MAX_SAMPLES``
+steps.  The source voltages are recorded from the source samples, not
+through the map.
 
 All states start at zero; analysis windows exclude the start-up transient.
 """
@@ -236,12 +237,26 @@ def run(scenario: Scenario) -> WaveformSet:
     return _TransientSolver(scenario).run()
 
 
+def _stamp(g, d: np.ndarray) -> np.ndarray:
+    """Nodal stamp of conductance ``g[i]`` (or one shared ``g``) across each
+    voltage form ``d[i]``: the sum of g[i] d[i]^T d[i]."""
+    return d.T @ (np.reshape(g, (-1, 1)) * d)
+
+
 class _TransientSolver:
-    """Per-state step maps over ``w = [b; z; s]`` (source-free right-hand
-    side, history terms, source phase), applied between two alternating
-    output rows.  ``z`` holds the Ls and Lfe histories per phase, the Cdc
-    history, then the single-tuned L and C and the high-pass C and L
-    histories per filter branch-phase."""
+    """Per-state step maps ``F_s`` over ``w = [z; s]`` (history terms,
+    source phase), applied between two alternating output rows.  ``z``
+    holds the Ls and Lfe histories per phase, the Cdc history, then the
+    single-tuned L and C and the high-pass C and L histories per filter
+    branch-phase.
+
+    One set of linear forms over ``[x; z; s]`` holds the system: the
+    matrix without the diodes (``_base_matrix``, stamped from the voltage
+    forms), the right-hand side (``_rhs``, zero over ``x``) and the output
+    rows (``_out_base``: unsigned diode voltages, next ``z``, next ``s``,
+    record row).  A state adds the diode stamp over the first six output
+    rows and folds its solve in as ``F_s = out_w + out_x X``, where
+    ``A_s X = rhs_w`` is solved against the state's LU factors."""
 
     def __init__(self, scenario: Scenario) -> None:
         cfg = scenario.solver
@@ -279,10 +294,7 @@ class _TransientSolver:
         self.hp_rsec = 1.0 / (1.0 / self.hp_r + self.hp_glp)
         self.hp_g = 1.0 / (self.hp_rceq + self.hp_rsec)
         self.n_z = 7 + 6 * (self.n_st + self.n_hp)
-
-        self._base_matrix = self._assemble_base()
-        self._out_base, self._aux_slices = self._assemble_maps()
-        self._maps: dict[int, np.ndarray] = {}
+        self._rec_at = 6 + self.n_z + 2
 
         w1 = TWO_PI * basis.fundamental_hz
         t = np.arange(self.n_samples) * dt
@@ -293,44 +305,28 @@ class _TransientSolver:
         with np.errstate(invalid="ignore"):
             self.esrc = vpeak * np.sin(w1 * t[:, None] + offsets[None, :])
             # e_k = v_src @ s_k with s_k = (sin w1 t_k, cos w1 t_k).
-            self._v_src = vpeak * np.column_stack([np.cos(offsets), np.sin(offsets)])
+            v_src = vpeak * np.column_stack([np.cos(offsets), np.sin(offsets)])
         self._s_first = np.array([math.sin(w1 * t[1]), math.cos(w1 * t[1])])
-        c, s = math.cos(w1 * dt), math.sin(w1 * dt)
-        # Rows of every step map that advance s_k to s_{k+1} by one
-        # rotation through w1 dt.
-        self._rotation = np.zeros((2, _NUM_UNKNOWNS + self.n_z + 2))
-        self._rotation[:, -2:] = [[c, s], [-s, c]]
+        self._base_matrix, self._rhs, self._out_base, self._aux_slices = (
+            self._assemble(v_src, w1 * dt)
+        )
+        self._maps: dict[int, np.ndarray] = {}
 
-    def _assemble_base(self) -> np.ndarray:
-        a = np.zeros((_NUM_UNKNOWNS, _NUM_UNKNOWNS))
-        g_shunt = float(np.sum(self.st_g) + np.sum(self.hp_g))
-        for ph in range(3):
-            a[_PCC[ph], _PCC[ph]] += g_shunt
-            a[_PCC[ph], _NUM_NODES + ph] = -1.0
-            a[_NUM_NODES + ph, _PCC[ph]] = 1.0
-            a[_NUM_NODES + ph, _NUM_NODES + ph] = self.r_ls
-        pairs = [(_PCC[ph], _BT[ph], self.g_fe) for ph in range(3)]
-        pairs += [(_P, _N, self.g_rl), (_P, _N, self.g_cdc)]
-        for j, k, g in pairs:
-            a[j, j] += g
-            a[k, k] += g
-            a[j, k] -= g
-            a[k, j] -= g
-        return a
-
-    def _assemble_maps(self) -> tuple[np.ndarray, dict[str, slice]]:
-        """State-independent linear forms over ``w = [x; z]`` (unknowns,
-        history terms): the output rows (unsigned diode voltages, next
-        right-hand side without its source term, next ``z``, record row
-        with zero ``v_src`` and ``i_dc`` rows) and the record columns of
-        each aux trace."""
+    def _assemble(
+        self, v_src: np.ndarray, step_angle: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, slice]]:
+        """State-independent linear forms over ``[x; z; s]`` (unknowns,
+        history terms, source phase): the system matrix without the diodes,
+        the right-hand side, the output rows (unsigned diode voltages, next
+        ``z``, next ``s``, record row with a zero ``i_dc`` row) and the
+        record columns of each aux trace."""
         nx, nz = _NUM_UNKNOWNS, self.n_z
-        unit = np.eye(nx + nz + 3)
-        x, e = unit[:nx], unit[nx + nz :]
+        unit = np.eye(nx + nz + 2)
+        x, s = unit[:nx], unit[nx + nz :]
         z_ls, z_fe, z_c = unit[nx : nx + 3], unit[nx + 3 : nx + 6], unit[nx + 6]
         n3st, n3hp = 3 * self.n_st, 3 * self.n_hp
         st_el, st_ec, hp_ec, hp_hl = (
-            rows.reshape(-1, 3, nx + nz + 3)
+            rows.reshape(-1, 3, nx + nz + 2)
             for rows in np.split(
                 unit[nx + 7 : nx + nz], np.cumsum([n3st, n3st, n3hp])
             )
@@ -340,8 +336,11 @@ class _TransientSolver:
             return values[:, None, None]
 
         def flat(forms: np.ndarray) -> np.ndarray:
-            return forms.reshape(-1, nx + nz + 3)
+            return forms.reshape(-1, nx + nz + 2)
 
+        e = v_src @ s
+        c, sn = math.cos(step_angle), math.sin(step_angle)
+        s_next = np.array([[c, sn], [-sn, c]]) @ s
         vp, vbt, i_src = x[list(_PCC)], x[list(_BT)], x[_NUM_NODES:]
         v_fe = vp - vbt
         v_dc = x[_P] - x[_N]
@@ -355,6 +354,28 @@ class _TransientSolver:
         hp_vrl = per_branch(self.hp_rsec) * (hp_i - hp_hl)
         hp_il = per_branch(self.hp_glp) * hp_vrl + hp_hl
 
+        g_shunt = float(np.sum(self.st_g) + np.sum(self.hp_g))
+        a = (
+            _stamp(g_shunt, vp)
+            + _stamp(self.g_fe, v_fe)
+            + _stamp(self.g_rl + self.g_cdc, v_dc[None])
+        )[:nx, :nx]
+        # Source branches: the source current leaves each PCC node's
+        # equation, and vp + r_ls i_src = e - z_ls.
+        a[list(_PCC)] -= i_src[:, :nx]
+        a[_NUM_NODES:] = (vp + self.r_ls * i_src)[:, :nx]
+
+        rhs = np.zeros((nx, nx + nz + 2))
+        rhs[list(_PCC)] = (
+            (per_branch(self.st_g) * (st_el + st_ec)).sum(axis=0)
+            + (per_branch(self.hp_g) * (hp_ec - per_branch(self.hp_rsec) * hp_hl)).sum(axis=0)
+            - z_fe
+        )
+        rhs[list(_BT)] = z_fe
+        rhs[_P] = -z_c
+        rhs[_N] = z_c
+        rhs[_NUM_NODES:] = e - z_ls
+
         z_next = np.vstack([
             -2.0 * self.r_ls * i_src - z_ls,
             i_fe + self.g_fe * v_fe,
@@ -364,27 +385,11 @@ class _TransientSolver:
             flat(2.0 * per_branch(self.hp_rceq) * hp_i + hp_ec),
             flat(2.0 * per_branch(self.hp_glp) * hp_vrl + hp_hl),
         ])
-
-        b = np.zeros((nx, nx + nz + 3))
-        b[list(_PCC)] = (
-            (per_branch(self.st_g) * (st_el + st_ec)).sum(axis=0)
-            + (per_branch(self.hp_g) * (hp_ec - per_branch(self.hp_rsec) * hp_hl)).sum(axis=0)
-            - z_fe
-        )
-        b[list(_BT)] = z_fe
-        b[_P] = -z_c
-        b[_N] = z_c
-        b[_NUM_NODES:] = e - z_ls
-        # The source sample enters the right-hand side as a unit vector
-        # into the source branch rows, so it reaches the unknowns through
-        # those columns of inv(a) alone.
-        assert np.array_equal(b[:, nx + nz :], np.eye(nx)[:, _NUM_NODES:])
-
         channels = [
             e, vp, i_src, i_fe,
             st_i.sum(axis=0) + hp_i.sum(axis=0),
             v_dc,
-            np.zeros(nx + nz + 3),  # i_dc, set per state
+            np.zeros(nx + nz + 2),  # i_dc, set per state
         ]
         aux = [
             ("st_i", flat(st_i)), ("st_vc", flat(st_vc)),
@@ -398,55 +403,38 @@ class _TransientSolver:
             aux_slices[name] = slice(pos, pos + len(forms))
             pos += len(forms)
         vd = np.vstack([vbt - x[_P], x[_N] - vbt])
-        out = np.vstack([
-            vd, b[:, nx : nx + nz] @ z_next, z_next, *channels,
-            *(forms for _, forms in aux),
-        ])
-        # Beyond the right-hand side, the source sample reaches only the
-        # v_src record rows, which the run fills from the source samples.
-        e_out = np.zeros((len(out), 3))
-        e_out[6 + nx + nz : 9 + nx + nz] = np.eye(3)
-        assert np.array_equal(out[:, nx + nz :], e_out)
-        return np.ascontiguousarray(out[:, : nx + nz]), aux_slices
+        out = np.vstack([vd, z_next, s_next, *channels, *(forms for _, forms in aux)])
+        return a, rhs, out, aux_slices
 
     def _step_map(self, key: int, step: int) -> np.ndarray:
         """Step map of diode state word ``key`` (bit i set when diode i
-        conducts), built on its first visit: ``[b; z; s]`` (right-hand side
-        without its source term, history terms, source phase) to the signed
-        diode voltages, the next ``[b; z; s]`` and the record row."""
+        conducts), built on its first visit: ``w = [z; s]`` to the signed
+        diode voltages, the next ``w`` and the record row."""
         nx = _NUM_UNKNOWNS
         on = (key >> np.arange(6)) & 1 == 1
         g_d = np.where(on, self.g_on, self.g_off)
-        a = self._base_matrix.copy()
-        for ph in range(3):
-            for other, g in ((_P, g_d[ph]), (_N, g_d[3 + ph])):
-                a[_BT[ph], _BT[ph]] += g
-                a[other, other] += g
-                a[_BT[ph], other] -= g
-                a[other, _BT[ph]] -= g
-        lu, piv, _ = dgetrf(a)
+        vd = self._out_base[:6, :nx]
+        lu, piv, _ = dgetrf(self._base_matrix + _stamp(g_d, vd))
         if not np.abs(np.diag(lu)).min() >= 1e-250:
             raise SolverError(f"singular system matrix at step {step}")
         out = self._out_base.copy()
         # Sign the diode rows so every entry is >= 0 exactly when the state
         # is consistent: conducting diodes need v >= 0, blocking ones v <= 0.
         out[:6] *= np.where(on, 1.0, -1.0)[:, None]
-        out[6 + nx + self.n_z + _I_DC] = g_d[:3] @ self._out_base[:3]
-        # out[:, :nx] @ inv(a), as a solve of a.T against the LU factors.
-        k = dgetrs(lu, piv, out[:, :nx].T, trans=1)[0].T
-        # The source sample v_src @ s adds into b's source branch rows.
-        fused = np.hstack([k, out[:, nx:], k[:, _NUM_NODES:] @ self._v_src])
-        at = 6 + nx + self.n_z
-        self._maps[key] = np.vstack([fused[:at], self._rotation, fused[at:]])
+        out[self._rec_at + _I_DC] = g_d[:3] @ self._out_base[:3]
+        # The unknowns as forms over w: x = X w, solving A X = rhs's w
+        # columns against the LU factors.
+        x = dgetrs(lu, piv, self._rhs[:, nx:])[0]
+        self._maps[key] = out[:, nx:] + out[:, :nx] @ x
         return self._maps[key]
 
     def run(self) -> WaveformSet:
         n, maps, max_iter = self.n_samples, self._maps, self.max_iter
-        rec_at = 6 + _NUM_UNKNOWNS + self.n_z + 2
-        width = self._out_base.shape[0] + 2
+        rec_at = self._rec_at
+        width = self._out_base.shape[0]
         record = np.zeros((n, width - rec_at))
         # Two rows laid out as the step maps' rows take turns: step k maps
-        # w = [b; z; s] of one into the other and records it.
+        # w = [z; s] of one into the other and records it.
         cur, nxt = (
             (row, row[:6], row[6:rec_at], row[rec_at:])
             for row in np.zeros((2, width))
@@ -479,7 +467,8 @@ class _TransientSolver:
                 solves += it + 1
                 record[k] = rec
                 cur, nxt = nxt, cur
-        record[:, 0:3] = self.esrc  # v_src, whose map rows are zero
+        # v_src as the exact samples, not through the rotated pair.
+        record[:, 0:3] = self.esrc
 
         # Row extremes propagate NaN and reach any infinity, without a
         # record-sized temporary.

@@ -220,7 +220,7 @@ def test_property_dft_oracle_agreement():
 def test_property_tuned_impedance_is_resistive(ref_bank):
     worst = 0.0
     for branch in ref_bank.single_tuned:
-        z = hf.st_impedance(branch, branch.tuned_hz)
+        z = hf.branch_impedance(branch, branch.tuned_hz)
         worst = max(worst, abs(abs(z) - branch.resistance_ohm) / branch.resistance_ohm)
     ok = worst < 1e-9
     _criterion(

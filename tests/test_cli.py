@@ -6,6 +6,7 @@ import copy
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +255,35 @@ def test_simulate_integer_too_large_for_double_exit_2(tmp_path, capsys, section,
     assert not wrote
 
 
+_BANK_R = str(presets.bundled_bank().branches[1].resistance_ohm)
+
+
+@pytest.mark.parametrize("value", [_BANK_R, "abc", True], ids=["numeric_string", "string", "true"])
+def test_simulate_non_number_exit_2(tmp_path, capsys, value):
+    rc, err, wrote = _simulate_with(tmp_path, capsys, "bank.branches[1]", "r_ohms", value)
+    assert rc == 2
+    assert f"bank.branches[1].r_ohms must be a number, got {value!r}" in err
+    assert not wrote
+
+
+@pytest.mark.parametrize("command", ["simulate", "scan"])
+def test_integer_literal_too_long_names_file(tmp_path, capsys, command):
+    if command == "simulate":
+        doc = scenario_to_dict(presets.baseline_scenario())
+        doc["basis"]["source_vrms"] = 123.25
+    else:
+        doc = hf.design.bank_to_dict(presets.bundled_bank())
+        doc["branches"][1]["r_ohms"] = 123.25
+    path = tmp_path / "in.json"
+    # json.dumps refuses such an integer, so a placeholder is replaced.
+    path.write_text(json.dumps(doc).replace("123.25", "1" * 5001))
+    rc = main([command, str(path), "-o", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {path}: integer literal too long: 5001 digits"), err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_simulate_overflowing_sample_count_exit_2(tmp_path, capsys):
     doc = scenario_to_dict(presets.baseline_scenario())
     doc["solver"]["duration_s"] = 1e300
@@ -431,6 +461,17 @@ def test_scan_inverted_range_exit_2(tmp_path, ref_bank, capsys):
     assert "f_start" in capsys.readouterr().err
 
 
+def test_scan_non_number_exit_2(tmp_path, ref_bank, capsys):
+    doc = hf.design.bank_to_dict(ref_bank)
+    doc["branches"][1]["r_ohms"] = "abc"
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps(doc))
+    rc = main(["scan", str(bank_path), "-o", str(tmp_path / "x")])
+    assert rc == 2
+    assert "bank.branches[1].r_ohms must be a number, got 'abc'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [bank_path]
+
+
 # --- report -------------------------------------------------------------------
 
 
@@ -499,6 +540,14 @@ def test_scenario_round_trip(tmp_path):
     path = tmp_path / "scenario.json"
     save_scenario(scenario, path)
     assert load_scenario(path) == scenario
+
+
+@pytest.mark.parametrize("case", ["baseline", "filtered"])
+def test_bundled_scenario_files_match_presets(case):
+    # presets.py and scenarios/*.json describe the same bundled system.
+    path = Path(__file__).resolve().parents[1] / "scenarios" / f"{case}.json"
+    make = getattr(presets, f"{case}_scenario")
+    assert json.loads(path.read_text()) == scenario_to_dict(make())
 
 
 def test_scenario_rejects_unknown_top_level_key():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import harmflow as hf
 from harmflow.design import QualityFactorWarning
-from harmflow.network import NetworkError, branch_impedance, find_resonances
+from harmflow.network import NetworkError, find_resonances
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,7 +37,7 @@ def _hp(corner=858.32, c=REF_C, q=2.9704):
 
 def test_st_impedance_vanishing_reactance_at_tuned():
     f5 = _st()
-    z = hf.st_impedance(f5, 250.0)
+    z = hf.branch_impedance(f5, 250.0)
     assert abs(z.imag) < 1e-6
     assert z.real == pytest.approx(0.54, abs=5e-3)
 
@@ -50,28 +50,28 @@ def test_st_impedance_vanishing_reactance_at_tuned():
 @settings(max_examples=50)
 def test_st_impedance_equals_resistance_at_tuned(h, c, q):
     f = _st(h, c, q)
-    assert abs(hf.st_impedance(f, f.tuned_hz)) == pytest.approx(
+    assert abs(hf.branch_impedance(f, f.tuned_hz)) == pytest.approx(
         f.resistance_ohm, rel=1e-9
     )
 
 
 def test_st_impedance_blocks_dc():
     f5 = _st()
-    assert abs(hf.st_impedance(f5, 1e-9)) > 1e10
+    assert abs(hf.branch_impedance(f5, 1e-9)) > 1e10
 
 
 def test_st_impedance_rejects_nonpositive_frequency():
     f5 = _st()
     with pytest.raises(NetworkError):
-        hf.st_impedance(f5, 0.0)
+        hf.branch_impedance(f5, 0.0)
     with pytest.raises(NetworkError):
-        hf.st_impedance(f5, np.array([100.0, -5.0]))
+        hf.branch_impedance(f5, np.array([100.0, -5.0]))
 
 
 def test_st_impedance_matches_elementwise_formula():
     f5 = _st()
     freqs = np.array([60.0, 250.0, 700.0])
-    z = hf.st_impedance(f5, freqs)
+    z = hf.branch_impedance(f5, freqs)
     for fk, zk in zip(freqs, z):
         w = TWO_PI * fk
         expected = f5.resistance_ohm + 1j * (
@@ -85,14 +85,14 @@ def test_st_impedance_matches_elementwise_formula():
 
 def test_hp_impedance_flattens_to_resistance():
     f = _hp()
-    z = hf.hp_impedance(f, 1e9)
+    z = hf.branch_impedance(f, 1e9)
     assert z.real == pytest.approx(f.resistance_ohm, rel=1e-3)
     assert abs(z.imag) < 0.1
 
 
 def test_hp_impedance_capacitive_at_fundamental():
     f = _hp()
-    z = hf.hp_impedance(f, 50.0)
+    z = hf.branch_impedance(f, 50.0)
     xc = 1.0 / (TWO_PI * 50.0 * f.capacitance_f)
     assert abs(z) == pytest.approx(xc, rel=0.15)
     assert abs(z) == pytest.approx(286.05, abs=0.05)
@@ -120,7 +120,7 @@ def test_hp_impedance_large_r_reduces_to_series_lc():
     for fk in (100.0, 500.0, 2000.0):
         w = TWO_PI * fk
         series = 1j * (w * l - 1.0 / (w * REF_C))
-        assert hf.hp_impedance(f, fk) == pytest.approx(series, rel=1e-6)
+        assert hf.branch_impedance(f, fk) == pytest.approx(series, rel=1e-6)
 
 
 # --- bank combination ---------------------------------------------------------
@@ -130,7 +130,7 @@ def test_bank_single_branch_equals_branch(ref_bank):
     single = hf.FilterBank(fundamental_hz=50.0, branches=(ref_bank.branches[0],))
     for f in (100.0, 250.0, 900.0):
         assert hf.bank_impedance(single, f) == pytest.approx(
-            hf.st_impedance(ref_bank.branches[0], f), rel=1e-12
+            hf.branch_impedance(ref_bank.branches[0], f), rel=1e-12
         )
 
 
@@ -139,7 +139,7 @@ def test_bank_admittance_additivity(ref_bank):
     freqs = rng.uniform(51.0, 999.0, size=25)
     for f in freqs:
         order = rng.permutation(len(ref_bank.branches))
-        y_indep = sum(1.0 / branch_impedance(ref_bank.branches[i], f) for i in order)
+        y_indep = sum(1.0 / hf.branch_impedance(ref_bank.branches[i], f) for i in order)
         y_bank = 1.0 / hf.bank_impedance(ref_bank, f)
         assert y_bank == pytest.approx(y_indep, rel=1e-12)
 
@@ -148,7 +148,7 @@ def test_bank_conductance_dominates_each_branch(ref_bank):
     freqs = np.linspace(50.0, 1000.0, 96)
     y_bank = 1.0 / hf.bank_impedance(ref_bank, freqs)
     for branch in ref_bank.branches:
-        y_branch = 1.0 / branch_impedance(branch, freqs)
+        y_branch = 1.0 / hf.branch_impedance(branch, freqs)
         assert np.all(y_bank.real >= y_branch.real - 1e-12)
 
 

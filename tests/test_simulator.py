@@ -325,13 +325,14 @@ def test_default_iteration_budget_converges(baseline_run, filtered_run):
 
 def _reference_run(scenario):
     """The step loop with a per-step LU solve: each diode state caches LU
-    factors and the output map over ``[x; z]``; a step adds the source
-    sample into the right-hand side, solves it with ``dgetrs`` and maps
-    ``[x; z]`` with one matvec.  Returns the record, the flagged steps, the
-    number of diode states and the number of solves."""
+    factors and the output map over ``[x; z]``; a step builds the
+    right-hand side from ``z`` and the exact source sample, solves it with
+    ``dgetrs`` and maps ``[x; z]`` with one matvec.  Returns the record,
+    the flagged steps, the number of diode states and the number of
+    solves."""
     s = _TransientSolver(scenario)
     nx, nz = 11, s.n_z
-    rec_at = 6 + nx + nz
+    rec_at = 6 + nz + 2  # past the diode voltages, next z and next s
     maps = {}
 
     def step_map(key):
@@ -346,23 +347,23 @@ def _reference_run(scenario):
                 a[bt, other] -= g
                 a[other, bt] -= g
         lu, piv, _ = dgetrf(a)
-        out = s._out_base.copy()
+        out = s._out_base[:, : nx + nz].copy()
         out[:6] *= np.where(on, 1.0, -1.0)[:, None]
-        out[rec_at + CHANNEL_IDS.index("i_dc")] = g_d[:3] @ s._out_base[:3]
+        out[rec_at + CHANNEL_IDS.index("i_dc")] = g_d[:3] @ s._out_base[:3, : nx + nz]
         return lu, piv, out
 
     record = np.zeros((s.n_samples, s._out_base.shape[0] - rec_at))
-    w = np.zeros(nx + nz)  # [right-hand side, then x; z]
+    z = np.zeros(nz)
     key, solves, flagged = 0, 0, []
     for k in range(1, s.n_samples):
-        w[8:11] += s.esrc[k]
-        b = w[:nx].copy()
+        b = s._rhs[:, nx : nx + nz] @ z
+        b[8:11] += s.esrc[k]
         for it in range(s.max_iter):
             if key not in maps:
                 maps[key] = step_map(key)
             lu, piv, out = maps[key]
-            w[:nx] = dgetrs(lu, piv, b)[0]
-            y = out @ w
+            x = dgetrs(lu, piv, b)[0]
+            y = out @ np.concatenate([x, z])
             flips = sum(1 << i for i, v in enumerate(y[:6].tolist()) if v < 0.0)
             if not flips:
                 break
@@ -372,7 +373,7 @@ def _reference_run(scenario):
             flagged.append(k)
         solves += it + 1
         record[k] = y[rec_at:]
-        w = y[6:rec_at].copy()
+        z = y[6 : 6 + nz]
     record[:, :3] = s.esrc
     return record, tuple(flagged), len(maps), solves
 
