@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields
+from typing import Iterable, Mapping, Sequence
 
 TWO_PI = 2.0 * math.pi
 
@@ -220,8 +220,20 @@ def tune_inductor(c: float, order: float, basis: SystemBasis) -> float:
     _require_positive(capacitance=c, order=order)
     if not 1.0 <= order < math.inf:
         raise DesignError(f"harmonic order must be >= 1 and finite, got {order!r}")
-    w = TWO_PI * order * basis.fundamental_hz
-    return 1.0 / (w * w * c)
+    return _resonant_inductor(TWO_PI * order * basis.fundamental_hz, c)
+
+
+def _resonant_inductor(w: float, c: float) -> float:
+    """L = 1/(w^2 C), resonating with ``c`` at ``w`` rad/s; DesignError when
+    it is too large for a double."""
+    w2c = w * w * c
+    l = 1.0 / w2c if w2c > 0.0 else math.inf
+    if l == math.inf:
+        raise DesignError(
+            f"inductance 1/(w^2 C) for C = {c!r} F at w = {w!r} rad/s is too large "
+            "for a double"
+        )
+    return l
 
 
 def resistor_from_quality(l: float, c: float, q: float) -> float:
@@ -280,7 +292,7 @@ def design_high_pass(
             stacklevel=2,
         )
     w = TWO_PI * corner_hz
-    l = 1.0 / (w * w * c)
+    l = _resonant_inductor(w, c)
     r = q * w * l
     return HighPassFilter(
         capacitance_f=c,
@@ -339,31 +351,33 @@ def design_bank_six_pulse(
 # ---------------------------------------------------------------------------
 
 
+# JSON key of each branch field, in file order; a branch kind writes the
+# keys of its own fields.
+_BRANCH_KEYS = {
+    "order": "order",
+    "corner_hz": "corner_hz",
+    "c_farads": "capacitance_f",
+    "l_henries": "inductance_h",
+    "r_ohms": "resistance_ohm",
+    "q": "quality_factor",
+}
+_BRANCH_KINDS = {"single_tuned": SingleTunedFilter, "high_pass": HighPassFilter}
+
+
+def _branch_keys(cls: type) -> dict[str, str]:
+    names = {f.name for f in fields(cls)}
+    return {key: name for key, name in _BRANCH_KEYS.items() if name in names}
+
+
 def bank_to_dict(bank: FilterBank) -> dict:
-    branches = []
-    for b in bank.branches:
-        if isinstance(b, SingleTunedFilter):
-            branches.append(
-                {
-                    "kind": "single_tuned",
-                    "order": b.order,
-                    "c_farads": b.capacitance_f,
-                    "l_henries": b.inductance_h,
-                    "r_ohms": b.resistance_ohm,
-                    "q": b.quality_factor,
-                }
-            )
-        else:
-            branches.append(
-                {
-                    "kind": "high_pass",
-                    "corner_hz": b.corner_hz,
-                    "c_farads": b.capacitance_f,
-                    "l_henries": b.inductance_h,
-                    "r_ohms": b.resistance_ohm,
-                    "q": b.quality_factor,
-                }
-            )
+    kinds = {cls: kind for kind, cls in _BRANCH_KINDS.items()}
+    branches = [
+        {
+            "kind": kinds[type(b)],
+            **{key: getattr(b, name) for key, name in _branch_keys(type(b)).items()},
+        }
+        for b in bank.branches
+    ]
     return {"fundamental_hz": bank.fundamental_hz, "branches": branches}
 
 
@@ -382,53 +396,48 @@ def json_number(value, path: str, error: type[ValueError] = DesignError):
     return value
 
 
-def _branch_from_dict(doc: dict, where: str) -> FilterBranch:
-    known_common = {"kind", "c_farads", "l_henries", "r_ohms", "q"}
-    kind = doc.get("kind")
-    if kind == "single_tuned":
-        allowed = known_common | {"order"}
-    elif kind == "high_pass":
-        allowed = known_common | {"corner_hz"}
-    else:
-        raise DesignError(f"{where}.kind must be 'single_tuned' or 'high_pass', got {kind!r}")
-    unknown = set(doc) - allowed
+def json_object(
+    value,
+    path: str,
+    keys: Sequence[str],
+    error: type[ValueError] = DesignError,
+    optional: Iterable[str] = (),
+) -> Mapping:
+    """``value`` unchanged if it is a JSON object holding every key of
+    ``keys`` and no key outside ``keys`` and ``optional``; otherwise
+    ``error`` naming the object ``path``."""
+    if not isinstance(value, Mapping):
+        raise error(f"{path} must be a JSON object")
+    unknown = set(value).difference(keys, optional)
     if unknown:
-        raise DesignError(f"unknown key {sorted(unknown)[0]!r} in {where}")
-    missing = allowed - set(doc)
-    if missing:
-        raise DesignError(f"missing key {sorted(missing)[0]!r} in {where}")
-    value = {
-        key: float(json_number(doc[key], f"{where}.{key}"))
-        for key in sorted(allowed - {"kind"})
+        raise error(f"unknown key {sorted(unknown)[0]!r} in {path}")
+    for key in keys:
+        if key not in value:
+            raise error(f"missing key {path}.{key}")
+    return value
+
+
+def _branch_from_dict(doc, where: str) -> FilterBranch:
+    kind = json_object(doc, where, ("kind",), optional=_BRANCH_KEYS)["kind"]
+    # An unhashable kind (an array or object) is no key of the table.
+    cls = _BRANCH_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise DesignError(f"{where}.kind must be 'single_tuned' or 'high_pass', got {kind!r}")
+    keys = _branch_keys(cls)
+    json_object(doc, where, ("kind", *keys))
+    values = {
+        name: float(json_number(doc[key], f"{where}.{key}")) for key, name in keys.items()
     }
     try:
-        if kind == "single_tuned":
-            return SingleTunedFilter(
-                order=value["order"],
-                capacitance_f=value["c_farads"],
-                inductance_h=value["l_henries"],
-                resistance_ohm=value["r_ohms"],
-                quality_factor=value["q"],
-            )
-        return HighPassFilter(
-            capacitance_f=value["c_farads"],
-            inductance_h=value["l_henries"],
-            resistance_ohm=value["r_ohms"],
-            quality_factor=value["q"],
-            corner_hz=value["corner_hz"],
-        )
+        return cls(**values)
     except DesignError as exc:
         raise DesignError(f"{where}: {exc}") from None
 
 
-def bank_from_dict(doc: dict, where: str = "bank") -> FilterBank:
-    if not isinstance(doc, dict):
-        raise DesignError(f"{where} must be a JSON object")
-    unknown = set(doc) - {"fundamental_hz", "branches"}
-    if unknown:
-        raise DesignError(f"unknown key {sorted(unknown)[0]!r} in {where}")
-    if "fundamental_hz" not in doc or "branches" not in doc:
-        raise DesignError(f"{where} requires keys 'fundamental_hz' and 'branches'")
+def bank_from_dict(doc, where: str = "bank") -> FilterBank:
+    json_object(doc, where, ("fundamental_hz", "branches"))
+    if not isinstance(doc["branches"], list):
+        raise DesignError(f"{where}.branches must be a JSON array")
     branches = [
         _branch_from_dict(b, f"{where}.branches[{i}]")
         for i, b in enumerate(doc["branches"])

@@ -136,14 +136,16 @@ def scan(
     With ``source_inductance_h`` zero the curve is the bank alone; otherwise
     the source inductance appears in parallel with the bank.
     """
-    if not (0.0 < f_start < f_end):
+    if not (0.0 < f_start < f_end < np.inf):
         raise NetworkError(
-            f"need 0 < f_start < f_end, got ({f_start!r}, {f_end!r})"
+            f"need 0 < f_start < f_end < inf, got ({f_start!r}, {f_end!r})"
         )
     if n_points < 2:
         raise NetworkError(f"n_points must be >= 2, got {n_points!r}")
-    if source_inductance_h < 0.0:
-        raise NetworkError("source inductance must be non-negative")
+    if not 0.0 <= source_inductance_h < np.inf:
+        raise NetworkError(
+            f"source_inductance_h must be non-negative and finite, got {source_inductance_h!r}"
+        )
     freqs = np.linspace(f_start, f_end, int(n_points))
     z_bank = _bank_z(bank, _angular(freqs))
     if source_inductance_h == 0.0:

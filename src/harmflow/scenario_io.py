@@ -1,18 +1,29 @@
 """Strict JSON loading and saving of simulation scenarios.
 
 A scenario document has top-level keys ``basis``, ``load``, ``solver`` and
-an optional ``bank`` (the filter-bank serialization).  Unknown keys are
-rejected by name and every value is validated at load time with a
-field-path error message.
+an optional ``bank`` (the filter-bank serialization of
+:func:`harmflow.design.bank_to_dict`).  The dataclass fields are the
+schema: each section's keys are the fields of :class:`SystemBasis`,
+:class:`RectifierLoad` and :class:`SolverConfig`, in order, and a section
+is written with ``dataclasses.asdict``.  Unknown keys are rejected by name
+and every value is validated at load time with a field-path error message.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict, fields
 from typing import Any, Mapping
 
-from .design import DesignError, SystemBasis, bank_from_dict, bank_to_dict, json_number
+from .design import (
+    DesignError,
+    SystemBasis,
+    bank_from_dict,
+    bank_to_dict,
+    json_number,
+    json_object,
+)
 from .simulator import RectifierLoad, Scenario, SolverConfig
 
 
@@ -20,71 +31,40 @@ class ScenarioError(ValueError):
     """Scenario document fails validation; the message carries the field path."""
 
 
-_BASIS_KEYS = ("fundamental_hz", "source_vrms", "source_inductance_h")
-_LOAD_KEYS = ("front_end_inductance_h", "load_resistance_ohm", "load_capacitance_f")
-_SOLVER_KEYS = (
-    "dt_s",
-    "duration_s",
-    "diode_on_ohm",
-    "diode_off_ohm",
-    "max_switch_iterations",
-)
-
-
-def _section(doc: Mapping[str, Any], name: str, keys: tuple[str, ...]) -> dict:
-    section = doc[name]
-    if not isinstance(section, dict):
-        raise ScenarioError(f"{name} must be a JSON object")
-    unknown = set(section) - set(keys)
-    if unknown:
-        raise ScenarioError(f"unknown key {sorted(unknown)[0]!r} in {name}")
-    out = {}
-    for key in keys:
-        if key not in section:
-            raise ScenarioError(f"missing key {name}.{key}")
-        out[key] = json_number(section[key], f"{name}.{key}", ScenarioError)
-    return out
+# Each section is read into, and written from, the dataclass of its name.
+_SECTIONS = {"basis": SystemBasis, "load": RectifierLoad, "solver": SolverConfig}
 
 
 def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
-    if not isinstance(doc, Mapping):
-        raise ScenarioError("scenario must be a JSON object")
-    unknown = set(doc) - {"basis", "load", "bank", "solver"}
-    if unknown:
-        raise ScenarioError(f"unknown key {sorted(unknown)[0]!r} in scenario")
-    for required in ("basis", "load", "solver"):
-        if required not in doc:
-            raise ScenarioError(f"missing key {required!r} in scenario")
-
-    basis_doc = _section(doc, "basis", _BASIS_KEYS)
-    load_doc = _section(doc, "load", _LOAD_KEYS)
-    solver_doc = _section(doc, "solver", _SOLVER_KEYS)
-    iterations = solver_doc["max_switch_iterations"]
+    json_object(doc, "scenario", tuple(_SECTIONS), ScenarioError, optional=["bank"])
+    values = {}
+    for name, cls in _SECTIONS.items():
+        keys = [f.name for f in fields(cls)]
+        section = json_object(doc[name], name, keys, ScenarioError)
+        values[name] = {
+            key: json_number(section[key], f"{name}.{key}", ScenarioError) for key in keys
+        }
+    iterations = values["solver"]["max_switch_iterations"]
     if isinstance(iterations, float) and not iterations.is_integer():
         raise ScenarioError(
             f"solver.max_switch_iterations must be a finite integer, got {iterations!r}"
         )
-    solver_doc["max_switch_iterations"] = int(iterations)
+    values["solver"]["max_switch_iterations"] = int(iterations)
 
-    try:
-        basis = SystemBasis(**basis_doc)
-    except ValueError as exc:
-        raise ScenarioError(f"basis: {exc}") from None
-    try:
-        load = RectifierLoad(**load_doc)
-    except ValueError as exc:
-        raise ScenarioError(f"load: {exc}") from None
-    try:
-        solver = SolverConfig(**solver_doc)
-    except ValueError as exc:
-        raise ScenarioError(f"solver: {exc}") from None
+    sections = {}
+    for name, cls in _SECTIONS.items():
+        try:
+            sections[name] = cls(**values[name])
+        except ValueError as exc:
+            raise ScenarioError(f"{name}: {exc}") from None
 
     bank = None
-    if "bank" in doc and doc["bank"] is not None:
+    if doc.get("bank") is not None:
         try:
             bank = bank_from_dict(doc["bank"], where="bank")
         except DesignError as exc:
             raise ScenarioError(str(exc)) from None
+        basis = sections["basis"]
         if bank.fundamental_hz != basis.fundamental_hz:
             raise ScenarioError(
                 f"bank.fundamental_hz ({bank.fundamental_hz!r}) must equal "
@@ -92,31 +72,13 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
             )
 
     try:
-        return Scenario(basis=basis, load=load, bank=bank, solver=solver)
+        return Scenario(bank=bank, **sections)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    doc: dict[str, Any] = {
-        "basis": {
-            "fundamental_hz": scenario.basis.fundamental_hz,
-            "source_vrms": scenario.basis.source_vrms,
-            "source_inductance_h": scenario.basis.source_inductance_h,
-        },
-        "load": {
-            "front_end_inductance_h": scenario.load.front_end_inductance_h,
-            "load_resistance_ohm": scenario.load.load_resistance_ohm,
-            "load_capacitance_f": scenario.load.load_capacitance_f,
-        },
-        "solver": {
-            "dt_s": scenario.solver.dt_s,
-            "duration_s": scenario.solver.duration_s,
-            "diode_on_ohm": scenario.solver.diode_on_ohm,
-            "diode_off_ohm": scenario.solver.diode_off_ohm,
-            "max_switch_iterations": scenario.solver.max_switch_iterations,
-        },
-    }
+    doc = {name: asdict(getattr(scenario, name)) for name in _SECTIONS}
     if scenario.bank is not None:
         doc["bank"] = bank_to_dict(scenario.bank)
     return doc

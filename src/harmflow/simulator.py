@@ -78,7 +78,7 @@ _I_DC = CHANNEL_IDS.index("i_dc")
 
 # Most samples one run may record, checked before anything is allocated.
 # The record holds 8 bytes per sample per column, so this bounds it at 12 MB
-# per column: 0.67 GB at the bundled bank's 56 columns (17 channels plus
+# per column: 0.64 GB at the bundled bank's 53 columns (17 channels plus
 # the aux traces).  The longest bundled study, the 1.2 s settled run,
 # records 120k samples.
 MAX_SAMPLES = 1_500_000
@@ -393,8 +393,8 @@ class _TransientSolver:
         ]
         aux = [
             ("st_i", flat(st_i)), ("st_vc", flat(st_vc)),
-            ("hp_i", flat(hp_i)), ("hp_il", flat(hp_il)),
-            ("hp_vc", flat(hp_vc)), ("hp_vrl", flat(hp_vrl)),
+            ("hp_il", flat(hp_il)), ("hp_vc", flat(hp_vc)),
+            ("hp_vrl", flat(hp_vrl)),
             ("v_bt", vbt),
         ]
         aux_slices = {}
@@ -497,6 +497,10 @@ def last_cycles_window(
     """
     if n_cycles < 1:
         raise WindowError(f"n_cycles must be >= 1, got {n_cycles!r}")
+    if not 0.0 < fundamental_hz < math.inf:
+        raise WindowError(
+            f"fundamental_hz must be positive and finite, got {fundamental_hz!r}"
+        )
     spp_f = sample_rate_hz / fundamental_hz
     spp = round(spp_f)
     if spp < 2 or abs(spp_f - spp) > 1e-6 * spp:

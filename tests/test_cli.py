@@ -113,6 +113,17 @@ def test_design_invalid_values_exit_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--hp-corner", "--f1"])
+def test_design_underflowing_frequency_exit_2(tmp_path, capsys, flag):
+    # (2*pi*f)^2 * C underflows to zero, so L = 1/(w^2 C) is no double.
+    out = tmp_path / "bank.json"
+    argv = ["design", "--c", "1e-5", "--st-q", "50", "--hp-corner", "700", "--hp-q", "2"]
+    rc = main(argv + [flag, "1e-300", "-o", str(out)])
+    assert rc == 2
+    assert "inductance 1/(w^2 C)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_design_output_reloads(tmp_path):
     out = tmp_path / "bank.json"
     main(
@@ -263,6 +274,23 @@ def test_simulate_non_number_exit_2(tmp_path, capsys, value):
     rc, err, wrote = _simulate_with(tmp_path, capsys, "bank.branches[1]", "r_ohms", value)
     assert rc == 2
     assert f"bank.branches[1].r_ohms must be a number, got {value!r}" in err
+    assert not wrote
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("bank", "branches", 5, "bank.branches must be a JSON array"),
+        ("bank", "branches", {}, "bank.branches must be a JSON array"),
+        ("bank", "branches", "x", "bank.branches must be a JSON array"),
+        ("bank.branches", 0, 5, "bank.branches[0] must be a JSON object"),
+        ("bank.branches", 0, [], "bank.branches[0] must be a JSON object"),
+    ],
+)
+def test_simulate_malformed_branches_exit_2(tmp_path, capsys, section, key, value, message):
+    rc, err, wrote = _simulate_with(tmp_path, capsys, section, key, value)
+    assert rc == 2
+    assert message in err
     assert not wrote
 
 
@@ -472,6 +500,36 @@ def test_scan_non_number_exit_2(tmp_path, ref_bank, capsys):
     assert list(tmp_path.iterdir()) == [bank_path]
 
 
+@pytest.mark.parametrize(
+    "branches, message",
+    [(5, "bank.branches must be a JSON array"), ([5], "bank.branches[0] must be a JSON object")],
+)
+def test_scan_malformed_branches_exit_2(tmp_path, capsys, branches, message):
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps({"fundamental_hz": 50.0, "branches": branches}))
+    rc = main(["scan", str(bank_path), "-o", str(tmp_path / "x")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [bank_path]
+
+
+@pytest.mark.parametrize(
+    "flag, value, quantity",
+    [
+        ("--ls", "nan", "source_inductance_h"),
+        ("--ls", "inf", "source_inductance_h"),
+        ("--f-end", "inf", "f_end"),
+    ],
+)
+def test_scan_non_finite_flag_exit_2(tmp_path, ref_bank, capsys, flag, value, quantity):
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps(hf.design.bank_to_dict(ref_bank)))
+    rc = main(["scan", str(bank_path), flag, value, "-o", str(tmp_path / "x")])
+    assert rc == 2
+    assert quantity in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [bank_path]
+
+
 # --- report -------------------------------------------------------------------
 
 
@@ -502,6 +560,18 @@ def test_report_mismatched_sample_rates_exit_2(tmp_path, short_waveform, capsys)
     )
     assert rc == 2
     assert "sample rates differ" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_zero_fundamental_flag_exit_2(tmp_path, short_waveform, capsys, command):
+    if command == "analyze":
+        argv = ["analyze", str(short_waveform), "--channel", "i_src_a"]
+    else:
+        argv = ["report", str(short_waveform), str(short_waveform)]
+    rc = main(argv + ["--f1", "0", "-o", str(tmp_path / "out")])
+    assert rc == 2
+    assert "fundamental_hz must be positive and finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["analyze", "report"])
@@ -591,46 +661,65 @@ def test_scenario_requires_integer_iteration_cap():
             scenario_from_dict(doc)
 
 
-def _numeric_fields(node, path=()):
-    """Key paths of every number in a scenario document."""
+def _nodes(node, path=()):
+    """Key paths and values of every node below a scenario document's root."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
     for key, value in items:
+        yield path + (key,), value
         if isinstance(value, (dict, list)):
-            yield from _numeric_fields(value, path + (key,))
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            yield path + (key,)
+            yield from _nodes(value, path + (key,))
+
+
+_DELETED = object()
 
 
 def test_simulate_extreme_values_fuzz(tmp_path, capsys):
-    """Each numeric field of a short bundled scenario set to each extreme value
-    exits 0, 2 or 3 with no escaping exception, and writes a CSV only on
-    success, with finite values."""
+    """Each numeric field of a short bundled scenario set to each extreme value,
+    and each node set to each ill-typed value, deleted, or (for an object)
+    given an unknown key, exits 0, 2 or 3 with no escaping exception, and
+    writes a CSV only on success, with finite values."""
     base = scenario_to_dict(
         presets.filtered_scenario(hf.SolverConfig(dt_s=1e-4, duration_s=0.2))
     )
-    fields = list(_numeric_fields(base))
+    nodes = list(_nodes(base))
+    fields = [
+        path for path, value in nodes
+        if isinstance(value, (int, float)) and not isinstance(value, bool)
+    ]
     assert len(fields) == 3 + 3 + 5 + 1 + 5 * 5  # basis, load, solver, bank
+    extremes = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, 1e-300, 10**400)
+    ill_typed = (None, 5, "x", [], {}, [5], {"a": 1}, True, _DELETED)
+    cases = [(field, value) for field in fields for value in extremes]
+    cases += [(path, value) for path, _ in nodes for value in ill_typed]
+    cases += [
+        (path + ("unknown_key",), 1)
+        for path, value in [((), base), *nodes]
+        if isinstance(value, dict)
+    ]
     path = tmp_path / "scenario.json"
     out = tmp_path / "x.csv"
-    for field in fields:
-        for value in (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, 1e-300, 10**400):
-            doc = copy.deepcopy(base)
-            node = doc
-            for key in field[:-1]:
-                node = node[key]
+    for field, value in cases:
+        doc = copy.deepcopy(base)
+        node = doc
+        for key in field[:-1]:
+            node = node[key]
+        if value is _DELETED:
+            del node[field[-1]]
+        else:
             node[field[-1]] = value
-            path.write_text(json.dumps(doc))
-            rc = main(["simulate", str(path), "-o", str(out)])
-            err = capsys.readouterr().err
-            case = f"{'.'.join(map(str, field))} = {value!r}: {err}"
-            assert rc in (0, 2, 3), case
-            if rc == 0:
-                data = np.loadtxt(out, delimiter=",", skiprows=1)
-                assert np.isfinite(data).all(), case
-                out.unlink()
-            else:
-                assert not out.exists(), case
-                assert err.startswith("error: " if rc == 2 else "solver error: "), case
+        path.write_text(json.dumps(doc))
+        rc = main(["simulate", str(path), "-o", str(out)])
+        err = capsys.readouterr().err
+        shown = "deleted" if value is _DELETED else repr(value)
+        case = f"{'.'.join(map(str, field))} = {shown}: {err}"
+        assert rc in (0, 2, 3), case
+        if rc == 0:
+            data = np.loadtxt(out, delimiter=",", skiprows=1)
+            assert np.isfinite(data).all(), case
+            out.unlink()
+        else:
+            assert not out.exists(), case
+            assert err.startswith("error: " if rc == 2 else "solver error: "), case
 
 
 # --- misc -----------------------------------------------------------------------
