@@ -180,6 +180,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "flagged_steps": list(waves.flagged_steps),
             "diode_states": waves.diode_states,
             "switch_iterations": waves.switch_iterations,
+            "switch_events": waves.switch_events,
             "wall_time_s": wall,
         },
         meta_path,

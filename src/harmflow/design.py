@@ -438,6 +438,11 @@ def bank_from_dict(doc, where: str = "bank") -> FilterBank:
     json_object(doc, where, ("fundamental_hz", "branches"))
     if not isinstance(doc["branches"], list):
         raise DesignError(f"{where}.branches must be a JSON array")
+    if not doc["branches"]:
+        raise DesignError(
+            f"{where}.branches must hold at least one branch "
+            "(omit bank for an unfiltered run)"
+        )
     branches = [
         _branch_from_dict(b, f"{where}.branches[{i}]")
         for i, b in enumerate(doc["branches"])

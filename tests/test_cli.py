@@ -156,6 +156,8 @@ def test_simulate_outputs_csv_and_metadata(short_waveform, short_scenario_path):
     assert meta["flagged_steps"] == []
     assert meta["diode_states"] >= 1
     assert meta["switch_iterations"] >= meta["n_samples"] - 1
+    # A step that changes the state word retries at least once.
+    assert 1 <= meta["switch_events"] <= meta["switch_iterations"] - (meta["n_samples"] - 1)
     assert meta["channels"] == list(CHANNEL_IDS)
     assert meta["wall_time_s"] > 0.0
 
@@ -285,6 +287,7 @@ def test_simulate_non_number_exit_2(tmp_path, capsys, value):
         ("bank", "branches", "x", "bank.branches must be a JSON array"),
         ("bank.branches", 0, 5, "bank.branches[0] must be a JSON object"),
         ("bank.branches", 0, [], "bank.branches[0] must be a JSON object"),
+        ("bank", "branches", [], "bank.branches must hold at least one branch"),
     ],
 )
 def test_simulate_malformed_branches_exit_2(tmp_path, capsys, section, key, value, message):
@@ -502,7 +505,11 @@ def test_scan_non_number_exit_2(tmp_path, ref_bank, capsys):
 
 @pytest.mark.parametrize(
     "branches, message",
-    [(5, "bank.branches must be a JSON array"), ([5], "bank.branches[0] must be a JSON object")],
+    [
+        (5, "bank.branches must be a JSON array"),
+        ([5], "bank.branches[0] must be a JSON object"),
+        ([], "bank.branches must hold at least one branch"),
+    ],
 )
 def test_scan_malformed_branches_exit_2(tmp_path, capsys, branches, message):
     bank_path = tmp_path / "bank.json"

@@ -15,10 +15,12 @@ import pytest
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 import harmflow as hf
-from harmflow import presets
+from harmflow import presets, simulator
 from harmflow.design import QualityFactorWarning
 from harmflow.simulator import (
     CHANNEL_IDS,
+    LOOKAHEAD_GATE,
+    LOOKAHEAD_STEPS,
     MAX_SAMPLES,
     SampleGridError,
     SolverError,
@@ -302,6 +304,8 @@ def test_switch_counters(baseline_run, filtered_run):
     for _, waves, _ in (baseline_run, filtered_run):
         assert waves.diode_states == 13
         assert waves.switch_iterations >= waves.n_samples - 1
+    assert baseline_run[1].switch_events == 490
+    assert filtered_run[1].switch_events == 409
     # The filtered run retries some step with a restored right-hand side,
     # so the pinned figures cover that path of the step loop.
     assert filtered_run[1].switch_iterations > filtered_run[1].n_samples - 1
@@ -328,8 +332,9 @@ def _reference_run(scenario):
     factors and the output map over ``[x; z]``; a step builds the
     right-hand side from ``z`` and the exact source sample, solves it with
     ``dgetrs`` and maps ``[x; z]`` with one matvec.  Returns the record,
-    the flagged steps, the number of diode states and the number of
-    solves."""
+    the flagged steps, the number of diode states, the number of solves,
+    and per step the state word it ends in and whether it passed the sign
+    test on the first try (entry 0 is the all-blocking start)."""
     s = _TransientSolver(scenario)
     nx, nz = 11, s.n_z
     rec_at = 6 + nz + 2  # past the diode voltages, next z and next s
@@ -353,6 +358,8 @@ def _reference_run(scenario):
         return lu, piv, out
 
     record = np.zeros((s.n_samples, s._out_base.shape[0] - rec_at))
+    keys = np.zeros(s.n_samples, dtype=int)
+    first_try = np.zeros(s.n_samples, dtype=bool)
     z = np.zeros(nz)
     key, solves, flagged = 0, 0, []
     for k in range(1, s.n_samples):
@@ -372,10 +379,43 @@ def _reference_run(scenario):
         else:
             flagged.append(k)
         solves += it + 1
+        keys[k] = key
+        first_try[k] = it == 0 and not flips
         record[k] = y[rec_at:]
         z = y[6 : 6 + nz]
     record[:, :3] = s.esrc
-    return record, tuple(flagged), len(maps), solves
+    return record, tuple(flagged), len(maps), solves, keys, first_try
+
+
+class _BlockLog(_TransientSolver):
+    """The solver, logging each look-ahead block as (first step, steps taken)."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.blocks = []
+
+    def _lookahead(self, key, k, w, record):
+        j = super()._lookahead(key, k, w, record)
+        self.blocks.append((k, j))
+        return j
+
+
+def _assert_block_schedule(blocks, first_try):
+    """A block opens at step k exactly when the G steps before k passed the
+    sign test on the first try and B steps remain, and takes the steps from
+    k that pass it on the first try, at most B."""
+    n = len(first_try)
+    gate_open = np.zeros(n, dtype=bool)
+    for k in range(1 + LOOKAHEAD_GATE, n - LOOKAHEAD_STEPS + 1):
+        gate_open[k] = first_try[k - LOOKAHEAD_GATE : k].all()
+    opened = np.zeros(n, dtype=bool)
+    for k, j in blocks:
+        assert gate_open[k], (k, j)
+        assert first_try[k : k + j].all(), (k, j)
+        assert j == LOOKAHEAD_STEPS or not first_try[k + j], (k, j)
+        # A block's steps, and the step that ends it early, are not tried again.
+        opened[k : k + min(j + 1, LOOKAHEAD_STEPS)] = True
+    assert np.array_equal(opened & gate_open, gate_open)
 
 
 def _off_grid_candidate(seed):
@@ -413,16 +453,33 @@ _REFERENCE_REL_TOL = 1e-8
         lambda: presets.filtered_scenario(hf.SolverConfig(duration_s=0.24)),
         lambda: _off_grid_candidate(3),
         lambda: _off_grid_candidate(8),
+        # Ends in a run of unchanged state stepped as blocks, then 8 steps
+        # one at a time: fewer than B remain.
+        lambda: presets.filtered_scenario(hf.SolverConfig(duration_s=0.2401)),
+        # Flagged steps between runs that are stepped as blocks.  (A cap of
+        # 1 never leaves the all-blocking state: every step is flagged, no
+        # block opens and the DC bus holds only rounding noise.)
+        lambda: presets.filtered_scenario(
+            hf.SolverConfig(dt_s=1e-4, duration_s=0.2, max_switch_iterations=2)
+        ),
+        # About 150 state changes per period.
+        lambda: _off_grid_candidate(9),
     ],
-    ids=["baseline", "filtered", "candidate3", "candidate8"],
+    ids=[
+        "baseline", "filtered", "candidate3", "candidate8",
+        "short_last_block", "cap2_flagged", "chattering9",
+    ],
 )
 def test_step_maps_match_per_step_lu_reference(make):
     scenario = make()
-    record, flagged, states, solves = _reference_run(scenario)
-    waves = hf.run(scenario)
+    record, flagged, states, solves, keys, first_try = _reference_run(scenario)
+    solver = _BlockLog(scenario)
+    waves = solver.run()
     assert waves.flagged_steps == flagged
     assert waves.diode_states == states
     assert waves.switch_iterations == solves
+    assert waves.switch_events == np.count_nonzero(np.diff(keys))
+    _assert_block_schedule(solver.blocks, first_try)
     got = np.column_stack(
         [waves.channels[name] for name in CHANNEL_IDS] + list(waves.aux.values())
     )
@@ -433,6 +490,25 @@ def test_step_maps_match_per_step_lu_reference(make):
     assert np.all(deviation <= _REFERENCE_REL_TOL * scale), np.max(
         deviation / np.maximum(scale, 1e-300)
     )
+
+
+def test_non_finite_guard_names_step_of_per_step_loop(monkeypatch):
+    # A recorded trace overflows at step 115, inside a block of 32 steps
+    # (100 to 131) whose diode voltages stay finite.
+    scenario = presets.filtered_scenario(hf.SolverConfig(dt_s=1e-5, duration_s=0.2))
+    scenario = hf.Scenario(
+        hf.SystemBasis(50.0, 1e306, scenario.basis.source_inductance_h),
+        scenario.load,
+        scenario.bank,
+        scenario.solver,
+    )
+    with pytest.raises(SolverError, match="non-finite solution at step 115$"):
+        hf.run(scenario)
+    # No block fits: every step runs the fixed-point loop, and the guard's
+    # row scan names the first non-finite row.
+    monkeypatch.setattr(simulator, "LOOKAHEAD_STEPS", MAX_SAMPLES)
+    with pytest.raises(SolverError, match="non-finite solution at step 115$"):
+        hf.run(scenario)
 
 
 def test_singular_matrix_names_step():
