@@ -21,6 +21,8 @@ import numpy as np
 
 DEFAULT_MAX_ORDER = 50
 IEEE519_THD_LIMIT = 0.05
+# Settling residual above which a window is reported as not settled.
+SETTLING_RESIDUAL_LIMIT = 1e-3
 
 
 class AnalysisError(ValueError):
@@ -221,6 +223,22 @@ def power_report(
         true_power_factor=tpf,
         displacement_power_factor=dpf,
     )
+
+
+def settling_residual(
+    samples: Sequence[float], sample_rate_hz: float, fundamental_hz: float
+) -> float:
+    """Largest change between consecutive periods of a window of whole
+    fundamental periods, max |cycle k+1 - cycle k|, relative to the
+    window's max |x| (0 for an all-zero window).  Needs at least two
+    periods."""
+    x = np.asarray(samples, dtype=float)
+    periods, _ = _window_layout(len(x), sample_rate_hz, fundamental_hz, 1)
+    if periods < 2:
+        raise AnalysisError("a settling residual needs at least two periods")
+    cycles = x.reshape(periods, -1)
+    peak = float(np.max(np.abs(x)))
+    return float(np.max(np.abs(np.diff(cycles, axis=0)))) / peak if peak > 0.0 else 0.0
 
 
 def ieee519_check(

@@ -22,10 +22,12 @@ import numpy as np
 
 from . import svg
 from .analyzer import (
+    SETTLING_RESIDUAL_LIMIT,
     AnalysisError,
     HarmonicSpectrum,
     ieee519_check,
     power_report,
+    settling_residual,
     spectrum,
 )
 from .design import DesignError, SystemBasis, bank_from_dict, bank_to_dict, design_bank
@@ -176,6 +178,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "duration_s": scenario.solver.duration_s,
             "sample_rate_hz": waves.sample_rate_hz,
             "n_samples": waves.n_samples,
+            "record_cycles": scenario.solver.record_cycles,
+            "first_step": waves.first_step,
+            "t_start_s": waves.first_step * waves.dt_s,
             "channels": list(CHANNEL_IDS),
             "flagged_steps": list(waves.flagged_steps),
             "diode_states": waves.diode_states,
@@ -255,6 +260,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         samples, sample_rate, args.f1, args.max_order, args.cycles
     )
     check = ieee519_check(spec)
+    residual = None
+    if args.cycles >= 2:
+        residual = settling_residual(
+            samples[window.start : window.stop], sample_rate, args.f1
+        )
+        if residual > SETTLING_RESIDUAL_LIMIT:
+            print(
+                f"note: {args.channel} has not settled: it changes by "
+                f"{residual:.1e} of its peak from cycle to cycle over the "
+                f"analysis window (limit {SETTLING_RESIDUAL_LIMIT:g})",
+                file=sys.stderr,
+            )
     prefix = Path(
         args.output_prefix
         if args.output_prefix is not None
@@ -269,6 +286,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "rms": spec.rms_total,
         "dc": spec.dc,
         "fundamental_rms": float(spec.magnitudes[0]),
+        "settling_residual": residual,
         "ieee519": {"passed": check.passed, "thd": check.thd, "limit": check.limit},
     }
     if args.v_channel is not None:

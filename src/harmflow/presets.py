@@ -28,6 +28,10 @@ TUNED_R_OHM = {5: 0.54, 7: 0.38, 11: 0.24, 13: 0.21}
 HP_L_H = 0.0031
 HP_R_OHM = 49.66
 
+# Periods the bundled runs record: the fewest from which the 5-cycle
+# analysis window can be taken (``last_cycles_window`` asks for 5 + 2).
+RECORD_CYCLES = 7
+
 
 def bundled_basis() -> SystemBasis:
     return SystemBasis(
@@ -78,7 +82,7 @@ def baseline_scenario(solver: SolverConfig | None = None) -> Scenario:
         basis=bundled_basis(),
         load=bundled_load(),
         bank=None,
-        solver=solver or SolverConfig(),
+        solver=solver or SolverConfig(record_cycles=RECORD_CYCLES),
     )
 
 
@@ -89,5 +93,5 @@ def filtered_scenario(solver: SolverConfig | None = None) -> Scenario:
         basis=basis,
         load=bundled_load(),
         bank=bundled_bank(basis),
-        solver=solver or SolverConfig(),
+        solver=solver or SolverConfig(record_cycles=RECORD_CYCLES),
     )

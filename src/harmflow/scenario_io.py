@@ -5,8 +5,10 @@ an optional ``bank`` (the filter-bank serialization of
 :func:`harmflow.design.bank_to_dict`).  The dataclass fields are the
 schema: each section's keys are the fields of :class:`SystemBasis`,
 :class:`RectifierLoad` and :class:`SolverConfig`, in order, and a section
-is written with ``dataclasses.asdict``.  Unknown keys are rejected by name
-and every value is validated at load time with a field-path error message.
+is written with ``dataclasses.asdict``.  A field that defaults to None
+(``solver.record_cycles``) may be omitted and is not written when None.
+Unknown keys are rejected by name and every value is validated at load
+time with a field-path error message.
 """
 
 from __future__ import annotations
@@ -33,30 +35,35 @@ class ScenarioError(ValueError):
 
 # Each section is read into, and written from, the dataclass of its name.
 _SECTIONS = {"basis": SystemBasis, "load": RectifierLoad, "solver": SolverConfig}
+_INTEGER_FIELDS = ("max_switch_iterations", "record_cycles")
 
 
 def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
     json_object(doc, "scenario", tuple(_SECTIONS), ScenarioError, optional=["bank"])
     values = {}
     for name, cls in _SECTIONS.items():
-        keys = [f.name for f in fields(cls)]
-        section = json_object(doc[name], name, keys, ScenarioError)
+        # A field that defaults to None may be omitted.
+        keys = [f.name for f in fields(cls) if f.default is not None]
+        optional = [f.name for f in fields(cls) if f.default is None]
+        section = json_object(doc[name], name, keys, ScenarioError, optional=optional)
         values[name] = {
-            key: json_number(section[key], f"{name}.{key}", ScenarioError) for key in keys
+            key: json_number(value, f"{name}.{key}", ScenarioError)
+            for key, value in section.items()
         }
-    iterations = values["solver"]["max_switch_iterations"]
-    if isinstance(iterations, float) and not iterations.is_integer():
-        raise ScenarioError(
-            f"solver.max_switch_iterations must be a finite integer, got {iterations!r}"
-        )
-    values["solver"]["max_switch_iterations"] = int(iterations)
+    for key in _INTEGER_FIELDS:
+        count = values["solver"].get(key)
+        if isinstance(count, float):
+            if not count.is_integer():
+                raise ScenarioError(f"solver.{key} must be a finite integer, got {count!r}")
+            values["solver"][key] = int(count)
 
     sections = {}
     for name, cls in _SECTIONS.items():
         try:
             sections[name] = cls(**values[name])
         except ValueError as exc:
-            raise ScenarioError(f"{name}: {exc}") from None
+            # Each message starts with the field name.
+            raise ScenarioError(f"{name}.{exc}") from None
 
     bank = None
     if doc.get("bank") is not None:
@@ -78,7 +85,10 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    doc = {name: asdict(getattr(scenario, name)) for name in _SECTIONS}
+    doc = {
+        name: {k: v for k, v in asdict(getattr(scenario, name)).items() if v is not None}
+        for name in _SECTIONS
+    }
     if scenario.bank is not None:
         doc["bank"] = bank_to_dict(scenario.bank)
     return doc

@@ -58,6 +58,9 @@ maximum, the aux traces to 2e-10 and THD to 2e-12 relative, with the same
 flagged steps and counters.
 
 All states start at zero; analysis windows exclude the start-up transient.
+``SolverConfig.record_cycles`` keeps only the last whole fundamental
+periods of a run: every step is taken, but the record, and so the waveform
+set, starts at the window's first step, bit for bit as in a full record.
 """
 
 from __future__ import annotations
@@ -153,6 +156,8 @@ class SolverConfig:
     diode_on_ohm: float = 1e-3
     diode_off_ohm: float = 1e6
     max_switch_iterations: int = 10
+    # Whole fundamental periods kept at the end of the run; None keeps all.
+    record_cycles: int | None = None
 
     def __post_init__(self) -> None:
         for name in ("dt_s", "duration_s", "diode_on_ohm", "diode_off_ohm"):
@@ -171,10 +176,19 @@ class SolverConfig:
                 "diode_off_ohm / diode_on_ohm must be at least 1e6, got "
                 f"{self.diode_off_ohm / self.diode_on_ohm!r}"
             )
-        if self.max_switch_iterations < 1:
+        # A diode flips only when another solve is allowed, so a cap of 1
+        # would hold the bridge blocking forever.
+        if self.max_switch_iterations < 2:
             raise ValueError(
-                f"max_switch_iterations must be >= 1, got {self.max_switch_iterations!r}"
+                f"max_switch_iterations must be >= 2, got {self.max_switch_iterations!r}"
             )
+        cycles = self.record_cycles
+        if cycles is not None and not (isinstance(cycles, int) and cycles >= 1):
+            raise ValueError(f"record_cycles must be a positive integer, got {cycles!r}")
+
+    @property
+    def n_samples(self) -> int:
+        return int(round(self.duration_s / self.dt_s))
 
 
 @dataclass(frozen=True)
@@ -193,6 +207,25 @@ class Scenario:
                 f"duration_s must cover at least 10 fundamental periods "
                 f"({min_duration!r} s), got {self.solver.duration_s!r}"
             )
+        self.first_recorded_step()
+
+    def first_recorded_step(self) -> int:
+        """Step at which the record starts: 0, or the first step of the
+        last ``solver.record_cycles`` whole fundamental periods."""
+        cycles = self.solver.record_cycles
+        if cycles is None:
+            return 0
+        try:
+            spp = samples_per_period(1.0 / self.solver.dt_s, self.basis.fundamental_hz)
+        except SampleGridError as exc:
+            raise SampleGridError(f"solver.record_cycles: {exc}") from None
+        n = self.solver.n_samples
+        if cycles * spp > n:
+            raise ValueError(
+                f"solver.record_cycles must be at most the {n // spp} whole "
+                f"periods the run holds, got {cycles!r}"
+            )
+        return n - cycles * spp
 
 
 @dataclass(frozen=True)
@@ -207,7 +240,8 @@ class WaveformSet:
     ``diode_states`` counts the distinct diode state words the run visited,
     ``switch_iterations`` the fixed-point solves over all steps and
     ``switch_events`` the steps whose state word differs from the previous
-    step's.
+    step's.  ``first_step`` is the step of the first sample: nonzero when
+    the solver recorded only the last periods of the run.
     """
 
     sample_rate_hz: float
@@ -217,6 +251,7 @@ class WaveformSet:
     diode_states: int = 0
     switch_iterations: int = 0
     switch_events: int = 0
+    first_step: int = 0
 
     def __post_init__(self) -> None:
         if not self.sample_rate_hz > 0.0:
@@ -234,7 +269,7 @@ class WaveformSet:
         return 1.0 / self.sample_rate_hz
 
     def time(self) -> np.ndarray:
-        return np.arange(self.n_samples) * self.dt_s
+        return np.arange(self.first_step, self.first_step + self.n_samples) * self.dt_s
 
     def write_csv(self, out: IO[str]) -> None:
         """First column ``t_s`` then one column per contract channel.
@@ -289,14 +324,16 @@ class _TransientSolver:
     the powers of its next-``w`` block, B·nw × nw, and its signed diode
     rows through those powers, B·6 × nw (380 kB and 60 kB at nw = 39,
     B = 32).  ``run`` steps a run of unchanged state in blocks of up to B
-    once G consecutive steps passed the sign test on the first try."""
+    once G consecutive steps passed the sign test on the first try.  Rows
+    of steps before ``first_step`` are computed but not recorded."""
 
     def __init__(self, scenario: Scenario) -> None:
         cfg = scenario.solver
         self.dt = cfg.dt_s
-        self.n_samples = int(round(cfg.duration_s / cfg.dt_s))
+        self.n_samples = cfg.n_samples
         if self.n_samples < 2:
             raise ValueError("duration_s must span at least two samples")
+        self.first_step = scenario.first_recorded_step()
         self.g_on = 1.0 / cfg.diode_on_ohm
         self.g_off = 1.0 / cfg.diode_off_ohm
         self.max_iter = cfg.max_switch_iterations
@@ -330,7 +367,7 @@ class _TransientSolver:
         self._rec_at = 6 + self.n_z + 2
 
         w1 = TWO_PI * basis.fundamental_hz
-        t = np.arange(self.n_samples) * dt
+        t = np.arange(self.first_step, self.n_samples) * dt
         vpeak = math.sqrt(2.0) * basis.source_vrms
         offsets = np.array([0.0, -TWO_PI / 3.0, -2.0 * TWO_PI / 3.0])
         # An overflowing amplitude is reported by the guard after the step
@@ -339,7 +376,7 @@ class _TransientSolver:
             self.esrc = vpeak * np.sin(w1 * t[:, None] + offsets[None, :])
             # e_k = v_src @ s_k with s_k = (sin w1 t_k, cos w1 t_k).
             v_src = vpeak * np.column_stack([np.cos(offsets), np.sin(offsets)])
-        self._s_first = np.array([math.sin(w1 * t[1]), math.cos(w1 * t[1])])
+        self._s_first = np.array([math.sin(w1 * dt), math.cos(w1 * dt)])
         self._base_matrix, self._rhs, self._out_base, self._aux_slices = (
             self._assemble(v_src, w1 * dt)
         )
@@ -481,8 +518,9 @@ class _TransientSolver:
 
     def _lookahead(self, key: int, k: int, w: np.ndarray, record: np.ndarray) -> int:
         """Steps ``k``, ``k+1``, .. in state ``key`` from ``w`` while they
-        pass the sign test, at most B of them: records them, advances ``w``
-        in place and returns how many were taken."""
+        pass the sign test, at most B of them: records those from
+        ``first_step`` on, advances ``w`` in place and returns how many were
+        taken."""
         powers, diode = self._tables.get(key) or self._lookahead_tables(key)
         # Signed diode voltages of steps k .. k+B-1.  NaN compares false, so
         # a block holding NaN is taken whole and left to the guard after
@@ -494,15 +532,17 @@ class _TransientSolver:
             nw = len(w)
             # The w each step starts from, then their next w and record rows.
             ys = (powers[: j * nw] @ w).reshape(j, nw) @ self._maps[key][6:].T
-            record[k : k + j] = ys[:, nw:]
+            lo = max(k, self.first_step)
+            if k + j > lo:
+                record[lo - self.first_step : k + j - self.first_step] = ys[lo - k :, nw:]
             w[:] = ys[-1, :nw]
         return j
 
     def run(self) -> WaveformSet:
         n, maps, max_iter = self.n_samples, self._maps, self.max_iter
-        rec_at = self._rec_at
+        rec_at, first = self._rec_at, self.first_step
         width = self._out_base.shape[0]
-        record = np.zeros((n, width - rec_at))
+        record = np.zeros((n - first, width - rec_at))
         # Two rows laid out as the step maps' rows take turns: step k maps
         # w = [z; s] of one into the other and records it.
         cur, nxt = (
@@ -547,17 +587,22 @@ class _TransientSolver:
                 solves += it + 1
                 streak = streak + 1 if it == 0 and not flips else 0
                 events += key != before
-                record[k] = rec
+                if k >= first:
+                    record[k - first] = rec
                 cur, nxt = nxt, cur
                 k += 1
         # v_src as the exact samples, not through the rotated pair.
         record[:, 0:3] = self.esrc
 
         # The extremes propagate NaN and reach any infinity, without a
-        # record-sized temporary; the row scan only names the step.
+        # record-sized temporary; the row scan only names the step.  A
+        # non-finite w stays non-finite, so a run that failed before the
+        # record starts fails at its first row.
         if not (np.isfinite(record.min()) and np.isfinite(record.max())):
             finite = np.isfinite(record.min(axis=1)) & np.isfinite(record.max(axis=1))
-            raise SolverError(f"non-finite solution at step {int(np.argmin(finite))}")
+            row = int(np.argmin(finite))
+            at = "at or before" if first and row == 0 else "at"
+            raise SolverError(f"non-finite solution {at} step {first + row}")
         return WaveformSet(
             sample_rate_hz=1.0 / self.dt,
             channels={name: record[:, i] for i, name in enumerate(CHANNEL_IDS)},
@@ -566,7 +611,25 @@ class _TransientSolver:
             diode_states=len(maps),
             switch_iterations=solves,
             switch_events=events,
+            first_step=first,
         )
+
+
+def samples_per_period(sample_rate_hz: float, fundamental_hz: float) -> int:
+    """Samples per fundamental period, which must be an integer of at least
+    2 (:class:`SampleGridError` otherwise)."""
+    if not 0.0 < fundamental_hz < math.inf:
+        raise WindowError(
+            f"fundamental_hz must be positive and finite, got {fundamental_hz!r}"
+        )
+    spp_f = sample_rate_hz / fundamental_hz
+    spp = round(spp_f)
+    if spp < 2 or abs(spp_f - spp) > 1e-6 * spp:
+        raise SampleGridError(
+            f"{spp_f!r} samples per fundamental period is not an integer; "
+            "pick dt = T1/k for an integer k"
+        )
+    return spp
 
 
 def last_cycles_window(
@@ -581,17 +644,7 @@ def last_cycles_window(
     """
     if n_cycles < 1:
         raise WindowError(f"n_cycles must be >= 1, got {n_cycles!r}")
-    if not 0.0 < fundamental_hz < math.inf:
-        raise WindowError(
-            f"fundamental_hz must be positive and finite, got {fundamental_hz!r}"
-        )
-    spp_f = sample_rate_hz / fundamental_hz
-    spp = round(spp_f)
-    if spp < 2 or abs(spp_f - spp) > 1e-6 * spp:
-        raise SampleGridError(
-            f"{spp_f!r} samples per fundamental period is not an integer; "
-            "pick dt = T1/k for an integer k"
-        )
+    spp = samples_per_period(sample_rate_hz, fundamental_hz)
     if n_samples < (n_cycles + 2) * spp:
         raise WindowError(
             f"waveform spans {n_samples / spp:g} periods; need at least "

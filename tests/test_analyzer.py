@@ -343,3 +343,24 @@ def test_spectrum_validation_rejects_inconsistent_thd():
             rms_total=2.0,
             dc=0.0,
         )
+
+
+def test_settling_residual_of_decaying_ringing():
+    # A settled fundamental plus a 5th harmonic ringing that halves every
+    # period: the largest change is between the first two periods.
+    spp, periods = 200, 4
+    t = np.arange(spp * periods) / spp  # time in fundamental periods
+    x = np.sin(TWO_PI * t) + 0.1 * 0.5**t * np.sin(TWO_PI * 5 * t)
+    cycles = x.reshape(periods, spp)
+    expected = np.max(np.abs(cycles[1] - cycles[0])) / np.max(np.abs(x))
+    assert hf.settling_residual(x, spp * 50.0, 50.0) == pytest.approx(expected, rel=1e-12)
+    assert 0.02 < expected < 0.1
+    assert hf.settling_residual(np.sin(TWO_PI * t), spp * 50.0, 50.0) < 1e-12
+    assert hf.settling_residual(np.zeros(spp * periods), spp * 50.0, 50.0) == 0.0
+
+
+def test_settling_residual_needs_two_whole_periods():
+    with pytest.raises(AnalysisError, match="at least two periods"):
+        hf.settling_residual(np.ones(200), 200 * 50.0, 50.0)
+    with pytest.raises(AnalysisError, match="whole periods"):
+        hf.settling_residual(np.ones(300), 200 * 50.0, 50.0)

@@ -160,6 +160,44 @@ def test_simulate_outputs_csv_and_metadata(short_waveform, short_scenario_path):
     assert 1 <= meta["switch_events"] <= meta["switch_iterations"] - (meta["n_samples"] - 1)
     assert meta["channels"] == list(CHANNEL_IDS)
     assert meta["wall_time_s"] > 0.0
+    # Recorded whole.
+    assert meta["record_cycles"] is None
+    assert meta["first_step"] == 0 and meta["t_start_s"] == 0.0
+
+
+_SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def test_bundled_walkthrough_records_last_cycles(tmp_path, capsys):
+    # The README walkthrough: the bundled files record the last 7 of 25
+    # periods, and analyze notes that the filtered run has not settled but
+    # exits 0.
+    notes, residual = {}, {}
+    for case in ("baseline", "filtered"):
+        csv = tmp_path / f"{case}.csv"
+        assert main(["simulate", str(_SCENARIOS / f"{case}.json"), "-o", str(csv)]) == 0
+        meta = json.loads(csv.with_suffix(".meta.json").read_text())
+        assert meta["record_cycles"] == 7
+        assert meta["n_samples"] == 14_000
+        assert meta["first_step"] == 36_000
+        assert meta["t_start_s"] == 0.36000000000000004
+        assert float(csv.read_text().splitlines()[1].split(",")[0]) == meta["t_start_s"]
+        capsys.readouterr()
+        argv = ["analyze", str(csv), "--channel", "i_src_a", "--v-channel", "v_src_a"]
+        assert main(argv + ["-o", str(tmp_path / case)]) == 0
+        notes[case] = capsys.readouterr().err
+        summary = json.loads((tmp_path / f"{case}.summary.json").read_text())
+        residual[case] = summary["settling_residual"]
+    assert notes["baseline"] == ""
+    assert notes["filtered"].startswith("note: i_src_a has not settled: it changes by 7.2e-03 ")
+    assert notes["filtered"].count("\n") == 1
+    assert residual["baseline"] < 1e-10
+    assert residual["filtered"] == pytest.approx(7.2e-3, rel=0.01)
+    argv = ["report", str(tmp_path / "baseline.csv"), str(tmp_path / "filtered.csv")]
+    assert main(argv + ["-o", str(tmp_path / "comparison")]) == 0
+    report = json.loads((tmp_path / "comparison.report.json").read_text())
+    assert round(100 * report["baseline"]["thd"], 2) == 20.41
+    assert round(100 * report["filtered"]["thd"], 2) == 4.12
 
 
 def test_simulate_filter_channels_nonzero(short_waveform):
@@ -191,6 +229,13 @@ def test_simulate_unknown_key_exit_2(tmp_path, capsys):
 def test_simulate_missing_file_exit_2(tmp_path, capsys):
     rc = main(["simulate", str(tmp_path / "nope.json"), "-o", str(tmp_path / "x.csv")])
     assert rc == 2
+
+
+def test_simulate_iteration_cap_of_one_exit_2(tmp_path, capsys):
+    rc, err, wrote = _simulate_with(tmp_path, capsys, "solver", "max_switch_iterations", 1)
+    assert rc == 2
+    assert "solver.max_switch_iterations must be >= 2, got 1" in err
+    assert not wrote
 
 
 def test_simulate_solver_failure_exit_3(tmp_path, capsys):
@@ -313,6 +358,54 @@ def test_integer_literal_too_long_names_file(tmp_path, capsys, command):
     assert rc == 2
     assert err.startswith(f"error: {path}: integer literal too long: 5001 digits"), err
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (0, "must be a positive integer, got 0"),
+        (-1, "must be a positive integer, got -1"),
+        (2.5, "must be a finite integer, got 2.5"),
+        (math.nan, "must be a finite integer, got nan"),
+        (math.inf, "must be a finite integer, got inf"),
+        # 0.2 s at dt 1e-4 holds 10 whole periods.
+        (11, "must be at most the 10 whole periods the run holds, got 11"),
+    ],
+)
+def test_simulate_invalid_record_cycles_exit_2(tmp_path, capsys, value, message):
+    rc, err, wrote = _simulate_with(tmp_path, capsys, "solver", "record_cycles", value)
+    assert rc == 2
+    assert f"solver.record_cycles {message}" in err
+    assert not wrote
+
+
+def test_simulate_record_cycles_off_grid_exit_2(tmp_path, capsys):
+    doc = scenario_to_dict(presets.baseline_scenario())
+    doc["solver"]["dt_s"] = 1.5e-5  # 1333.3 samples per period
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x.csv"
+    assert main(["simulate", str(path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver.record_cycles: 1333.3")
+    assert "samples per fundamental period is not an integer" in err
+    assert not out.exists()
+
+
+def test_simulate_non_finite_before_record_exit_3(tmp_path, capsys):
+    doc = scenario_to_dict(
+        presets.baseline_scenario(hf.SolverConfig(dt_s=1e-4, duration_s=0.2, record_cycles=1))
+    )
+    doc["basis"]["source_vrms"] = 1e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", str(path), "-o", str(out)])
+    assert rc == 3
+    assert "non-finite solution at or before step 1800" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_overflowing_sample_count_exit_2(tmp_path, capsys):
@@ -619,6 +712,15 @@ def test_scenario_round_trip(tmp_path):
     assert load_scenario(path) == scenario
 
 
+def test_scenario_without_record_cycles_records_whole_run(tmp_path):
+    scenario = presets.filtered_scenario(hf.SolverConfig())
+    path = tmp_path / "scenario.json"
+    save_scenario(scenario, path)
+    assert "record_cycles" not in json.loads(path.read_text())["solver"]
+    assert load_scenario(path) == scenario
+    assert scenario.solver.record_cycles is None
+
+
 @pytest.mark.parametrize("case", ["baseline", "filtered"])
 def test_bundled_scenario_files_match_presets(case):
     # presets.py and scenarios/*.json describe the same bundled system.
@@ -686,14 +788,16 @@ def test_simulate_extreme_values_fuzz(tmp_path, capsys):
     given an unknown key, exits 0, 2 or 3 with no escaping exception, and
     writes a CSV only on success, with finite values."""
     base = scenario_to_dict(
-        presets.filtered_scenario(hf.SolverConfig(dt_s=1e-4, duration_s=0.2))
+        presets.filtered_scenario(
+            hf.SolverConfig(dt_s=1e-4, duration_s=0.2, record_cycles=7)
+        )
     )
     nodes = list(_nodes(base))
     fields = [
         path for path, value in nodes
         if isinstance(value, (int, float)) and not isinstance(value, bool)
     ]
-    assert len(fields) == 3 + 3 + 5 + 1 + 5 * 5  # basis, load, solver, bank
+    assert len(fields) == 3 + 3 + 6 + 1 + 5 * 5  # basis, load, solver, bank
     extremes = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, 1e-300, 10**400)
     ill_typed = (None, 5, "x", [], {}, [5], {"a": 1}, True, _DELETED)
     cases = [(field, value) for field in fields for value in extremes]

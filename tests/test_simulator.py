@@ -50,6 +50,25 @@ def test_solver_config_validation():
         hf.SolverConfig(diode_off_ohm=math.inf)
     with pytest.raises(ValueError):
         hf.SolverConfig(max_switch_iterations=0)
+    # A diode flips only when another solve is allowed, so a cap of 1 could
+    # never leave the all-blocking state.
+    with pytest.raises(ValueError, match="max_switch_iterations must be >= 2, got 1"):
+        hf.SolverConfig(max_switch_iterations=1)
+
+
+@pytest.mark.parametrize("cycles", [0, -1, 2.5, math.nan, math.inf])
+def test_record_cycles_must_be_positive_integer(cycles):
+    with pytest.raises(ValueError, match="record_cycles must be a positive integer"):
+        hf.SolverConfig(record_cycles=cycles)
+
+
+def test_record_cycles_must_fit_run_and_grid():
+    # 0.5 s at 2000 samples per period holds 25 whole periods.
+    presets.baseline_scenario(hf.SolverConfig(record_cycles=25))
+    with pytest.raises(ValueError, match=r"solver.record_cycles must be at most the 25 "):
+        presets.baseline_scenario(hf.SolverConfig(record_cycles=26))
+    with pytest.raises(SampleGridError, match=r"solver.record_cycles: .*T1/k"):
+        presets.baseline_scenario(hf.SolverConfig(dt_s=1.5e-5, record_cycles=7))
 
 
 def test_solver_config_sample_budget():
@@ -100,8 +119,8 @@ def test_zero_source_run_is_silent():
         assert np.max(np.abs(samples)) < 1e-12, name
 
 
-def test_channel_contract(baseline_run):
-    _, waves, _ = baseline_run
+def test_channel_contract(baseline_full_run):
+    _, waves, _ = baseline_full_run
     assert set(waves.channels) == set(CHANNEL_IDS)
     lengths = {len(v) for v in waves.channels.values()}
     assert lengths == {waves.n_samples}
@@ -153,6 +172,20 @@ def test_periodic_steady_state(settled_filtered_run):
     last = i_a[-spp:]
     prev = i_a[-2 * spp : -spp]
     assert _window_rms(last - prev) < 1e-3 * _window_rms(last)
+
+
+@pytest.mark.parametrize(
+    "fixture, low, high",
+    [("baseline_run", 0.0, 1e-10), ("filtered_run", 7.1e-3, 7.3e-3)],
+)
+def test_bundled_settling_residual(fixture, low, high, request):
+    # The bundled filtered run has not settled at 0.5 s: its high-q tuned
+    # branches still ring over the analysis window.
+    scenario, waves, _ = request.getfixturevalue(fixture)
+    window = hf.steady_state_window(waves, scenario.basis, 5)
+    i_a = waves.channels["i_src_a"][window.start : window.stop]
+    residual = hf.settling_residual(i_a, waves.sample_rate_hz, scenario.basis.fundamental_hz)
+    assert low <= residual < high
 
 
 def test_three_phase_symmetry(settled_filtered_run):
@@ -294,7 +327,7 @@ def test_energy_audit_rejects_bad_window(baseline_run):
 
 
 def test_iteration_cap_flags_steps():
-    solver = hf.SolverConfig(dt_s=1e-4, duration_s=0.2, max_switch_iterations=1)
+    solver = hf.SolverConfig(dt_s=1e-4, duration_s=0.2, max_switch_iterations=2)
     waves = hf.run(presets.baseline_scenario(solver))
     assert len(waves.flagged_steps) > 0
     assert all(1 <= k < waves.n_samples for k in waves.flagged_steps)
@@ -314,12 +347,67 @@ def test_switch_counters(baseline_run, filtered_run):
 def test_source_channels_are_exact_samples(baseline_run, filtered_run):
     for scenario, waves, _ in (baseline_run, filtered_run):
         basis = scenario.basis
-        t = np.arange(waves.n_samples) * scenario.solver.dt_s
+        t = waves.time()
         for ph, phase in enumerate("abc"):
             expected = math.sqrt(2.0) * basis.source_vrms * np.sin(
                 2.0 * math.pi * basis.fundamental_hz * t - ph * 2.0 * math.pi / 3.0
             )
             assert np.array_equal(waves.channels[f"v_src_{phase}"], expected)
+
+
+@pytest.mark.parametrize("case", ["baseline", "filtered"])
+def test_record_cycles_keeps_last_rows_of_full_record(case, request):
+    # The bundled runs record the last 7 periods; everything they hold and
+    # every figure taken from them equals the full record's, bit for bit.
+    scenario, waves, _ = request.getfixturevalue(f"{case}_run")
+    full_scenario, full, _ = request.getfixturevalue(f"{case}_full_run")
+    assert scenario.solver.record_cycles == 7
+    assert full_scenario.solver.record_cycles is None
+    assert waves.n_samples == 14_000 and full.n_samples == 50_000
+    assert waves.first_step == 36_000 and full.first_step == 0
+    assert waves.time()[0] == 0.36000000000000004
+    assert np.array_equal(waves.time(), full.time()[-14_000:])
+    for name in CHANNEL_IDS:
+        assert np.array_equal(waves.channels[name], full.channels[name][-14_000:]), name
+    assert waves.aux.keys() == full.aux.keys()
+    for name, trace in waves.aux.items():
+        assert np.array_equal(trace, full.aux[name][-14_000:]), name
+    for counter in ("flagged_steps", "diode_states", "switch_iterations", "switch_events"):
+        assert getattr(waves, counter) == getattr(full, counter), counter
+    assert waves.switch_events == {"baseline": 490, "filtered": 409}[case]
+
+    f1 = scenario.basis.fundamental_hz
+    figures = []
+    for w in (waves, full):
+        window = hf.steady_state_window(w, scenario.basis, 5)
+        sl = slice(window.start, window.stop)
+        i_a, v_a = w.channels["i_src_a"][sl], w.channels["v_src_a"][sl]
+        figures.append((
+            hf.spectrum(i_a, w.sample_rate_hz, f1, 50).thd,
+            hf.power_report(v_a, i_a, w.sample_rate_hz, f1),
+            hf.energy_audit(w, scenario, window),
+        ))
+    assert figures[0] == figures[1]
+
+
+@pytest.mark.parametrize("blocks", [True, False], ids=["blocks", "per_step"])
+def test_record_cycles_on_either_stepping_path(blocks, monkeypatch):
+    # Without blocks every step, the first recorded one included, takes the
+    # per-step path; with them the bundled runs start their record inside a
+    # block.
+    if not blocks:
+        monkeypatch.setattr(simulator, "LOOKAHEAD_STEPS", MAX_SAMPLES)
+    settings = {"dt_s": 1e-4, "duration_s": 0.2}  # 10 periods of 200 samples
+    full = hf.run(presets.filtered_scenario(hf.SolverConfig(**settings)))
+    expected = np.column_stack([full.time(), *full.channels.values(), *full.aux.values()])
+    for cycles in (1, 3, 10):
+        waves = hf.run(
+            presets.filtered_scenario(hf.SolverConfig(**settings, record_cycles=cycles))
+        )
+        assert waves.first_step == 2000 - 200 * cycles
+        got = np.column_stack([waves.time(), *waves.channels.values(), *waves.aux.values()])
+        assert np.array_equal(got, expected[waves.first_step :]), cycles
+        assert waves.switch_iterations == full.switch_iterations
 
 
 def test_default_iteration_budget_converges(baseline_run, filtered_run):
@@ -456,9 +544,8 @@ _REFERENCE_REL_TOL = 1e-8
         # Ends in a run of unchanged state stepped as blocks, then 8 steps
         # one at a time: fewer than B remain.
         lambda: presets.filtered_scenario(hf.SolverConfig(duration_s=0.2401)),
-        # Flagged steps between runs that are stepped as blocks.  (A cap of
-        # 1 never leaves the all-blocking state: every step is flagged, no
-        # block opens and the DC bus holds only rounding noise.)
+        # Flagged steps between runs that are stepped as blocks, at the
+        # lowest cap allowed.
         lambda: presets.filtered_scenario(
             hf.SolverConfig(dt_s=1e-4, duration_s=0.2, max_switch_iterations=2)
         ),
@@ -511,6 +598,21 @@ def test_non_finite_guard_names_step_of_per_step_loop(monkeypatch):
         hf.run(scenario)
 
 
+def test_non_finite_before_record_names_first_recorded_step():
+    # The run overflows within its first period; the record starts at the
+    # last period (step 1800), whose rows are all non-finite.
+    scenario = presets.baseline_scenario(
+        hf.SolverConfig(dt_s=1e-4, duration_s=0.2, record_cycles=1)
+    )
+    scenario = hf.Scenario(
+        hf.SystemBasis(50.0, 1e308, scenario.basis.source_inductance_h),
+        scenario.load,
+        solver=scenario.solver,
+    )
+    with pytest.raises(SolverError, match="non-finite solution at or before step 1800$"):
+        hf.run(scenario)
+
+
 def test_singular_matrix_names_step():
     solver = hf.SolverConfig(
         dt_s=1e-4, duration_s=0.2, diode_on_ohm=1e-3, diode_off_ohm=1e300
@@ -522,8 +624,8 @@ def test_singular_matrix_names_step():
 # --- windows ----------------------------------------------------------------------------
 
 
-def test_steady_state_window_example(baseline_run):
-    scenario, waves, _ = baseline_run
+def test_steady_state_window_example(baseline_full_run):
+    scenario, waves, _ = baseline_full_run
     window = hf.steady_state_window(waves, scenario.basis, 5)
     assert window == range(40000, 50000)
 
