@@ -29,28 +29,30 @@ def _timed_run(scenario: hf.Scenario) -> tuple[hf.Scenario, hf.WaveformSet, floa
 
 @pytest.fixture(scope="session")
 def baseline_run():
-    """Bundled rectifier without filters at the bundled solver settings,
-    which record the last 7 of 25 periods."""
-    return _timed_run(presets.baseline_scenario())
-
-
-@pytest.fixture(scope="session")
-def filtered_run():
-    """Bundled rectifier with the full bank at the bundled solver settings,
-    which record the last 7 of 25 periods."""
-    return _timed_run(presets.filtered_scenario())
-
-
-@pytest.fixture(scope="session")
-def baseline_full_run():
-    """The baseline run at the default solver settings, recorded whole."""
+    """Bundled rectifier without filters at the default solver settings,
+    recorded whole."""
     return _timed_run(presets.baseline_scenario(hf.SolverConfig()))
 
 
 @pytest.fixture(scope="session")
-def filtered_full_run():
-    """The filtered run at the default solver settings, recorded whole."""
+def filtered_run():
+    """Bundled rectifier with the full bank at the default solver settings,
+    recorded whole."""
     return _timed_run(presets.filtered_scenario(hf.SolverConfig()))
+
+
+@pytest.fixture(scope="session")
+def baseline_bundled_run():
+    """The baseline run at the bundled solver settings, which record the
+    last 7 of 25 periods."""
+    return _timed_run(presets.baseline_scenario())
+
+
+@pytest.fixture(scope="session")
+def filtered_bundled_run():
+    """The filtered run at the bundled solver settings, which record the
+    last 7 of 25 periods."""
+    return _timed_run(presets.filtered_scenario())
 
 
 @pytest.fixture(scope="session")

@@ -787,9 +787,10 @@ def test_simulate_extreme_values_fuzz(tmp_path, capsys):
     and each node set to each ill-typed value, deleted, or (for an object)
     given an unknown key, exits 0, 2 or 3 with no escaping exception, and
     writes a CSV only on success, with finite values."""
+    # record_cycles=10 counts the field and still records the whole 0.2 s run.
     base = scenario_to_dict(
         presets.filtered_scenario(
-            hf.SolverConfig(dt_s=1e-4, duration_s=0.2, record_cycles=7)
+            hf.SolverConfig(dt_s=1e-4, duration_s=0.2, record_cycles=10)
         )
     )
     nodes = list(_nodes(base))

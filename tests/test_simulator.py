@@ -119,8 +119,8 @@ def test_zero_source_run_is_silent():
         assert np.max(np.abs(samples)) < 1e-12, name
 
 
-def test_channel_contract(baseline_full_run):
-    _, waves, _ = baseline_full_run
+def test_channel_contract(baseline_run):
+    _, waves, _ = baseline_run
     assert set(waves.channels) == set(CHANNEL_IDS)
     lengths = {len(v) for v in waves.channels.values()}
     assert lengths == {waves.n_samples}
@@ -176,7 +176,7 @@ def test_periodic_steady_state(settled_filtered_run):
 
 @pytest.mark.parametrize(
     "fixture, low, high",
-    [("baseline_run", 0.0, 1e-10), ("filtered_run", 7.1e-3, 7.3e-3)],
+    [("baseline_bundled_run", 0.0, 1e-10), ("filtered_bundled_run", 7.1e-3, 7.3e-3)],
 )
 def test_bundled_settling_residual(fixture, low, high, request):
     # The bundled filtered run has not settled at 0.5 s: its high-q tuned
@@ -359,8 +359,8 @@ def test_source_channels_are_exact_samples(baseline_run, filtered_run):
 def test_record_cycles_keeps_last_rows_of_full_record(case, request):
     # The bundled runs record the last 7 periods; everything they hold and
     # every figure taken from them equals the full record's, bit for bit.
-    scenario, waves, _ = request.getfixturevalue(f"{case}_run")
-    full_scenario, full, _ = request.getfixturevalue(f"{case}_full_run")
+    scenario, waves, _ = request.getfixturevalue(f"{case}_bundled_run")
+    full_scenario, full, _ = request.getfixturevalue(f"{case}_run")
     assert scenario.solver.record_cycles == 7
     assert full_scenario.solver.record_cycles is None
     assert waves.n_samples == 14_000 and full.n_samples == 50_000
@@ -388,6 +388,9 @@ def test_record_cycles_keeps_last_rows_of_full_record(case, request):
             hf.energy_audit(w, scenario, window),
         ))
     assert figures[0] == figures[1]
+    # 7 periods are the fewest that hold the 5-period window (n_cycles + 2).
+    with pytest.raises(WindowError):
+        hf.steady_state_window(waves, scenario.basis, 6)
 
 
 @pytest.mark.parametrize("blocks", [True, False], ids=["blocks", "per_step"])
@@ -624,8 +627,8 @@ def test_singular_matrix_names_step():
 # --- windows ----------------------------------------------------------------------------
 
 
-def test_steady_state_window_example(baseline_full_run):
-    scenario, waves, _ = baseline_full_run
+def test_steady_state_window_example(baseline_run):
+    scenario, waves, _ = baseline_run
     window = hf.steady_state_window(waves, scenario.basis, 5)
     assert window == range(40000, 50000)
 
