@@ -245,33 +245,30 @@ def _channel_column(names: list[str], data: np.ndarray, channel: str, path) -> n
 
 def _windowed_spectrum(
     samples: np.ndarray, sample_rate: float, f1: float, max_order: int, cycles: int
-) -> tuple[HarmonicSpectrum, range]:
+) -> tuple[HarmonicSpectrum, range, float | None]:
+    """Spectrum and settling residual (None for one cycle) of the last
+    ``cycles`` periods, and the window they span."""
     window = last_cycles_window(len(samples), sample_rate, f1, cycles)
-    spec = spectrum(
-        samples[window.start : window.stop], sample_rate, f1, max_order
-    )
-    return spec, window
+    x = samples[window.start : window.stop]
+    spec = spectrum(x, sample_rate, f1, max_order)
+    residual = settling_residual(x, sample_rate, f1) if cycles >= 2 else None
+    return spec, window, residual
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     names, data, sample_rate = _read_waveform_csv(args.waveform)
     samples = _channel_column(names, data, args.channel, args.waveform)
-    spec, window = _windowed_spectrum(
+    spec, window, residual = _windowed_spectrum(
         samples, sample_rate, args.f1, args.max_order, args.cycles
     )
     check = ieee519_check(spec)
-    residual = None
-    if args.cycles >= 2:
-        residual = settling_residual(
-            samples[window.start : window.stop], sample_rate, args.f1
+    if residual is not None and residual > SETTLING_RESIDUAL_LIMIT:
+        print(
+            f"note: {args.channel} has not settled: it changes by "
+            f"{residual:.1e} of its peak from cycle to cycle over the "
+            f"analysis window (limit {SETTLING_RESIDUAL_LIMIT:g})",
+            file=sys.stderr,
         )
-        if residual > SETTLING_RESIDUAL_LIMIT:
-            print(
-                f"note: {args.channel} has not settled: it changes by "
-                f"{residual:.1e} of its peak from cycle to cycle over the "
-                f"analysis window (limit {SETTLING_RESIDUAL_LIMIT:g})",
-                file=sys.stderr,
-            )
     prefix = Path(
         args.output_prefix
         if args.output_prefix is not None
@@ -345,8 +342,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         )
     col_a = _channel_column(names_a, data_a, args.channel, args.baseline)
     col_b = _channel_column(names_b, data_b, args.channel, args.filtered)
-    spec_a, _ = _windowed_spectrum(col_a, rate_a, args.f1, args.max_order, args.cycles)
-    spec_b, _ = _windowed_spectrum(col_b, rate_b, args.f1, args.max_order, args.cycles)
+    spec_a, _, residual_a = _windowed_spectrum(
+        col_a, rate_a, args.f1, args.max_order, args.cycles
+    )
+    spec_b, _, residual_b = _windowed_spectrum(
+        col_b, rate_b, args.f1, args.max_order, args.cycles
+    )
     check_a = ieee519_check(spec_a)
     check_b = ieee519_check(spec_b)
     prefix = Path(
@@ -363,12 +364,14 @@ def cmd_report(args: argparse.Namespace) -> int:
             "csv": str(args.baseline),
             "thd": spec_a.thd,
             "fundamental_rms": float(spec_a.magnitudes[0]),
+            "settling_residual": residual_a,
             "ieee519_passed": check_a.passed,
         },
         "filtered": {
             "csv": str(args.filtered),
             "thd": spec_b.thd,
             "fundamental_rms": float(spec_b.magnitudes[0]),
+            "settling_residual": residual_b,
             "ieee519_passed": check_b.passed,
         },
         "thd_delta": spec_b.thd - spec_a.thd,

@@ -24,6 +24,15 @@ from .design import FilterBank, FilterBranch, HighPassFilter, SingleTunedFilter
 
 TWO_PI = 2.0 * np.pi
 
+# Frequencies evaluated per pass.  Each element law builds several
+# temporaries; at this size they stay in cache instead of streaming
+# whole-grid arrays through memory.
+_CHUNK = 8192
+
+# Upper bound on a scan's grid, checked before anything is allocated:
+# 10 million points hold 240 MB of frequencies and impedances.
+MAX_SCAN_POINTS = 10_000_000
+
 
 class NetworkError(ValueError):
     """Raised for out-of-domain frequencies or malformed scan requests."""
@@ -31,8 +40,8 @@ class NetworkError(ValueError):
 
 def _angular(f) -> np.ndarray:
     f = np.atleast_1d(np.asarray(f, dtype=float))
-    if np.any(f <= 0.0):
-        raise NetworkError("frequency must be positive")
+    if not np.all((f > 0.0) & (f < np.inf)):
+        raise NetworkError("frequency must be positive and finite")
     return TWO_PI * f
 
 
@@ -59,20 +68,31 @@ def _branch_z(branch, w: np.ndarray) -> np.ndarray:
     raise NetworkError(f"unknown branch type {type(branch).__name__}")
 
 
-def _bank_z(bank: FilterBank, w: np.ndarray) -> np.ndarray:
+def _bank_z(
+    bank: FilterBank, w: np.ndarray, source_inductance_h: float = 0.0
+) -> np.ndarray:
+    """1 / sum(1/Z_branch), with a non-zero source inductance added to the
+    admittance sum as 1/(jwLs); evaluated ``_CHUNK`` frequencies at a time."""
     if not bank.branches:
         raise NetworkError("bank has no branches")
-    y = np.zeros_like(w, dtype=complex)
-    for b in bank.branches:
-        y += 1.0 / _branch_z(b, w)
-    return 1.0 / y
+    z = np.empty(w.shape, dtype=complex)
+    for lo in range(0, len(w), _CHUNK):
+        wc = w[lo : lo + _CHUNK]
+        y = np.zeros(wc.shape, dtype=complex)
+        for b in bank.branches:
+            y += 1.0 / _branch_z(b, wc)
+        if source_inductance_h:
+            y -= 1j / (wc * source_inductance_h)
+        np.divide(1.0, y, out=z[lo : lo + _CHUNK])
+    return z
 
 
 def branch_impedance(branch: FilterBranch, f):
     """Impedance of one branch at ``f`` Hz: R + j(wL - 1/(wC)) for a
     single-tuned branch, 1/(jwC) + 1/(1/R + 1/(jwL)) for a high-pass one.
 
-    Accepts a scalar or an array of frequencies.
+    Accepts a scalar or an array of frequencies; each must be positive and
+    finite, else ``NetworkError``.
     """
     return _scalar_or_array(_branch_z(branch, _angular(f)), f)
 
@@ -140,20 +160,16 @@ def scan(
         raise NetworkError(
             f"need 0 < f_start < f_end < inf, got ({f_start!r}, {f_end!r})"
         )
-    if n_points < 2:
-        raise NetworkError(f"n_points must be >= 2, got {n_points!r}")
+    if not 2 <= n_points <= MAX_SCAN_POINTS:
+        raise NetworkError(
+            f"n_points must be between 2 and {MAX_SCAN_POINTS}, got {n_points!r}"
+        )
     if not 0.0 <= source_inductance_h < np.inf:
         raise NetworkError(
             f"source_inductance_h must be non-negative and finite, got {source_inductance_h!r}"
         )
     freqs = np.linspace(f_start, f_end, int(n_points))
-    z_bank = _bank_z(bank, _angular(freqs))
-    if source_inductance_h == 0.0:
-        z = z_bank
-    else:
-        z_src = 1j * TWO_PI * freqs * source_inductance_h
-        z = 1.0 / (1.0 / z_bank + 1.0 / z_src)
-    return ImpedanceCurve(freqs, z)
+    return ImpedanceCurve(freqs, _bank_z(bank, _angular(freqs), source_inductance_h))
 
 
 def find_resonances(curve: ImpedanceCurve) -> ResonanceReport:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import harmflow as hf
-from harmflow import presets
+from harmflow import network, presets
 from harmflow.cli import _read_waveform_csv, main
 from harmflow.scenario_io import (
     ScenarioError,
@@ -198,6 +198,11 @@ def test_bundled_walkthrough_records_last_cycles(tmp_path, capsys):
     report = json.loads((tmp_path / "comparison.report.json").read_text())
     assert round(100 * report["baseline"]["thd"], 2) == 20.41
     assert round(100 * report["filtered"]["thd"], 2) == 4.12
+    # report carries the residual analyze writes, side by side.
+    for case in ("baseline", "filtered"):
+        assert report[case]["settling_residual"] == residual[case]
+    assert f"{report['baseline']['settling_residual']:.1e}" == "9.9e-14"
+    assert f"{report['filtered']['settling_residual']:.2e}" == "7.24e-03"
 
 
 def test_simulate_filter_channels_nonzero(short_waveform):
@@ -630,6 +635,21 @@ def test_scan_non_finite_flag_exit_2(tmp_path, ref_bank, capsys, flag, value, qu
     assert list(tmp_path.iterdir()) == [bank_path]
 
 
+def test_scan_points_above_cap_exit_2(tmp_path, ref_bank, capsys, monkeypatch):
+    # Rejected before the grid is allocated.
+    def no_grid(*args, **kwargs):
+        raise AssertionError("scan allocated a grid")
+
+    monkeypatch.setattr(network.np, "linspace", no_grid)
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps(hf.design.bank_to_dict(ref_bank)))
+    points = str(network.MAX_SCAN_POINTS + 1)
+    rc = main(["scan", str(bank_path), "--points", points, "-o", str(tmp_path / "x")])
+    assert rc == 2
+    assert "n_points" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [bank_path]
+
+
 # --- report -------------------------------------------------------------------
 
 
@@ -645,8 +665,20 @@ def test_report_identical_inputs_zero_delta(tmp_path, short_waveform):
     assert rc == 0
     doc = json.loads((tmp_path / "same.report.json").read_text())
     assert doc["thd_delta"] == 0.0
+    assert doc["baseline"]["settling_residual"] == doc["filtered"]["settling_residual"] >= 0.0
     assert doc["ieee519_flip"] is False
     assert (tmp_path / "same.overlay.svg").read_text().startswith("<svg")
+
+
+def test_one_cycle_window_has_no_settling_residual(tmp_path, short_waveform):
+    window = ["--cycles", "1", "-o", str(tmp_path / "one")]
+    assert main(["analyze", str(short_waveform), "--channel", "i_src_a", *window]) == 0
+    assert main(["report", str(short_waveform), str(short_waveform), *window]) == 0
+    summary = json.loads((tmp_path / "one.summary.json").read_text())
+    report = json.loads((tmp_path / "one.report.json").read_text())
+    assert summary["settling_residual"] is None
+    assert report["baseline"]["settling_residual"] is None
+    assert report["filtered"]["settling_residual"] is None
 
 
 def test_report_mismatched_sample_rates_exit_2(tmp_path, short_waveform, capsys):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import harmflow as hf
 from harmflow.design import QualityFactorWarning
-from harmflow.network import NetworkError, find_resonances
+from harmflow.network import _CHUNK, NetworkError, find_resonances
 
 TWO_PI = 2.0 * math.pi
 
@@ -66,6 +66,11 @@ def test_st_impedance_rejects_nonpositive_frequency():
         hf.branch_impedance(f5, 0.0)
     with pytest.raises(NetworkError):
         hf.branch_impedance(f5, np.array([100.0, -5.0]))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NetworkError, match="positive and finite"):
+            hf.branch_impedance(f5, bad)
+        with pytest.raises(NetworkError, match="positive and finite"):
+            hf.bank_impedance(hf.FilterBank(50.0, (f5,)), np.array([100.0, bad]))
 
 
 def test_st_impedance_matches_elementwise_formula():
@@ -157,6 +162,17 @@ def test_bank_low_impedance_at_tuned_frequencies(ref_bank):
         assert abs(hf.bank_impedance(ref_bank, f)) < 1.0
 
 
+def test_bank_impedance_finite_over_extreme_frequencies(ref_bank):
+    # The complex element laws stay finite where R^2 + X^2 of a
+    # real-arithmetic form overflows (f <= ~1e-150 Hz, f >= ~1e160 Hz).
+    freqs = np.logspace(-300.0, 300.0, 601)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = hf.bank_impedance(ref_bank, freqs)
+    assert np.all(np.isfinite(z))
+    assert np.all(np.abs(z) > 0.0)
+
+
 def test_bank_impedance_rejects_empty_bank():
     empty = hf.FilterBank(fundamental_hz=50.0, branches=())
     with pytest.raises(NetworkError):
@@ -170,6 +186,26 @@ def test_scan_without_source_matches_bank(ref_bank):
     curve = hf.scan(ref_bank, 0.0, 50.0, 1000.0, 20)
     for f, z in zip(curve.frequencies_hz, curve.impedances):
         assert z == hf.bank_impedance(ref_bank, float(f))
+
+
+def test_scan_across_chunk_boundaries_matches_bank(ref_bank):
+    # Two full chunks and a partial third.  Shifted by one point, the
+    # passes of bank_impedance break between other points.
+    curve = hf.scan(ref_bank, 0.0, 50.0, 1000.0, 2 * _CHUNK + 3)
+    f, z = curve.frequencies_hz, curve.impedances
+    assert np.array_equal(z[1:], hf.bank_impedance(ref_bank, f[1:]))
+    for i in (0, _CHUNK - 1, _CHUNK, 2 * _CHUNK - 1, 2 * _CHUNK, len(f) - 1):
+        assert z[i] == hf.bank_impedance(ref_bank, float(f[i]))
+
+
+def test_scan_with_source_matches_element_law(ref_bank):
+    # The bundled dense grid: the source inductance in parallel with the bank.
+    ls = 0.0016
+    curve = hf.scan(ref_bank, ls, 50.0, 1000.0, 95001)
+    f = curve.frequencies_hz
+    z_bank = hf.bank_impedance(ref_bank, f)
+    expected = 1.0 / (1.0 / z_bank + 1.0 / (1j * TWO_PI * f * ls))
+    np.testing.assert_allclose(curve.impedances, expected, rtol=1e-13, atol=0.0)
 
 
 def test_scan_two_points_is_endpoints(ref_bank):
