@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Run the bundled baseline and filtered scenarios and print the headline
-distortion / power-factor table, writing waveforms, spectra, and the
-comparison report under an output directory.
+"""Run the README CLI walkthrough on the bundled baseline and filtered
+scenarios (``simulate``, ``analyze`` and ``report``) and print the headline
+distortion / power-factor table from the files it writes under an output
+directory.  Exits 1 unless the filters flip IEEE-519 from fail to pass.
 """
 
 from __future__ import annotations
@@ -9,81 +10,49 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import harmflow as hf
-from harmflow import presets, svg
+from harmflow import cli, presets
 
-
-def analyze(scenario, waves, cycles=5, max_order=50):
-    window = hf.steady_state_window(waves, scenario.basis, cycles)
-    sl = slice(window.start, window.stop)
-    spec = hf.spectrum(
-        waves.channels["i_src_a"][sl],
-        waves.sample_rate_hz,
-        scenario.basis.fundamental_hz,
-        max_order,
-    )
-    power = hf.power_report(
-        waves.channels["v_src_a"][sl],
-        waves.channels["i_src_a"][sl],
-        waves.sample_rate_hz,
-        scenario.basis.fundamental_hz,
-    )
-    return spec, power, hf.ieee519_check(spec)
+CASES = ("baseline", "filtered")
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out", help="output directory")
-    args = parser.parse_args()
-    out = Path(args.out)
+    out = Path(parser.parse_args().out)
     out.mkdir(parents=True, exist_ok=True)
+    commands = [
+        ["simulate", str(presets.SCENARIOS / f"{c}.json"), "-o", str(out / f"{c}.csv")]
+        for c in CASES
+    ] + [
+        ["analyze", str(out / f"{c}.csv"), "--channel", "i_src_a",
+         "--v-channel", "v_src_a", "-o", str(out / c)]
+        for c in CASES
+    ] + [["report", *(str(out / f"{c}.csv") for c in CASES), "-o", str(out / "comparison")]]
+    for argv in commands:
+        if code := cli.main(argv):
+            return code
 
-    results = {}
-    specs = {}
-    for name, scenario in (
-        ("baseline", presets.baseline_scenario()),
-        ("filtered", presets.filtered_scenario()),
-    ):
-        start = time.perf_counter()
-        waves = hf.run(scenario)
-        wall = time.perf_counter() - start
-        waves.to_csv(out / f"{name}.csv")
-        spec, power, check = analyze(scenario, waves)
-        spec.to_csv(out / f"{name}.spectrum.csv")
-        (out / f"{name}.spectrum.svg").write_text(
-            svg.spectrum_bar_svg(spec, title=f"{name}: i_src_a spectrum")
-        )
-        specs[name] = spec
-        results[name] = {
-            "thd": spec.thd,
-            "fundamental_rms_a": float(spec.magnitudes[0]),
-            "true_power_factor": power.true_power_factor,
-            "displacement_power_factor": power.displacement_power_factor,
-            "active_power_w_per_phase": power.active_power_w,
-            "ieee519_passed": check.passed,
-            "wall_time_s": wall,
-        }
+    def read(name: str) -> dict:
+        return json.loads((out / name).read_text())
+
+    for c in CASES:
+        summary, meta = read(f"{c}.summary.json"), read(f"{c}.meta.json")
         print(
-            f"{name:>9}: THD {100 * spec.thd:6.2f}%   "
-            f"DPF {power.displacement_power_factor:6.4f}   "
-            f"PF {power.true_power_factor:6.4f}   "
-            f"IEEE-519 {'pass' if check.passed else 'FAIL'}   "
-            f"({wall:.1f}s)"
+            f"{c:>9}: THD {100 * summary['thd']:6.2f}%   "
+            f"DPF {summary['power']['displacement_power_factor']:6.4f}   "
+            f"PF {summary['power']['true_power_factor']:6.4f}   "
+            f"IEEE-519 {'pass' if summary['ieee519']['passed'] else 'FAIL'}   "
+            f"({meta['wall_time_s']:.1f}s)"
         )
-
-    (out / "comparison.overlay.svg").write_text(
-        svg.spectrum_overlay_svg(specs["baseline"], specs["filtered"])
-    )
-    with open(out / "summary.json", "w") as fh:
-        json.dump(results, fh, indent=2)
-        fh.write("\n")
-    drop = 100 * (results["baseline"]["thd"] - results["filtered"]["thd"])
-    print(f"THD drop: {drop:.2f} percentage points; outputs in {out}/")
+    report = read("comparison.report.json")
+    print(f"THD drop: {-100 * report['thd_delta']:.2f} percentage points; outputs in {out}/")
+    if not report["ieee519_flip"]:
+        print("error: the filters do not flip IEEE-519 from fail to pass", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -77,10 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--hp-q", type=float, required=True, help="high-pass quality factor"
     )
     p.add_argument("--f1", type=float, default=50.0, help="fundamental [Hz]")
-    p.add_argument("--vrms", type=float, default=220.0, help="per-phase RMS volts")
-    p.add_argument(
-        "--ls", type=float, default=0.0016, help="source inductance [H] (basis only)"
-    )
     p.add_argument("-o", "--output", default=None, help="bank JSON path (default stdout)")
     p.set_defaults(func=cmd_design)
 
@@ -138,11 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_design(args: argparse.Namespace) -> int:
-    basis = SystemBasis(
-        fundamental_hz=args.f1,
-        source_vrms=args.vrms,
-        source_inductance_h=args.ls,
-    )
+    # Only the fundamental enters the design equations.
+    basis = SystemBasis(fundamental_hz=args.f1)
     orders = _float_list(args.orders)
     st_q = _float_list(args.st_q)
     bank = design_bank(
@@ -200,16 +194,21 @@ def _read_waveform_csv(path) -> tuple[list[str], np.ndarray, float]:
     names = header.split(",")
     if not names or names[0] != "t_s":
         raise AnalysisError(f"{path}: expected a waveform CSV with a t_s column")
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise AnalysisError(f"{path}: {_first_bad_line(path, names) or exc}") from None
+    with warnings.catch_warnings():
+        # A file without data rows is reported below.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise AnalysisError(f"{path}: {_first_bad_line(path, names) or exc}") from None
+    if len(data) < 2:
+        raise AnalysisError(f"{path}: need at least two data rows")
     if data.shape[1] != len(names):
         raise AnalysisError(f"{path}: header and data column counts differ")
     t = data[:, 0]
-    if len(t) < 2:
-        raise AnalysisError(f"{path}: need at least two samples")
-    sample_rate = (len(t) - 1) / (t[-1] - t[0])
+    if not (np.isfinite(t).all() and (np.diff(t) > 0.0).all()):
+        raise AnalysisError(f"{path}: t_s must be finite and strictly increasing")
+    sample_rate = float((len(t) - 1) / (t[-1] - t[0]))
     return names[1:], data[:, 1:], sample_rate
 
 

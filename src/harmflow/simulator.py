@@ -617,12 +617,12 @@ class _TransientSolver:
 
 def samples_per_period(sample_rate_hz: float, fundamental_hz: float) -> int:
     """Samples per fundamental period, which must be an integer of at least
-    2 (:class:`SampleGridError` otherwise)."""
-    if not 0.0 < fundamental_hz < math.inf:
-        raise WindowError(
-            f"fundamental_hz must be positive and finite, got {fundamental_hz!r}"
-        )
-    spp_f = sample_rate_hz / fundamental_hz
+    2 (:class:`SampleGridError` otherwise); both rates must be positive and
+    finite (:class:`WindowError` otherwise)."""
+    for name, value in (("sample_rate_hz", sample_rate_hz), ("fundamental_hz", fundamental_hz)):
+        if not 0.0 < value < math.inf:
+            raise WindowError(f"{name} must be positive and finite, got {float(value)!r}")
+    spp_f = float(sample_rate_hz) / fundamental_hz
     spp = round(spp_f)
     if spp < 2 or abs(spp_f - spp) > 1e-6 * spp:
         raise SampleGridError(

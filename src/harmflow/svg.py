@@ -16,8 +16,10 @@ _MARGIN_RIGHT = 16.0
 _MARGIN_TOP = 40.0
 _MARGIN_BOTTOM = 52.0
 
-_BAR_FILL = "#3a6ea5"
-_OVERLAY_FILLS = ("#3a6ea5", "#c05b2d")
+_FILLS = ("#3a6ea5", "#c05b2d")
+# Bar width and each series' bar offset, as fractions of an order's slot,
+# by the number of series.
+_BAR_LAYOUTS = {1: (0.7, (0.15,)), 2: (0.38, (0.10, 0.52))}
 
 
 def _header(width: float, height: float, title: str) -> list[str]:
@@ -84,6 +86,44 @@ def _percentages(spec: HarmonicSpectrum) -> np.ndarray:
     return 100.0 * np.asarray(spec.magnitudes, dtype=float) / base
 
 
+def _bar_chart(
+    specs: tuple[HarmonicSpectrum, ...],
+    labels: tuple[str, ...],
+    title: str,
+    width: float,
+    height: float,
+) -> str:
+    """Side-by-side bars for one or two spectra on a shared percent axis,
+    with a legend entry for each label."""
+    orders = max((spec.orders for spec in specs), key=len)
+    pcts = [_percentages(spec) for spec in specs]
+    y_max = max([100.0] + [float(pct.max()) for pct in pcts if len(pct)])
+    parts = _header(width, height, title)
+    axis_parts, x0, y0, slot = _axes(width, height, orders, y_max)
+    parts += axis_parts
+    plot_h = y0 - _MARGIN_TOP
+    bar_w, shifts = _BAR_LAYOUTS[len(specs)]
+    for pct, fill, shift in zip(pcts, _FILLS, shifts):
+        for h, p in zip(orders[: len(pct)], pct):
+            x = x0 + (h - orders[0] + shift) * slot
+            bh = p / y_max * plot_h
+            parts.append(
+                f'<rect x="{x:.2f}" y="{y0 - bh:.2f}" width="{bar_w * slot:.2f}" '
+                f'height="{bh:.2f}" fill="{fill}"/>'
+            )
+    legend_y = _MARGIN_TOP - 10.0
+    for label, fill, x in zip(labels, _FILLS, (x0, x0 + 140.0)):
+        parts.append(
+            f'<rect x="{x:.2f}" y="{legend_y - 10:.2f}" width="12" height="12" fill="{fill}"/>'
+        )
+        parts.append(
+            f'<text x="{x + 18:.2f}" y="{legend_y:.2f}" font-family="sans-serif" '
+            f'font-size="12">{label}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
 def spectrum_bar_svg(
     spec: HarmonicSpectrum,
     title: str = "Harmonic spectrum",
@@ -91,22 +131,7 @@ def spectrum_bar_svg(
     height: float = 420.0,
 ) -> str:
     """Bar chart of magnitude versus order, fundamental normalized to 100%."""
-    pct = _percentages(spec)
-    y_max = max(100.0, float(pct.max()) if len(pct) else 100.0)
-    parts = _header(width, height, title)
-    axis_parts, x0, y0, slot = _axes(width, height, spec.orders, y_max)
-    parts += axis_parts
-    plot_h = y0 - _MARGIN_TOP
-    bar_w = slot * 0.7
-    for h, p in zip(spec.orders, pct):
-        x = x0 + (h - spec.orders[0]) * slot + (slot - bar_w) / 2.0
-        bh = p / y_max * plot_h
-        parts.append(
-            f'<rect x="{x:.2f}" y="{y0 - bh:.2f}" width="{bar_w:.2f}" '
-            f'height="{bh:.2f}" fill="{_BAR_FILL}"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _bar_chart((spec,), (), title, width, height)
 
 
 def spectrum_overlay_svg(
@@ -119,31 +144,4 @@ def spectrum_overlay_svg(
     height: float = 420.0,
 ) -> str:
     """Side-by-side bars for two spectra on a shared percent axis."""
-    orders = spec_a.orders if len(spec_a.orders) >= len(spec_b.orders) else spec_b.orders
-    pct_a = _percentages(spec_a)
-    pct_b = _percentages(spec_b)
-    y_max = max(100.0, float(pct_a.max()), float(pct_b.max()))
-    parts = _header(width, height, title)
-    axis_parts, x0, y0, slot = _axes(width, height, orders, y_max)
-    parts += axis_parts
-    plot_h = y0 - _MARGIN_TOP
-    bar_w = slot * 0.38
-    for pct, fill, shift in ((pct_a, _OVERLAY_FILLS[0], 0.10), (pct_b, _OVERLAY_FILLS[1], 0.52)):
-        for h, p in zip(orders[: len(pct)], pct):
-            x = x0 + (h - orders[0] + shift) * slot
-            bh = p / y_max * plot_h
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y0 - bh:.2f}" width="{bar_w:.2f}" '
-                f'height="{bh:.2f}" fill="{fill}"/>'
-            )
-    legend_y = _MARGIN_TOP - 10.0
-    for label, fill, x in ((label_a, _OVERLAY_FILLS[0], x0), (label_b, _OVERLAY_FILLS[1], x0 + 140.0)):
-        parts.append(
-            f'<rect x="{x:.2f}" y="{legend_y - 10:.2f}" width="12" height="12" fill="{fill}"/>'
-        )
-        parts.append(
-            f'<text x="{x + 18:.2f}" y="{legend_y:.2f}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _bar_chart((spec_a, spec_b), (label_a, label_b), title, width, height)

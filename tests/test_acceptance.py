@@ -15,9 +15,13 @@ import pytest
 
 import harmflow as hf
 from harmflow import presets
+from harmflow.design import QualityFactorWarning, bank_to_dict
 from harmflow.network import find_resonances
 
 from test_analyzer import multi_tone, naive_correlation_spectrum
+# The reference component table printed with the bundled system (per
+# phase, wye): branch C, tuned L and R by order, high-pass L and R.
+from test_design import REF_C, REF_HP_L, REF_HP_R, REF_L, REF_R
 
 TWO_PI = 2.0 * math.pi
 
@@ -72,8 +76,8 @@ def _fundamental_complex_power(scenario, waves):
 
 def test_tuned_inductor_reference_values():
     basis = presets.bundled_basis()
-    printed = presets.TUNED_L_H
-    computed = {h: hf.tune_inductor(presets.BRANCH_C_F, h, basis) for h in printed}
+    printed = REF_L
+    computed = {h: hf.tune_inductor(REF_C, h, basis) for h in printed}
     # The reference table truncates its four-decimal entries (0.0075506
     # prints as 0.0075), so match within one unit of the last shown digit.
     ok = all(abs(computed[h] - printed[h]) < 1e-4 for h in printed)
@@ -84,14 +88,44 @@ def test_tuned_inductor_reference_values():
 # --- 2. high-pass consistency ---------------------------------------------------
 
 
+def _high_pass_corner_hz() -> float:
+    return 1.0 / (TWO_PI * math.sqrt(REF_HP_L * REF_C))
+
+
+def _high_pass_quality_factor() -> float:
+    return REF_HP_R / (TWO_PI * _high_pass_corner_hz() * REF_HP_L)
+
+
 def test_high_pass_consistency():
-    corner = presets.high_pass_corner_hz()
-    q = presets.high_pass_quality_factor()
+    corner = _high_pass_corner_hz()
+    q = _high_pass_quality_factor()
     ok = abs(corner - 858.0) < 5.0 and 2.9 <= q <= 3.1 and 0.5 <= q <= 5.0
     _criterion(
         "high-pass branch back-computes consistently",
         ok,
         f"corner={corner:.2f} Hz, q={q:.4f}",
+    )
+
+
+def test_bundled_bank_matches_printed_values():
+    # scenarios/filtered.json stores the bank designed from the printed
+    # table, with the quality factors back-computed so that the design
+    # reproduces it: R = sqrt(L/C)/q (tuned), q = R/(2*pi*fc*L) (high-pass).
+    tuned_q = [math.sqrt(REF_L[h] / REF_C) / REF_R[h] for h in (5, 7, 11, 13)]
+    # q ~105..108 lies above the usual 20..100 recommendation.
+    with pytest.warns(QualityFactorWarning):
+        designed = hf.design_bank_six_pulse(
+            presets.bundled_basis(),
+            REF_C,
+            tuned_q,
+            _high_pass_corner_hz(),
+            _high_pass_quality_factor(),
+        )
+    ok = bank_to_dict(presets.bundled_bank()) == bank_to_dict(designed)
+    _criterion(
+        "bundled bank is the design of the printed table",
+        ok,
+        "tuned q " + ", ".join(f"{q:.2f}" for q in tuned_q),
     )
 
 

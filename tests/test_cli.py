@@ -6,7 +6,6 @@ import copy
 import json
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,9 +164,6 @@ def test_simulate_outputs_csv_and_metadata(short_waveform, short_scenario_path):
     assert meta["first_step"] == 0 and meta["t_start_s"] == 0.0
 
 
-_SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
-
-
 def test_bundled_walkthrough_records_last_cycles(tmp_path, capsys):
     # The README walkthrough: the bundled files record the last 7 of 25
     # periods, and analyze notes that the filtered run has not settled but
@@ -175,7 +171,7 @@ def test_bundled_walkthrough_records_last_cycles(tmp_path, capsys):
     notes, residual = {}, {}
     for case in ("baseline", "filtered"):
         csv = tmp_path / f"{case}.csv"
-        assert main(["simulate", str(_SCENARIOS / f"{case}.json"), "-o", str(csv)]) == 0
+        assert main(["simulate", str(presets.SCENARIOS / f"{case}.json"), "-o", str(csv)]) == 0
         meta = json.loads(csv.with_suffix(".meta.json").read_text())
         assert meta["record_cycles"] == 7
         assert meta["n_samples"] == 14_000
@@ -691,7 +687,9 @@ def test_report_mismatched_sample_rates_exit_2(tmp_path, short_waveform, capsys)
         ["report", str(short_waveform), str(coarse_csv), "-o", str(tmp_path / "x")]
     )
     assert rc == 2
-    assert "sample rates differ" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "sample rates differ" in err
+    assert "np.float64" not in err
 
 
 @pytest.mark.parametrize("command", ["analyze", "report"])
@@ -707,30 +705,42 @@ def test_zero_fundamental_flag_exit_2(tmp_path, short_waveform, capsys, command)
 
 
 @pytest.mark.parametrize("command", ["analyze", "report"])
-@pytest.mark.parametrize("defect", ["ragged", "non_numeric"])
+@pytest.mark.parametrize(
+    "defect",
+    ["ragged", "non_numeric", "constant_t", "nan_t", "decreasing_t", "header_only"],
+)
 def test_malformed_waveform_csv_names_file(tmp_path, short_waveform, capsys, command, defect):
-    lines = short_waveform.read_text().splitlines()
-    cells = lines[10].split(",")
+    header, *lines = short_waveform.read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    # The header is line 1, so rows[9] is line 11.
     if defect == "ragged":
-        del cells[-1]
-    else:
+        del rows[9][-1]
+        message = "line 11 has 17 fields, expected 18"
+    elif defect == "non_numeric":
         # v_dc is read by neither command below, yet must still be numeric.
-        cells[1 + CHANNEL_IDS.index("v_dc")] = "abc"
-    lines[10] = ",".join(cells)
+        rows[9][1 + CHANNEL_IDS.index("v_dc")] = "abc"
+        message = "line 11: v_dc value 'abc' is not a number"
+    elif defect == "header_only":
+        rows = []
+        message = "need at least two data rows"
+    else:
+        if defect == "constant_t":
+            for cells in rows:
+                cells[0] = "0.1"
+        elif defect == "nan_t":
+            rows[-1][0] = "nan"
+        else:
+            rows.reverse()
+        message = "t_s must be finite and strictly increasing"
     bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join(lines) + "\n")
+    bad.write_text("\n".join([header, *(",".join(cells) for cells in rows)]) + "\n")
     if command == "analyze":
         argv = ["analyze", str(bad), "--channel", "i_src_a"]
     else:
         argv = ["report", str(short_waveform), str(bad)]
     rc = main(argv + ["-o", str(tmp_path / "out")])
-    err = capsys.readouterr().err
     assert rc == 2
-    # The header is line 1, so lines[10] is line 11 for either defect.
-    if defect == "ragged":
-        assert err == f"error: {bad}: line 11 has 17 fields, expected 18\n"
-    else:
-        assert err == f"error: {bad}: line 11: v_dc value 'abc' is not a number\n"
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
     assert not list(tmp_path.glob("out*"))
 
 
@@ -753,12 +763,14 @@ def test_scenario_without_record_cycles_records_whole_run(tmp_path):
     assert scenario.solver.record_cycles is None
 
 
-@pytest.mark.parametrize("case", ["baseline", "filtered"])
-def test_bundled_scenario_files_match_presets(case):
-    # presets.py and scenarios/*.json describe the same bundled system.
-    path = Path(__file__).resolve().parents[1] / "scenarios" / f"{case}.json"
-    make = getattr(presets, f"{case}_scenario")
-    assert json.loads(path.read_text()) == scenario_to_dict(make())
+def test_bundled_scenarios_differ_only_by_bank():
+    # The paper's comparison: the same system and run, without and with
+    # the filter bank.
+    baseline = scenario_to_dict(presets.baseline_scenario())
+    filtered = scenario_to_dict(presets.filtered_scenario())
+    assert "bank" not in baseline
+    assert filtered.pop("bank")["branches"]
+    assert baseline == filtered
 
 
 def test_scenario_rejects_unknown_top_level_key():

@@ -103,6 +103,14 @@ def test_scenario_requires_ten_periods():
         )
 
 
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan, np.float64(math.inf)])
+def test_samples_per_period_rejects_bad_sample_rate(rate):
+    # A numpy scalar is printed as a plain float.
+    message = f"^sample_rate_hz must be positive and finite, got {float(rate)!r}$"
+    with pytest.raises(simulator.WindowError, match=message):
+        simulator.samples_per_period(rate, 50.0)
+
+
 # --- basic runs ------------------------------------------------------------------
 
 
@@ -111,7 +119,7 @@ def test_zero_source_run_is_silent():
     scenario = hf.Scenario(
         basis=basis,
         load=presets.bundled_load(),
-        bank=presets.bundled_bank(basis),
+        bank=presets.bundled_bank(),
         solver=hf.SolverConfig(dt_s=1e-4, duration_s=0.2),
     )
     waves = hf.run(scenario)
