@@ -13,6 +13,7 @@ solver failures.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -212,34 +213,49 @@ def _read_waveform_csv(path) -> tuple[list[str], np.ndarray, float]:
     return names[1:], data[:, 1:], sample_rate
 
 
-def _first_bad_line(path, names: list[str]) -> str | None:
-    """Describe the first line of a waveform CSV, counting the header as
-    line 1, whose field count differs from the header's or which holds a
-    field that is not a number; None if there is no such line."""
+def _data_lines(path):
+    """Line number and text of each data line of a waveform CSV, counting
+    the header as line 1 and skipping the blank and comment lines that
+    np.loadtxt skips."""
     with open(path) as fh:
         next(fh)
         for number, line in enumerate(fh, start=2):
             line = line.split("#", 1)[0]
-            if not line.strip():
-                continue  # np.loadtxt skips blank and comment lines
-            fields = line.split(",")
-            if len(fields) != len(names):
-                return f"line {number} has {len(fields)} fields, expected {len(names)}"
-            for name, value in zip(names, fields):
-                try:
-                    float(value)
-                except ValueError:
-                    return f"line {number}: {name} value {value.strip()!r} is not a number"
+            if line.strip():
+                yield number, line
+
+
+def _first_bad_line(path, names: list[str]) -> str | None:
+    """Describe the first line of a waveform CSV whose field count differs
+    from the header's or which holds a field that is not a number; None if
+    there is no such line."""
+    for number, line in _data_lines(path):
+        fields = line.split(",")
+        if len(fields) != len(names):
+            return f"line {number} has {len(fields)} fields, expected {len(names)}"
+        for name, value in zip(names, fields):
+            try:
+                float(value)
+            except ValueError:
+                return f"line {number}: {name} value {value.strip()!r} is not a number"
     return None
 
 
 def _channel_column(names: list[str], data: np.ndarray, channel: str, path) -> np.ndarray:
+    """The column of an analysed channel, which must be finite throughout."""
     if channel not in names:
         available = ", ".join(names)
         raise AnalysisError(
             f"unknown channel {channel!r} in {path}; available: {available}"
         )
-    return data[:, names.index(channel)]
+    column = data[:, names.index(channel)]
+    if not np.isfinite(column).all():
+        row = int(np.argmin(np.isfinite(column)))
+        number = next(itertools.islice(_data_lines(path), row, None))[0]
+        raise AnalysisError(
+            f"{path}: line {number}: {channel} value {float(column[row])!r} is not finite"
+        )
+    return column
 
 
 def _windowed_spectrum(
@@ -257,6 +273,8 @@ def _windowed_spectrum(
 def cmd_analyze(args: argparse.Namespace) -> int:
     names, data, sample_rate = _read_waveform_csv(args.waveform)
     samples = _channel_column(names, data, args.channel, args.waveform)
+    if args.v_channel is not None:
+        v = _channel_column(names, data, args.v_channel, args.waveform)
     spec, window, residual = _windowed_spectrum(
         samples, sample_rate, args.f1, args.max_order, args.cycles
     )
@@ -286,7 +304,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "ieee519": {"passed": check.passed, "thd": check.thd, "limit": check.limit},
     }
     if args.v_channel is not None:
-        v = _channel_column(names, data, args.v_channel, args.waveform)
         pf = power_report(
             v[window.start : window.stop],
             samples[window.start : window.stop],

@@ -10,52 +10,45 @@ commutation overlap, rounds the line current, and makes the bridge draw
 lagging reactive power at the fundamental.
 
 Integration is the implicit trapezoidal rule at fixed dt, assembled as
-modified nodal analysis with companion models.  Every filter branch reduces
-to a Norton equivalent at its PCC node, so the system solves for eight node
-voltages plus the three source branch currents.  Diodes are two-state
-resistors; conduction states are resolved per step by fixed-point iteration
-(turn on when the anode-cathode voltage exceeds zero, turn off when the
-current falls below zero).
+modified nodal analysis with companion models: eight node voltages plus
+the three source branch currents.  Diodes are two-state resistors;
+conduction states are resolved per step by fixed-point iteration (turn on
+when the anode-cathode voltage exceeds zero, turn off when the current
+falls below zero).
 
-Every quantity the step uses is a linear form over ``[x; z; s]``: the
-unknowns ``x``, the companion-model history terms ``z`` (one per inductor
-and capacitor) and the source phase ``s_k = (sin w1 t_k, cos w1 t_k)``.
-Each phase's source sample is a fixed form of ``s``, and one rotation by
-``w1 dt`` advances it.  The system matrix is stamped from the same forms: a
-conductance g across a voltage form d adds ``g d^T d``, so the diodes add
-``vd^T diag(g_d) vd`` over the diode-voltage forms ``vd`` that the state
-test reads.  The matrix therefore depends only on the diode state word
-(the constant-matrix-per-topology scheme of EMTP; Dommel, IEEE Trans. PAS,
-1969), and the right-hand side is a fixed form ``B`` of ``w = [z; s]``.
-Solving ``A_s X = B`` against the state's LU factors (no explicit inverse)
-gives the unknowns as ``x = X w``, so each state visited gets one cached
-linear map ``F_s`` from ``w`` to the signed diode voltages, the next ``w``
-and the recorded row.  A step is one matrix-vector product into the other
-of two preallocated rows, the sign test of the diode voltages and the
-record copy; a diode flip applies the new state's map to the same ``w``.
+Every inductor and capacitor carries one history term in its element's
+own state units.  With ``q_k`` the element's state at step k (inductor
+current, capacitor voltage) and ``m`` its L or C, the history ``z_k``
+entering step k is ``q_k - (dt/2) dq/dt``, and the step leaves
+``z_(k+1) = 2 q_k - z_k``.  So ``q_k = (z_k + z_(k+1))/2`` and the
+element's voltage or current is ``m (z_(k+1) - z_k)/dt``: every channel
+and element state is a fixed linear form of two consecutive history
+vectors (Dommel, IEEE Trans. PAS 88(4), 1969).  The solver records the
+history alone and forms the channels after the step loop, for example
+``v_pcc = e - Ls dz/dt``, ``i_src = q`` and ``i_dc = v_dc/R + C dv_dc/dt``.
 
-Against a loop that solves ``A x = b`` at every step, the contract
-channels of the bundled runs agree to 5e-10 of each channel's maximum, the
-aux traces to 1e-8 (the worst is a blocked bridge terminal, held only by
-the diodes' off conductance) and THD and DPF to 3e-12 relative; the
-rotation drifts by under 1e-10 of the amplitude over ``MAX_SAMPLES``
-steps.  The source voltages are recorded from the source samples, not
-through the map.
+The step is one set of linear forms over ``[x; z; s]``: the unknowns, the
+history and the source phase ``s_k = (sin w1 t_k, cos w1 t_k)``, advanced
+by one rotation.  KCL at the nodes and the source-branch equations are
+forms whose ``x`` part is the system matrix and whose ``[z; s]`` part is
+minus the right-hand side; the diodes add ``vd^T diag(g_d) vd`` over
+their voltage forms, so the matrix depends only on the diode state word
+(EMTP's constant matrix per topology).  Each state visited gets one
+cached map ``F_s``, with its LU solve folded in, from ``w = [z; s]`` to
+the signed diode voltages and the next ``w`` (45 x 39 with the bundled
+bank).  A step is one matrix-vector product, the sign test and the copy of
+the next ``w`` into the record; a diode flip applies the new state's map
+to the same ``w``.  The source voltages are the exact samples.
 
 Runs of unchanged diode state are stepped in look-ahead blocks of up to B
-steps.  With ``M`` the ``w`` -> next-``w`` block of ``F_s``, a state's
-first block caches the stacked powers ``M^0 .. M^(B-1)`` (built by
-doubling) and the signed diode rows ``F_s[:6] M^j``.  One product of the
-diode table with ``w`` gives the diode voltages of the next B steps; the
-steps before the first negative one are taken at once, by one product with
-their power rows (each step's ``w``) and one with the rest of ``F_s``
-(next ``w`` and record rows).  The step that fails runs the fixed-point
-loop as before.  A block opens only after G consecutive steps passed the
-sign test on the first try, so a state word that chatters through a
-commutation stays on the per-step path.  Against per-step stepping, the
-bundled runs and the 1.2 s filtered run agree to 1e-11 of each channel's
-maximum, the aux traces to 2e-10 and THD to 2e-12 relative, with the same
-flagged steps and counters.
+steps once G consecutive steps passed the sign test on the first try: one
+product with the state's cached diode rows through ``M^0 .. M^(B-1)``
+(``M`` the ``w`` -> next-``w`` block) finds the steps before the first
+sign change, and one product with ``M^1 .. M^B`` writes their ``w`` into
+the record.  Against a per-step LU solve whose channels come from its
+unknowns and the element laws, the channels agree to 1.3e-10 of each
+channel's maximum and the history to 2.8e-9; against per-step stepping,
+to 5e-12 and 2e-12, with the same flagged steps and counters.
 
 All states start at zero; analysis windows exclude the start-up transient.
 ``SolverConfig.record_cycles`` keeps only the last whole fundamental
@@ -93,13 +86,11 @@ _BT = (3, 4, 5)
 _P, _N = 6, 7
 _NUM_NODES = 8
 _NUM_UNKNOWNS = 11
-_I_DC = CHANNEL_IDS.index("i_dc")
 
-# Most samples one run may record, checked before anything is allocated.
-# The record holds 8 bytes per sample per column, so this bounds it at 12 MB
-# per column: 0.64 GB at the bundled bank's 53 columns (17 channels plus
-# the aux traces).  The longest bundled study, the 1.2 s settled run,
-# records 120k samples.
+# Most samples one run may record, checked before anything is allocated:
+# 12 MB per column at 8 bytes a sample, 0.67 GB at the bundled bank's 56
+# (37 history terms and 2 source-phase terms of ``w``, 17 channels).  The
+# longest bundled study, the 1.2 s settled run, records 120k samples.
 MAX_SAMPLES = 1_500_000
 
 # Look-ahead blocks: most steps one block takes (B) and the consecutive
@@ -109,6 +100,9 @@ MAX_SAMPLES = 1_500_000
 # design candidates.
 LOOKAHEAD_STEPS = 32
 LOOKAHEAD_GATE = 2
+
+# Steps whose channels are formed from the history record at a time.
+_CHUNK = 4096
 
 
 class SolverError(RuntimeError):
@@ -178,12 +172,16 @@ class SolverConfig:
             )
         # A diode flips only when another solve is allowed, so a cap of 1
         # would hold the bridge blocking forever.
+        if type(self.max_switch_iterations) is not int:  # bool is no count
+            raise ValueError(
+                f"max_switch_iterations must be an integer, got {self.max_switch_iterations!r}"
+            )
         if self.max_switch_iterations < 2:
             raise ValueError(
                 f"max_switch_iterations must be >= 2, got {self.max_switch_iterations!r}"
             )
         cycles = self.record_cycles
-        if cycles is not None and not (isinstance(cycles, int) and cycles >= 1):
+        if cycles is not None and not (type(cycles) is int and cycles >= 1):
             raise ValueError(f"record_cycles must be a positive integer, got {cycles!r}")
 
     @property
@@ -234,20 +232,22 @@ class WaveformSet:
 
     ``channels`` holds the external contract channels (see ``CHANNEL_IDS``);
     ``i_dc`` is the bridge output current into the DC bus and ``v_dc`` the
-    DC bus voltage.  ``aux`` carries solver bookkeeping traces (per-branch
-    filter states and the bridge terminal voltages) consumed by
-    :func:`energy_audit`; they are not part of the CSV export.
-    ``diode_states`` counts the distinct diode state words the run visited,
-    ``switch_iterations`` the fixed-point solves over all steps and
-    ``switch_events`` the steps whose state word differs from the previous
-    step's.  ``first_step`` is the step of the first sample: nonzero when
-    the solver recorded only the last periods of the run.
+    DC bus voltage.  ``history`` is the solver's record: row r is the
+    history vector ``z`` entering step ``first_step + r``, one term per
+    inductor and capacitor; every channel and element state of step k is a
+    fixed form of its rows k and k+1.  :func:`energy_audit` reads it; a
+    waveform set read from CSV has none.  ``diode_states`` counts the
+    distinct diode state words the run visited, ``switch_iterations`` the
+    fixed-point solves over all steps and ``switch_events`` the steps
+    whose state word differs from the previous step's.  ``first_step`` is
+    the step of the first sample: nonzero when the solver recorded only
+    the last periods of the run.
     """
 
     sample_rate_hz: float
     channels: Mapping[str, np.ndarray]
     flagged_steps: tuple[int, ...] = ()
-    aux: Mapping[str, np.ndarray] = field(default_factory=dict)
+    history: np.ndarray | None = None
     diode_states: int = 0
     switch_iterations: int = 0
     switch_events: int = 0
@@ -259,6 +259,8 @@ class WaveformSet:
         lengths = {len(v) for v in self.channels.values()}
         if len(lengths) != 1 or lengths.pop() < 2:
             raise ValueError("all channels must share one length >= 2")
+        if self.history is not None and len(self.history) != self.n_samples + 1:
+            raise ValueError("history must hold one row more than the channels")
 
     @property
     def n_samples(self) -> int:
@@ -305,27 +307,59 @@ def _stamp(g, d: np.ndarray) -> np.ndarray:
     return d.T @ (np.reshape(g, (-1, 1)) * d)
 
 
+def _branch_values(scenario: Scenario, kind: str) -> tuple[np.ndarray, ...]:
+    """R, L and C of the bank's ``kind`` branches ("single_tuned" or
+    "high_pass"), one entry per branch-phase, branch-major."""
+    branches = getattr(scenario.bank, kind) if scenario.bank else ()
+    return tuple(
+        np.repeat([getattr(b, name) for b in branches], 3)
+        for name in ("resistance_ohm", "inductance_h", "capacitance_f")
+    )
+
+
+def _masses(scenario: Scenario) -> np.ndarray:
+    """Each history term's L or C, in ``z`` order: Ls and Lfe per phase, Cdc,
+    then per filter branch-phase the single-tuned L, C and high-pass C, L."""
+    _, st_l, st_c = _branch_values(scenario, "single_tuned")
+    _, hp_l, hp_c = _branch_values(scenario, "high_pass")
+    basis, load = scenario.basis, scenario.load
+    return np.concatenate([
+        np.full(3, basis.source_inductance_h),
+        np.full(3, load.front_end_inductance_h),
+        [load.load_capacitance_f],
+        st_l, st_c, hp_c, hp_l,
+    ])
+
+
+# History columns of Ls, Lfe and Cdc; the filter terms start at _Z_ST.
+_Z_LS, _Z_FE, _Z_DC, _Z_ST = slice(0, 3), slice(3, 6), 6, 7
+
+
+def _finite(a: np.ndarray, axis: int | None = None):
+    """Whether ``a`` (or each slice along ``axis``) is finite, without an
+    ``a``-sized temporary: the extremes propagate NaN and reach infinity."""
+    return np.isfinite(a.min(axis=axis)) & np.isfinite(a.max(axis=axis))
+
+
+def _states(z: np.ndarray, cols) -> np.ndarray:
+    """Element states (inductor currents, capacitor voltages) per step."""
+    return 0.5 * (z[:-1, cols] + z[1:, cols])
+
+
+def _flows(z: np.ndarray, cols, masses: np.ndarray, dt: float) -> np.ndarray:
+    """``m dq/dt`` (inductor voltages, capacitor currents) per step."""
+    return (masses[cols] / dt) * (z[1:, cols] - z[:-1, cols])
+
+
 class _TransientSolver:
-    """Per-state step maps ``F_s`` over ``w = [z; s]`` (history terms,
-    source phase), applied between two alternating output rows.  ``z``
-    holds the Ls and Lfe histories per phase, the Cdc history, then the
-    single-tuned L and C and the high-pass C and L histories per filter
-    branch-phase.
-
-    One set of linear forms over ``[x; z; s]`` holds the system: the
-    matrix without the diodes (``_base_matrix``, stamped from the voltage
-    forms), the right-hand side (``_rhs``, zero over ``x``) and the output
-    rows (``_out_base``: unsigned diode voltages, next ``z``, next ``s``,
-    record row).  A state adds the diode stamp over the first six output
-    rows and folds its solve in as ``F_s = out_w + out_x X``, where
-    ``A_s X = rhs_w`` is solved against the state's LU factors.
-
-    ``_tables`` holds, beside ``_maps``, each state's look-ahead tables:
-    the powers of its next-``w`` block, B·nw × nw, and its signed diode
-    rows through those powers, B·6 × nw (380 kB and 60 kB at nw = 39,
-    B = 32).  ``run`` steps a run of unchanged state in blocks of up to B
-    once G consecutive steps passed the sign test on the first try.  Rows
-    of steps before ``first_step`` are computed but not recorded."""
+    """Per-state step maps ``F_s`` over ``w = [z; s]``, applied between two
+    alternating rows and copied into the record of ``w``.  ``_kcl`` and
+    ``_out`` are the linear forms over ``[x; z; s]`` (see ``_assemble``); a
+    state adds the diode stamp and folds its solve in as
+    ``F_s = out_w + out_x X`` with ``A_s X = -kcl_w``.  ``_tables`` holds
+    each state's look-ahead tables: ``M^1 .. M^B``, B·nw × nw, and the
+    signed diode rows, B·6 × nw (380 kB and 60 kB at nw = 39, B = 32).  The
+    ``w`` of steps before ``first_step`` are computed but not recorded."""
 
     def __init__(self, scenario: Scenario) -> None:
         cfg = scenario.solver
@@ -337,190 +371,129 @@ class _TransientSolver:
         self.g_on = 1.0 / cfg.diode_on_ohm
         self.g_off = 1.0 / cfg.diode_off_ohm
         self.max_iter = cfg.max_switch_iterations
+        self.g_rl = 1.0 / scenario.load.load_resistance_ohm
+        self.masses = _masses(scenario)
+        self.n_z = len(self.masses)
+        # The filter capacitors, between the single-tuned and high-pass Ls.
+        n3st, n3hp = (len(_branch_values(scenario, k)[0]) for k in ("single_tuned", "high_pass"))
+        self._caps = slice(_Z_ST + n3st, self.n_z - n3hp)
 
         basis = scenario.basis
-        load = scenario.load
-        dt = self.dt
-        self.r_ls = 2.0 * basis.source_inductance_h / dt
-        self.g_fe = dt / (2.0 * load.front_end_inductance_h)
-        self.g_cdc = 2.0 * load.load_capacitance_f / dt
-        self.g_rl = 1.0 / load.load_resistance_ohm
-
-        st = scenario.bank.single_tuned if scenario.bank else ()
-        hp = scenario.bank.high_pass if scenario.bank else ()
-        self.n_st = len(st)
-        self.n_hp = len(hp)
-        self.st_r = np.array([b.resistance_ohm for b in st])
-        self.st_l = np.array([b.inductance_h for b in st])
-        self.st_c = np.array([b.capacitance_f for b in st])
-        self.st_rleq = 2.0 * self.st_l / dt
-        self.st_rceq = dt / (2.0 * self.st_c)
-        self.st_g = 1.0 / (self.st_r + self.st_rleq + self.st_rceq)
-        self.hp_r = np.array([b.resistance_ohm for b in hp])
-        self.hp_l = np.array([b.inductance_h for b in hp])
-        self.hp_c = np.array([b.capacitance_f for b in hp])
-        self.hp_rceq = dt / (2.0 * self.hp_c)
-        self.hp_glp = dt / (2.0 * self.hp_l)
-        self.hp_rsec = 1.0 / (1.0 / self.hp_r + self.hp_glp)
-        self.hp_g = 1.0 / (self.hp_rceq + self.hp_rsec)
-        self.n_z = 7 + 6 * (self.n_st + self.n_hp)
-        self._rec_at = 6 + self.n_z + 2
-
         w1 = TWO_PI * basis.fundamental_hz
-        t = np.arange(self.first_step, self.n_samples) * dt
+        t = np.arange(self.first_step, self.n_samples) * self.dt
         vpeak = math.sqrt(2.0) * basis.source_vrms
         offsets = np.array([0.0, -TWO_PI / 3.0, -2.0 * TWO_PI / 3.0])
         # An overflowing amplitude is reported by the guard after the step
         # loop, not as a warning here.
         with np.errstate(invalid="ignore"):
-            self.esrc = vpeak * np.sin(w1 * t[:, None] + offsets[None, :])
+            self.esrc = vpeak * np.sin(w1 * t[None, :] + offsets[:, None])
             # e_k = v_src @ s_k with s_k = (sin w1 t_k, cos w1 t_k).
             v_src = vpeak * np.column_stack([np.cos(offsets), np.sin(offsets)])
-        self._s_first = np.array([math.sin(w1 * dt), math.cos(w1 * dt)])
-        self._base_matrix, self._rhs, self._out_base, self._aux_slices = (
-            self._assemble(v_src, w1 * dt)
-        )
+        self._s_first = np.array([math.sin(w1 * self.dt), math.cos(w1 * self.dt)])
+        self._kcl, self._out = self._assemble(scenario, v_src, w1 * self.dt)
         self._maps: dict[int, np.ndarray] = {}
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _assemble(
-        self, v_src: np.ndarray, step_angle: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, slice]]:
-        """State-independent linear forms over ``[x; z; s]`` (unknowns,
-        history terms, source phase): the system matrix without the diodes,
-        the right-hand side, the output rows (unsigned diode voltages, next
-        ``z``, next ``s``, record row with a zero ``i_dc`` row) and the
-        record columns of each aux trace."""
-        nx, nz = _NUM_UNKNOWNS, self.n_z
+        self, scenario: Scenario, v_src: np.ndarray, step_angle: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Forms over ``[x; z; s]``: KCL at the nodes (currents leaving) and
+        the source-branch equations without the diodes, and the output rows
+        (unsigned diode voltages, next ``z``, next ``s``).  An inductor's
+        current is ``dt/(2L) v + z``, a capacitor's voltage ``dt/(2C) i + z``,
+        and each history term moves on to ``2 q - z``."""
+        nx, nz, dt = _NUM_UNKNOWNS, self.n_z, self.dt
         unit = np.eye(nx + nz + 2)
-        x, s = unit[:nx], unit[nx + nz :]
-        z_ls, z_fe, z_c = unit[nx : nx + 3], unit[nx + 3 : nx + 6], unit[nx + 6]
-        n3st, n3hp = 3 * self.n_st, 3 * self.n_hp
-        st_el, st_ec, hp_ec, hp_hl = (
-            rows.reshape(-1, 3, nx + nz + 2)
-            for rows in np.split(
-                unit[nx + 7 : nx + nz], np.cumsum([n3st, n3st, n3hp])
-            )
+        x, z, s = unit[:nx], unit[nx : nx + nz], unit[nx + nz :]
+        st_r, st_l, st_c = _branch_values(scenario, "single_tuned")
+        hp_r, hp_l, hp_c = _branch_values(scenario, "high_pass")
+        z_ls, z_fe, z_dc = z[_Z_LS], z[_Z_FE], z[_Z_DC]
+        st_zl, st_zc, hp_zc, hp_zl = np.split(
+            z[_Z_ST:], np.cumsum([len(st_r), len(st_r), len(hp_r)])
         )
-
-        def per_branch(values: np.ndarray) -> np.ndarray:
-            return values[:, None, None]
-
-        def flat(forms: np.ndarray) -> np.ndarray:
-            return forms.reshape(-1, nx + nz + 2)
 
         e = v_src @ s
         c, sn = math.cos(step_angle), math.sin(step_angle)
-        s_next = np.array([[c, sn], [-sn, c]]) @ s
         vp, vbt, i_src = x[list(_PCC)], x[list(_BT)], x[_NUM_NODES:]
-        v_fe = vp - vbt
         v_dc = x[_P] - x[_N]
-        i_fe = self.g_fe * v_fe + z_fe
-        # Series R-L-C: inductor history el, capacitor history ec.
-        st_i = per_branch(self.st_g) * (vp - st_el - st_ec)
-        st_vc = per_branch(self.st_rceq) * st_i + st_ec
-        # C in series with R || L: capacitor history ec, inductor history hl.
-        hp_i = per_branch(self.hp_g) * (vp - hp_ec + per_branch(self.hp_rsec) * hp_hl)
-        hp_vc = per_branch(self.hp_rceq) * hp_i + hp_ec
-        hp_vrl = per_branch(self.hp_rsec) * (hp_i - hp_hl)
-        hp_il = per_branch(self.hp_glp) * hp_vrl + hp_hl
-
-        g_shunt = float(np.sum(self.st_g) + np.sum(self.hp_g))
-        a = (
-            _stamp(g_shunt, vp)
-            + _stamp(self.g_fe, v_fe)
-            + _stamp(self.g_rl + self.g_cdc, v_dc[None])
-        )[:nx, :nx]
-        # Source branches: the source current leaves each PCC node's
-        # equation, and vp + r_ls i_src = e - z_ls.
-        a[list(_PCC)] -= i_src[:, :nx]
-        a[_NUM_NODES:] = (vp + self.r_ls * i_src)[:, :nx]
-
-        rhs = np.zeros((nx, nx + nz + 2))
-        rhs[list(_PCC)] = (
-            (per_branch(self.st_g) * (st_el + st_ec)).sum(axis=0)
-            + (per_branch(self.hp_g) * (hp_ec - per_branch(self.hp_rsec) * hp_hl)).sum(axis=0)
-            - z_fe
+        i_fe = dt / (2.0 * scenario.load.front_end_inductance_h) * (vp - vbt) + z_fe
+        i_load = self.g_rl * v_dc + 2.0 * scenario.load.load_capacitance_f / dt * (v_dc - z_dc)
+        # Series R-L-C: i = (vp + 2L/dt z_l - z_c) / (R + 2L/dt + dt/2C).
+        st_rl, st_rc = 2.0 * st_l / dt, dt / (2.0 * st_c)
+        st_i = (1.0 / (st_r + st_rl + st_rc))[:, None] * (
+            vp[np.arange(len(st_r)) % 3] + st_rl[:, None] * st_zl - st_zc
         )
-        rhs[list(_BT)] = z_fe
-        rhs[_P] = -z_c
-        rhs[_N] = z_c
-        rhs[_NUM_NODES:] = e - z_ls
+        # C in series with R || L; the R-L pair's voltage is r_p (i - z_l).
+        hp_rc, hp_gl = dt / (2.0 * hp_c), dt / (2.0 * hp_l)
+        hp_rp = 1.0 / (1.0 / hp_r + hp_gl)
+        hp_i = (1.0 / (hp_rc + hp_rp))[:, None] * (
+            vp[np.arange(len(hp_r)) % 3] - hp_zc + hp_rp[:, None] * hp_zl
+        )
 
-        z_next = np.vstack([
-            -2.0 * self.r_ls * i_src - z_ls,
-            i_fe + self.g_fe * v_fe,
-            -2.0 * self.g_cdc * v_dc - z_c,
-            flat(-2.0 * per_branch(self.st_rleq) * st_i - st_el),
-            flat(2.0 * per_branch(self.st_rceq) * st_i + st_ec),
-            flat(2.0 * per_branch(self.hp_rceq) * hp_i + hp_ec),
-            flat(2.0 * per_branch(self.hp_glp) * hp_vrl + hp_hl),
+        kcl = np.zeros((nx, nx + nz + 2))
+        branches = np.vstack([st_i, hp_i]).reshape(-1, 3, nx + nz + 2).sum(axis=0)
+        kcl[list(_PCC)] = branches + i_fe - i_src
+        kcl[list(_BT)] = -i_fe
+        kcl[_P] = i_load
+        kcl[_N] = -i_load
+        # Source branches: e - vp = 2Ls/dt (i_src - z_ls).
+        kcl[_NUM_NODES:] = vp + 2.0 * scenario.basis.source_inductance_h / dt * (i_src - z_ls) - e
+
+        states = np.vstack([
+            i_src, i_fe, v_dc,
+            st_i, st_rc[:, None] * st_i + st_zc,
+            hp_rc[:, None] * hp_i + hp_zc,
+            (hp_gl * hp_rp)[:, None] * (hp_i - hp_zl) + hp_zl,
         ])
-        channels = [
-            e, vp, i_src, i_fe,
-            st_i.sum(axis=0) + hp_i.sum(axis=0),
-            v_dc,
-            np.zeros(nx + nz + 2),  # i_dc, set per state
-        ]
-        aux = [
-            ("st_i", flat(st_i)), ("st_vc", flat(st_vc)),
-            ("hp_il", flat(hp_il)), ("hp_vc", flat(hp_vc)),
-            ("hp_vrl", flat(hp_vrl)),
-            ("v_bt", vbt),
-        ]
-        aux_slices = {}
-        pos = len(CHANNEL_IDS)
-        for name, forms in aux:
-            aux_slices[name] = slice(pos, pos + len(forms))
-            pos += len(forms)
-        vd = np.vstack([vbt - x[_P], x[_N] - vbt])
-        out = np.vstack([vd, z_next, s_next, *channels, *(forms for _, forms in aux)])
-        return a, rhs, out, aux_slices
+        out = np.vstack([
+            vbt - x[_P], x[_N] - vbt,  # diode voltages
+            2.0 * states - z,
+            np.array([[c, sn], [-sn, c]]) @ s,
+        ])
+        return kcl, out
 
     def _step_map(self, key: int, step: int) -> np.ndarray:
         """Step map of diode state word ``key`` (bit i set when diode i
         conducts), built on its first visit: ``w = [z; s]`` to the signed
-        diode voltages, the next ``w`` and the record row."""
+        diode voltages and the next ``w``."""
         nx = _NUM_UNKNOWNS
         on = (key >> np.arange(6)) & 1 == 1
         g_d = np.where(on, self.g_on, self.g_off)
-        vd = self._out_base[:6, :nx]
-        lu, piv, _ = dgetrf(self._base_matrix + _stamp(g_d, vd))
+        lu, piv, _ = dgetrf(self._kcl[:, :nx] + _stamp(g_d, self._out[:6, :nx]))
         if not np.abs(np.diag(lu)).min() >= 1e-250:
             raise SolverError(f"singular system matrix at step {step}")
-        out = self._out_base.copy()
+        out = self._out.copy()
         # Sign the diode rows so every entry is >= 0 exactly when the state
         # is consistent: conducting diodes need v >= 0, blocking ones v <= 0.
         out[:6] *= np.where(on, 1.0, -1.0)[:, None]
-        out[self._rec_at + _I_DC] = g_d[:3] @ self._out_base[:3]
-        # The unknowns as forms over w: x = X w, solving A X = rhs's w
-        # columns against the LU factors.
-        x = dgetrs(lu, piv, self._rhs[:, nx:])[0]
+        # The unknowns as forms over w: x = X w, solving A X = -kcl_w
+        # against the LU factors.
+        x = dgetrs(lu, piv, -self._kcl[:, nx:])[0]
         self._maps[key] = out[:, nx:] + out[:, :nx] @ x
         return self._maps[key]
 
     def _lookahead_tables(self, key: int) -> tuple[np.ndarray, np.ndarray]:
-        """Look-ahead tables of state ``key``, built on its first use: the
-        stacked powers ``M^0 .. M^(B-1)`` of its ``w`` -> next-``w`` block
-        ``M`` and the stacked signed diode rows ``F_s[:6] M^j``."""
+        """Look-ahead tables of state ``key``, built on first use: the powers
+        ``M^1 .. M^B`` of its next-``w`` block and its ``F_s[:6] M^0 .. M^(B-1)``."""
         f = self._maps[key]
         nw = f.shape[1]
-        m = f[6 : 6 + nw]
-        powers, top = np.eye(nw), m
-        # Doubling: [M^0; ..; M^(r-1)] M^r = [M^r; ..; M^(2r-1)].
+        powers = top = f[6:]
+        # Doubling: [M^1; ..; M^r] M^r = [M^(r+1); ..; M^(2r)].
         while len(powers) < LOOKAHEAD_STEPS * nw:
             powers = np.vstack([powers, powers @ top])
             top = top @ top
         powers = powers[: LOOKAHEAD_STEPS * nw]
-        diode = np.matmul(f[:6], powers.reshape(-1, nw, nw)).reshape(-1, nw)
+        diode = np.vstack([
+            f[:6],
+            np.matmul(f[:6], powers[: -nw].reshape(-1, nw, nw)).reshape(-1, nw),
+        ])
         self._tables[key] = powers, diode
         return powers, diode
 
     def _lookahead(self, key: int, k: int, w: np.ndarray, record: np.ndarray) -> int:
         """Steps ``k``, ``k+1``, .. in state ``key`` from ``w`` while they
-        pass the sign test, at most B of them: records those from
-        ``first_step`` on, advances ``w`` in place and returns how many were
-        taken."""
+        pass the sign test, at most B: records the ``w`` they leave, advances
+        ``w`` in place and returns how many were taken."""
         powers, diode = self._tables.get(key) or self._lookahead_tables(key)
         # Signed diode voltages of steps k .. k+B-1.  NaN compares false, so
         # a block holding NaN is taken whole and left to the guard after
@@ -530,26 +503,30 @@ class _TransientSolver:
         j = j // 6 if neg[j] else LOOKAHEAD_STEPS
         if j:
             nw = len(w)
-            # The w each step starts from, then their next w and record rows.
-            ys = (powers[: j * nw] @ w).reshape(j, nw) @ self._maps[key][6:].T
-            lo = max(k, self.first_step)
-            if k + j > lo:
-                record[lo - self.first_step : k + j - self.first_step] = ys[lo - k :, nw:]
-            w[:] = ys[-1, :nw]
+            # Record row of the w after step k, then the w after each step.
+            row = k + 1 - self.first_step
+            if row >= 0:
+                after = record[row : row + j]
+                np.dot(powers[: j * nw], w, out=after.reshape(-1))
+            else:
+                after = (powers[: j * nw] @ w).reshape(j, nw)
+                if row + j > 0:
+                    record[: row + j] = after[-row:]
+            w[:] = after[-1]
         return j
 
     def run(self) -> WaveformSet:
         n, maps, max_iter = self.n_samples, self._maps, self.max_iter
-        rec_at, first = self._rec_at, self.first_step
-        width = self._out_base.shape[0]
-        record = np.zeros((n - first, width - rec_at))
+        first, nw = self.first_step, self.n_z + 2
+        # Row r holds the w entering step first + r; the w entering steps
+        # 0 and 1 are zero but for the source phase.
+        record = np.zeros((n + 1 - first, nw))
         # Two rows laid out as the step maps' rows take turns: step k maps
-        # w = [z; s] of one into the other and records it.
-        cur, nxt = (
-            (row, row[:6], row[6:rec_at], row[rec_at:])
-            for row in np.zeros((2, width))
-        )
+        # w = [z; s] of one into the other.
+        cur, nxt = ((row, row[:6], row[6:]) for row in np.zeros((2, 6 + nw)))
         cur[2][-2:] = self._s_first
+        if first <= 1:
+            record[1 - first] = cur[2]
 
         key = 0  # all diodes blocking
         solves = events = 0
@@ -567,7 +544,7 @@ class _TransientSolver:
                     k += j
                     if j == LOOKAHEAD_STEPS:
                         continue
-                y, signed_vd, _, rec = nxt
+                y, signed_vd, w_next = nxt
                 before = key
                 for it in range(max_iter):
                     f = maps.get(key)
@@ -587,32 +564,49 @@ class _TransientSolver:
                 solves += it + 1
                 streak = streak + 1 if it == 0 and not flips else 0
                 events += key != before
-                if k >= first:
-                    record[k - first] = rec
+                if k + 1 >= first:
+                    record[k + 1 - first] = w_next
                 cur, nxt = nxt, cur
                 k += 1
-        # v_src as the exact samples, not through the rotated pair.
-        record[:, 0:3] = self.esrc
+            history = record[:, : self.n_z]
+            channels = np.empty((len(CHANNEL_IDS) - 3, n - first))
+            # In chunks of steps, so that the temporaries stay small.
+            for lo in range(0, n - first, _CHUNK):
+                z, e = history[lo : lo + _CHUNK + 1], self.esrc[:, lo : lo + _CHUNK]
+                channels[:, lo : lo + _CHUNK] = self._channels(z, e)
 
-        # The extremes propagate NaN and reach any infinity, without a
-        # record-sized temporary; the row scan only names the step.  A
-        # non-finite w stays non-finite, so a run that failed before the
+        # Step k leaves channel row k - first and history row k + 1 - first.
+        # A non-finite w stays non-finite, so a run that failed before the
         # record starts fails at its first row.
-        if not (np.isfinite(record.min()) and np.isfinite(record.max())):
-            finite = np.isfinite(record.min(axis=1)) & np.isfinite(record.max(axis=1))
-            row = int(np.argmin(finite))
+        if not (_finite(history) and _finite(channels)):
+            row = int(np.argmin(_finite(channels, 0) & _finite(history[1:], 1)))
             at = "at or before" if first and row == 0 else "at"
             raise SolverError(f"non-finite solution {at} step {first + row}")
         return WaveformSet(
             sample_rate_hz=1.0 / self.dt,
-            channels={name: record[:, i] for i, name in enumerate(CHANNEL_IDS)},
+            channels=dict(zip(CHANNEL_IDS, [*self.esrc, *channels])),
             flagged_steps=tuple(flagged),
-            aux={name: record[:, sl] for name, sl in self._aux_slices.items()},
+            history=history,
             diode_states=len(maps),
             switch_iterations=solves,
             switch_events=events,
             first_step=first,
         )
+
+    def _channels(self, z: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """The channels after the source voltages, one row each, of the steps
+        with source samples ``e``, from their history rows and the next."""
+        m, dt = self.masses, self.dt
+        v_dc = _states(z, _Z_DC)
+        return np.vstack([
+            e - _flows(z, _Z_LS, m, dt).T,
+            _states(z, _Z_LS).T,
+            _states(z, _Z_FE).T,
+            # Each filter branch's current flows through its capacitor.
+            _flows(z, self._caps, m, dt).reshape(len(v_dc), -1, 3).sum(axis=1).T,
+            v_dc,
+            self.g_rl * v_dc + _flows(z, _Z_DC, m, dt),
+        ])
 
 
 def samples_per_period(sample_rate_hz: float, fundamental_hz: float) -> int:
@@ -683,60 +677,48 @@ def energy_audit(w: WaveformSet, scenario: Scenario, window: range) -> EnergyAud
     """Trapezoidal energy balance of the run over ``window``.
 
     Source energy is matched against resistive dissipation (load, filter
-    resistors, diode conduction/blocking) and the net change of every
-    inductor and capacitor energy.  The relative imbalance is the defect
-    normalized by the largest term.
+    resistors, diode conduction/blocking) and the net change of the energy
+    ``m q^2 / 2`` in every inductor and capacitor, with element states and
+    flows read from ``w.history`` (ValueError without one).  The relative
+    imbalance is the defect normalized by the largest term.
     """
+    m = _masses(scenario)
+    if w.history is None or w.history.shape[1] != len(m):
+        raise ValueError(
+            f"energy_audit needs the run's history of {len(m)} terms, got "
+            f"{None if w.history is None else w.history.shape[1]}"
+        )
     if window.start < 0 or window.stop > w.n_samples or len(window) < 2:
         raise WindowError(f"window {window!r} does not fit the waveform")
     sl = slice(window.start, window.stop)
+    z = w.history[window.start : window.stop + 1]
     dt = w.dt_s
     ch = w.channels
-    basis, load = scenario.basis, scenario.load
+    st_r = _branch_values(scenario, "single_tuned")[0]
+    hp_r = _branch_values(scenario, "high_pass")[0]
 
-    v_src = np.stack([ch[f"v_src_{p}"][sl] for p in "abc"])
-    i_src = np.stack([ch[f"i_src_{p}"][sl] for p in "abc"])
-    i_bridge = np.stack([ch[f"i_bridge_{p}"][sl] for p in "abc"])
-    v_dc = ch["v_dc"][sl]
-    i_dc = ch["i_dc"][sl]
-    v_bt = w.aux["v_bt"][sl].T
+    def phases(name: str) -> np.ndarray:
+        return np.column_stack([ch[f"{name}_{p}"][sl] for p in "abc"])
 
-    e_source = float(trapezoid(np.sum(v_src * i_src, axis=0), dx=dt))
-
-    p_load = v_dc**2 / load.load_resistance_ohm
-    p_bridge = np.sum(v_bt * i_bridge, axis=0) - v_dc * i_dc
-
-    st = scenario.bank.single_tuned if scenario.bank else ()
-    hp = scenario.bank.high_pass if scenario.bank else ()
-    n_win = len(v_dc)
-    st_i = w.aux["st_i"][sl].reshape(n_win, len(st), 3)
-    st_vc = w.aux["st_vc"][sl].reshape(n_win, len(st), 3)
-    hp_il = w.aux["hp_il"][sl].reshape(n_win, len(hp), 3)
-    hp_vc = w.aux["hp_vc"][sl].reshape(n_win, len(hp), 3)
-    hp_vrl = w.aux["hp_vrl"][sl].reshape(n_win, len(hp), 3)
-    p_filter = np.zeros(n_win)
-    for j, branch in enumerate(st):
-        p_filter = p_filter + branch.resistance_ohm * np.sum(st_i[:, j, :] ** 2, axis=1)
-    for j, branch in enumerate(hp):
-        p_filter = p_filter + np.sum(hp_vrl[:, j, :] ** 2, axis=1) / branch.resistance_ohm
-    e_load = float(trapezoid(p_load, dx=dt))
+    i_bridge, v_dc = phases("i_bridge"), ch["v_dc"][sl]
+    e_source = float(trapezoid(np.sum(phases("v_src") * phases("i_src"), axis=1), dx=dt))
+    e_load = float(trapezoid(v_dc**2 / scenario.load.load_resistance_ohm, dx=dt))
+    # The bridge terminals sit one front-end inductor drop below the PCC.
+    v_bt = phases("v_pcc") - _flows(z, _Z_FE, m, dt)
+    p_bridge = np.sum(v_bt * i_bridge, axis=1) - v_dc * ch["i_dc"][sl]
     e_bridge = float(trapezoid(p_bridge, dx=dt))
+    # A single-tuned resistor carries its inductor's current, a high-pass
+    # one its inductor's voltage.
+    st_l = slice(_Z_ST, _Z_ST + len(st_r))
+    hp_l = slice(len(m) - len(hp_r), len(m))
+    p_filter = _states(z, st_l) ** 2 @ st_r + _flows(z, hp_l, m, dt) ** 2 @ (1.0 / hp_r)
     e_filter = float(trapezoid(p_filter, dx=dt))
     e_diss = e_load + e_bridge + e_filter
 
-    def stored(idx: int) -> float:
-        e = 0.5 * basis.source_inductance_h * float(np.sum(i_src[:, idx] ** 2))
-        e += 0.5 * load.front_end_inductance_h * float(np.sum(i_bridge[:, idx] ** 2))
-        e += 0.5 * load.load_capacitance_f * v_dc[idx] ** 2
-        for j, branch in enumerate(st):
-            e += 0.5 * branch.inductance_h * float(np.sum(st_i[idx, j, :] ** 2))
-            e += 0.5 * branch.capacitance_f * float(np.sum(st_vc[idx, j, :] ** 2))
-        for j, branch in enumerate(hp):
-            e += 0.5 * branch.inductance_h * float(np.sum(hp_il[idx, j, :] ** 2))
-            e += 0.5 * branch.capacitance_f * float(np.sum(hp_vc[idx, j, :] ** 2))
-        return e
-
-    stored_delta = stored(-1) - stored(0)
+    # Element states at the window's first and last steps.
+    q = 0.5 * (z[[0, -2]] + z[[1, -1]])
+    stored = 0.5 * (q**2 @ m)
+    stored_delta = float(stored[1] - stored[0])
     imbalance = e_source - e_diss - stored_delta
     scale = max(abs(e_source), abs(e_diss), abs(stored_delta), 1e-30)
     return EnergyAudit(

@@ -197,7 +197,7 @@ def test_bundled_walkthrough_records_last_cycles(tmp_path, capsys):
     # report carries the residual analyze writes, side by side.
     for case in ("baseline", "filtered"):
         assert report[case]["settling_residual"] == residual[case]
-    assert f"{report['baseline']['settling_residual']:.1e}" == "9.9e-14"
+    assert f"{report['baseline']['settling_residual']:.1e}" == "1.0e-13"
     assert f"{report['filtered']['settling_residual']:.2e}" == "7.24e-03"
 
 
@@ -741,6 +741,32 @@ def test_malformed_waveform_csv_names_file(tmp_path, short_waveform, capsys, com
     rc = main(argv + ["-o", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize(
+    "command, channel",
+    [("analyze", "i_src_a"), ("analyze", "v_src_a"), ("report", "i_src_a")],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_analysed_channel_names_line(
+    tmp_path, short_waveform, capsys, command, channel, value
+):
+    header, *lines = short_waveform.read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    # Line 11 (rows[9]) sits outside the last-cycles window: the whole
+    # analysed column must be finite.
+    rows[9][1 + CHANNEL_IDS.index(channel)] = value
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([header, *(",".join(cells) for cells in rows)]) + "\n")
+    if command == "analyze":
+        argv = ["analyze", str(bad), "--channel", "i_src_a", "--v-channel", "v_src_a"]
+    else:
+        argv = ["report", str(short_waveform), str(bad)]
+    rc = main(argv + ["-o", str(tmp_path / "out")])
+    assert rc == 2
+    message = f"{channel} value {float(value)!r} is not finite"
+    assert capsys.readouterr().err == f"error: {bad}: line 11: {message}\n"
     assert not list(tmp_path.glob("out*"))
 
 

@@ -50,13 +50,16 @@ def test_solver_config_validation():
         hf.SolverConfig(diode_off_ohm=math.inf)
     with pytest.raises(ValueError):
         hf.SolverConfig(max_switch_iterations=0)
+    for value in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="max_switch_iterations must be an integer"):
+            hf.SolverConfig(max_switch_iterations=value)
     # A diode flips only when another solve is allowed, so a cap of 1 could
     # never leave the all-blocking state.
     with pytest.raises(ValueError, match="max_switch_iterations must be >= 2, got 1"):
         hf.SolverConfig(max_switch_iterations=1)
 
 
-@pytest.mark.parametrize("cycles", [0, -1, 2.5, math.nan, math.inf])
+@pytest.mark.parametrize("cycles", [0, -1, 2.5, math.nan, math.inf, True, "3"])
 def test_record_cycles_must_be_positive_integer(cycles):
     with pytest.raises(ValueError, match="record_cycles must be a positive integer"):
         hf.SolverConfig(record_cycles=cycles)
@@ -331,6 +334,18 @@ def test_energy_audit_rejects_bad_window(baseline_run):
         hf.energy_audit(waves, scenario, range(0, waves.n_samples + 5))
 
 
+def test_energy_audit_needs_history(baseline_run, filtered_run):
+    # A waveform set read back from CSV carries the channels alone.
+    scenario, waves, _ = baseline_run
+    window = hf.steady_state_window(waves, scenario.basis, 5)
+    bare = hf.WaveformSet(waves.sample_rate_hz, waves.channels)
+    with pytest.raises(ValueError, match="history of 7 terms, got None$"):
+        hf.energy_audit(bare, scenario, window)
+    # The history of a run with a bank does not fit the scenario without it.
+    with pytest.raises(ValueError, match="history of 7 terms, got 37$"):
+        hf.energy_audit(filtered_run[1], scenario, window)
+
+
 # --- switching behavior ---------------------------------------------------------------
 
 
@@ -377,9 +392,7 @@ def test_record_cycles_keeps_last_rows_of_full_record(case, request):
     assert np.array_equal(waves.time(), full.time()[-14_000:])
     for name in CHANNEL_IDS:
         assert np.array_equal(waves.channels[name], full.channels[name][-14_000:]), name
-    assert waves.aux.keys() == full.aux.keys()
-    for name, trace in waves.aux.items():
-        assert np.array_equal(trace, full.aux[name][-14_000:]), name
+    assert np.array_equal(waves.history, full.history[-14_001:])
     for counter in ("flagged_steps", "diode_states", "switch_iterations", "switch_events"):
         assert getattr(waves, counter) == getattr(full, counter), counter
     assert waves.switch_events == {"baseline": 490, "filtered": 409}[case]
@@ -410,14 +423,15 @@ def test_record_cycles_on_either_stepping_path(blocks, monkeypatch):
         monkeypatch.setattr(simulator, "LOOKAHEAD_STEPS", MAX_SAMPLES)
     settings = {"dt_s": 1e-4, "duration_s": 0.2}  # 10 periods of 200 samples
     full = hf.run(presets.filtered_scenario(hf.SolverConfig(**settings)))
-    expected = np.column_stack([full.time(), *full.channels.values(), *full.aux.values()])
+    expected = np.column_stack([full.time(), *full.channels.values()])
     for cycles in (1, 3, 10):
         waves = hf.run(
             presets.filtered_scenario(hf.SolverConfig(**settings, record_cycles=cycles))
         )
         assert waves.first_step == 2000 - 200 * cycles
-        got = np.column_stack([waves.time(), *waves.channels.values(), *waves.aux.values()])
+        got = np.column_stack([waves.time(), *waves.channels.values()])
         assert np.array_equal(got, expected[waves.first_step :]), cycles
+        assert np.array_equal(waves.history, full.history[waves.first_step :]), cycles
         assert waves.switch_iterations == full.switch_iterations
 
 
@@ -428,21 +442,27 @@ def test_default_iteration_budget_converges(baseline_run, filtered_run):
 
 def _reference_run(scenario):
     """The step loop with a per-step LU solve: each diode state caches LU
-    factors and the output map over ``[x; z]``; a step builds the
+    factors and the output rows over ``[x; z]``; a step builds the
     right-hand side from ``z`` and the exact source sample, solves it with
-    ``dgetrs`` and maps ``[x; z]`` with one matvec.  Returns the record,
-    the flagged steps, the number of diode states, the number of solves,
-    and per step the state word it ends in and whether it passed the sign
-    test on the first try (entry 0 is the all-blocking start)."""
+    ``dgetrs`` and maps ``[x; z]`` to the signed diode voltages and the next
+    ``z`` with one matvec.  The channels come from the solved unknowns and
+    the element laws, not from the history forms.  Returns the channels
+    (one column each), the history, the flagged steps, the number of diode
+    states, the number of solves, and per step the state word it ends in
+    and whether it passed the sign test on the first try (entry 0 is the
+    all-blocking start)."""
     s = _TransientSolver(scenario)
-    nx, nz = 11, s.n_z
-    rec_at = 6 + nz + 2  # past the diode voltages, next z and next s
+    nx, nz, n, dt = 11, s.n_z, s.n_samples, s.dt
+    kcl_x, kcl_z = s._kcl[:, :nx], s._kcl[:, nx : nx + nz]
+    load, bank = scenario.load, scenario.bank
+    st = bank.single_tuned if bank else ()
+    hp = bank.high_pass if bank else ()
     maps = {}
 
     def step_map(key):
         on = (key >> np.arange(6)) & 1 == 1
         g_d = np.where(on, s.g_on, s.g_off)
-        a = s._base_matrix.copy()
+        a = kcl_x.copy()
         for ph in range(3):
             bt = 3 + ph
             for other, g in ((6, g_d[ph]), (7, g_d[3 + ph])):
@@ -451,19 +471,36 @@ def _reference_run(scenario):
                 a[bt, other] -= g
                 a[other, bt] -= g
         lu, piv, _ = dgetrf(a)
-        out = s._out_base[:, : nx + nz].copy()
+        out = s._out[: 6 + nz, : nx + nz].copy()
         out[:6] *= np.where(on, 1.0, -1.0)[:, None]
-        out[rec_at + CHANNEL_IDS.index("i_dc")] = g_d[:3] @ s._out_base[:3, : nx + nz]
         return lu, piv, out
 
-    record = np.zeros((s.n_samples, s._out_base.shape[0] - rec_at))
-    keys = np.zeros(s.n_samples, dtype=int)
-    first_try = np.zeros(s.n_samples, dtype=bool)
-    z = np.zeros(nz)
+    def filter_current(vp, z):
+        """Branch currents summed per phase, each from its companion model."""
+        i = np.zeros_like(vp)
+        at = 7
+        for b in st:
+            z_l, z_c = z[:, at : at + 3], z[:, at + 3 * len(st) : at + 3 * len(st) + 3]
+            r_l, r_c = 2.0 * b.inductance_h / dt, dt / (2.0 * b.capacitance_f)
+            i += (vp + r_l * z_l - z_c) / (b.resistance_ohm + r_l + r_c)
+            at += 3
+        at += 3 * len(st)
+        for b in hp:
+            z_c, z_l = z[:, at : at + 3], z[:, at + 3 * len(hp) : at + 3 * len(hp) + 3]
+            r_p = 1.0 / (1.0 / b.resistance_ohm + dt / (2.0 * b.inductance_h))
+            i += (vp - z_c + r_p * z_l) / (dt / (2.0 * b.capacitance_f) + r_p)
+            at += 3
+        return i
+
+    unknowns = np.zeros((n, nx))
+    history = np.zeros((n + 1, nz))
+    keys = np.zeros(n, dtype=int)
+    first_try = np.zeros(n, dtype=bool)
     key, solves, flagged = 0, 0, []
-    for k in range(1, s.n_samples):
-        b = s._rhs[:, nx : nx + nz] @ z
-        b[8:11] += s.esrc[k]
+    for k in range(1, n):
+        z = history[k]
+        b = -kcl_z @ z
+        b[8:11] += s.esrc[:, k]
         for it in range(s.max_iter):
             if key not in maps:
                 maps[key] = step_map(key)
@@ -480,10 +517,20 @@ def _reference_run(scenario):
         solves += it + 1
         keys[k] = key
         first_try[k] = it == 0 and not flips
-        record[k] = y[rec_at:]
-        z = y[6 : 6 + nz]
-    record[:, :3] = s.esrc
-    return record, tuple(flagged), len(maps), solves, keys, first_try
+        unknowns[k] = x
+        history[k + 1] = y[6:]
+    # Step k solves for the unknowns from the history z entering it.
+    x, z = unknowns, history[:-1]
+    vp, vbt, v_dc, i_src = x[:, 0:3], x[:, 3:6], x[:, 6] - x[:, 7], x[:, 8:11]
+    i_dc = v_dc / load.load_resistance_ohm + 2.0 * load.load_capacitance_f / dt * (v_dc - z[:, 6])
+    channels = np.column_stack([
+        s.esrc.T, vp, i_src,
+        dt / (2.0 * load.front_end_inductance_h) * (vp - vbt) + z[:, 3:6],
+        filter_current(vp, z), v_dc, i_dc,
+    ])
+    # Before the first step every element state is zero.
+    channels[0, 3:6] = s.esrc[:, 0]
+    return channels, history, tuple(flagged), len(maps), solves, keys, first_try
 
 
 class _BlockLog(_TransientSolver):
@@ -540,9 +587,20 @@ def _off_grid_candidate(seed):
     )
 
 
-# Largest channel or aux deviation from the reference, relative to that
-# trace's maximum magnitude.
+# Largest channel or history deviation from the reference, relative to
+# that column's maximum magnitude.
 _REFERENCE_REL_TOL = 1e-8
+
+
+def _zero_source_inductance():
+    """The filtered scenario fed straight from the source, without Ls."""
+    scenario = presets.filtered_scenario(hf.SolverConfig(duration_s=0.24))
+    return hf.Scenario(
+        hf.SystemBasis(50.0, scenario.basis.source_vrms, 0.0),
+        scenario.load,
+        scenario.bank,
+        scenario.solver,
+    )
 
 
 @pytest.mark.parametrize(
@@ -562,15 +620,20 @@ _REFERENCE_REL_TOL = 1e-8
         ),
         # About 150 state changes per period.
         lambda: _off_grid_candidate(9),
+        # A blocked bridge terminal held only by the diodes' off
+        # conductance: ill-conditioned in any double-precision solve.
+        lambda: _off_grid_candidate(4),
+        _zero_source_inductance,
     ],
     ids=[
         "baseline", "filtered", "candidate3", "candidate8",
-        "short_last_block", "cap2_flagged", "chattering9",
+        "short_last_block", "cap2_flagged", "chattering9", "candidate4",
+        "zero_ls",
     ],
 )
 def test_step_maps_match_per_step_lu_reference(make):
     scenario = make()
-    record, flagged, states, solves, keys, first_try = _reference_run(scenario)
+    channels, history, flagged, states, solves, keys, first_try = _reference_run(scenario)
     solver = _BlockLog(scenario)
     waves = solver.run()
     assert waves.flagged_steps == flagged
@@ -578,34 +641,41 @@ def test_step_maps_match_per_step_lu_reference(make):
     assert waves.switch_iterations == solves
     assert waves.switch_events == np.count_nonzero(np.diff(keys))
     _assert_block_schedule(solver.blocks, first_try)
-    got = np.column_stack(
-        [waves.channels[name] for name in CHANNEL_IDS] + list(waves.aux.values())
-    )
-    assert got.shape == record.shape
-    assert np.array_equal(got[:, :3], record[:, :3])  # v_src_*
-    deviation = np.max(np.abs(got - record), axis=0)
-    scale = np.max(np.abs(record), axis=0)
-    assert np.all(deviation <= _REFERENCE_REL_TOL * scale), np.max(
-        deviation / np.maximum(scale, 1e-300)
-    )
+    got = np.column_stack([waves.channels[name] for name in CHANNEL_IDS])
+    assert np.array_equal(got[:, :3], channels[:, :3])  # v_src_*
+    for got, expected in ((got, channels), (waves.history, history)):
+        assert got.shape == expected.shape
+        deviation = np.max(np.abs(got - expected), axis=0)
+        scale = np.max(np.abs(expected), axis=0)
+        assert np.all(deviation <= _REFERENCE_REL_TOL * scale), np.max(
+            deviation / np.maximum(scale, 1e-300)
+        )
+
+
+def test_zero_source_inductance_puts_source_at_pcc():
+    waves = hf.run(_zero_source_inductance())
+    for phase in "abc":
+        assert np.array_equal(waves.channels[f"v_pcc_{phase}"], waves.channels[f"v_src_{phase}"])
 
 
 def test_non_finite_guard_names_step_of_per_step_loop(monkeypatch):
-    # A recorded trace overflows at step 115, inside a block of 32 steps
-    # (100 to 131) whose diode voltages stay finite.
+    # The run overflows at step 222, inside a block of 32 steps (196 to
+    # 227).
     scenario = presets.filtered_scenario(hf.SolverConfig(dt_s=1e-5, duration_s=0.2))
     scenario = hf.Scenario(
-        hf.SystemBasis(50.0, 1e306, scenario.basis.source_inductance_h),
+        hf.SystemBasis(50.0, 5e307, scenario.basis.source_inductance_h),
         scenario.load,
         scenario.bank,
         scenario.solver,
     )
-    with pytest.raises(SolverError, match="non-finite solution at step 115$"):
-        hf.run(scenario)
+    solver = _BlockLog(scenario)
+    with pytest.raises(SolverError, match="non-finite solution at step 222$"):
+        solver.run()
+    assert (196, LOOKAHEAD_STEPS) in solver.blocks
     # No block fits: every step runs the fixed-point loop, and the guard's
     # row scan names the first non-finite row.
     monkeypatch.setattr(simulator, "LOOKAHEAD_STEPS", MAX_SAMPLES)
-    with pytest.raises(SolverError, match="non-finite solution at step 115$"):
+    with pytest.raises(SolverError, match="non-finite solution at step 222$"):
         hf.run(scenario)
 
 
