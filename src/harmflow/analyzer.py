@@ -8,7 +8,12 @@ referenced to cos(2*pi*h*f1*t) at the start of the window.
 
 THD uses the aggregate definition sqrt(sum of squared harmonic RMS values,
 h >= 2) over the fundamental RMS.  The DC component is computed and
-reported but excluded from THD.
+reported but excluded from THD.  A spectrum stores magnitudes only; its
+orders (1..N) and THD derive from them.
+
+This module owns the window contract (:func:`samples_per_period`,
+:func:`last_cycles_window`): sample rate and fundamental must be positive
+and finite, and every violation raises :class:`AnalysisError`.
 """
 
 from __future__ import annotations
@@ -33,35 +38,23 @@ class AnalysisError(ValueError):
 class HarmonicSpectrum:
     """Per-order harmonic content of one channel.
 
-    ``magnitudes[k]`` is the RMS magnitude at ``orders[k]`` times the
-    fundamental; ``dc`` is the mean of the window.
+    ``magnitudes[h - 1]`` is the RMS magnitude at ``h`` times the
+    fundamental, for h = 1..N; ``dc`` is the mean of the window.
     """
 
     fundamental_hz: float
-    orders: np.ndarray
     magnitudes: np.ndarray
     phases_rad: np.ndarray
-    thd: float
     rms_total: float
     dc: float
 
     def __post_init__(self) -> None:
-        orders = np.asarray(self.orders, dtype=int)
         mags = np.asarray(self.magnitudes, dtype=float)
         phases = np.asarray(self.phases_rad, dtype=float)
-        if not (len(orders) == len(mags) == len(phases)) or len(orders) < 1:
-            raise AnalysisError("orders, magnitudes and phases must match in length")
-        if orders[0] != 1:
-            raise AnalysisError("spectrum must start at the fundamental (order 1)")
-        object.__setattr__(self, "orders", orders)
+        if len(mags) != len(phases) or len(mags) < 1:
+            raise AnalysisError("magnitudes and phases must match in length")
         object.__setattr__(self, "magnitudes", mags)
         object.__setattr__(self, "phases_rad", phases)
-        if mags[0] > 0.0:
-            thd_check = math.sqrt(float(np.sum(mags[1:] ** 2))) / mags[0]
-            if not math.isclose(thd_check, self.thd, rel_tol=1e-12, abs_tol=1e-300):
-                raise AnalysisError(
-                    f"stored thd {self.thd!r} does not match magnitudes ({thd_check!r})"
-                )
         # Parseval: harmonic plus DC power cannot exceed the window power
         # (equality only for band-limited content).
         power = float(np.sum(mags**2)) + self.dc**2
@@ -69,6 +62,16 @@ class HarmonicSpectrum:
             raise AnalysisError(
                 f"harmonic power {power!r} exceeds total power {self.rms_total**2!r}"
             )
+
+    @property
+    def orders(self) -> np.ndarray:
+        return np.arange(1, len(self.magnitudes) + 1)
+
+    @property
+    def thd(self) -> float:
+        """sqrt(sum_{h>=2} mag_h^2) / mag_1; NaN for a zero fundamental."""
+        m = self.magnitudes
+        return float(np.sqrt(np.sum(m[1:] ** 2)) / m[0]) if m[0] > 0.0 else math.nan
 
     def magnitude(self, order: int) -> float:
         idx = int(order) - 1
@@ -122,14 +125,55 @@ class ComplianceResult:
     limit: float
 
 
-def _window_layout(
+def _check_rates(sample_rate_hz: float, fundamental_hz: float) -> None:
+    for name, value in (("sample_rate_hz", sample_rate_hz), ("fundamental_hz", fundamental_hz)):
+        if not 0.0 < value < math.inf:
+            raise AnalysisError(f"{name} must be positive and finite, got {float(value)!r}")
+
+
+def samples_per_period(sample_rate_hz: float, fundamental_hz: float) -> int:
+    """Samples per fundamental period, which must be an integer of at least
+    2; both rates must be positive and finite."""
+    _check_rates(sample_rate_hz, fundamental_hz)
+    spp_f = float(sample_rate_hz) / fundamental_hz
+    spp = round(spp_f)
+    if spp < 2 or abs(spp_f - spp) > 1e-6 * spp:
+        raise AnalysisError(
+            f"{spp_f!r} samples per fundamental period is not an integer; "
+            "pick dt = T1/k for an integer k"
+        )
+    return spp
+
+
+def last_cycles_window(
+    n_samples: int, sample_rate_hz: float, fundamental_hz: float, n_cycles: int
+) -> range:
+    """Sample index range covering the last ``n_cycles`` whole fundamental
+    periods of an ``n_samples``-long record.
+
+    The sample grid must contain an integer number of samples per period
+    and the record must span at least ``n_cycles + 2`` periods so the
+    window excludes the start-up transient.
+    """
+    if n_cycles < 1:
+        raise AnalysisError(f"n_cycles must be >= 1, got {n_cycles!r}")
+    spp = samples_per_period(sample_rate_hz, fundamental_hz)
+    if n_samples < (n_cycles + 2) * spp:
+        raise AnalysisError(
+            f"waveform spans {n_samples / spp:g} periods; need at least "
+            f"{n_cycles + 2} to window the last {n_cycles}"
+        )
+    return range(n_samples - n_cycles * spp, n_samples)
+
+
+def _window_periods(
     n_samples: int, sample_rate_hz: float, fundamental_hz: float, max_order: int
-) -> tuple[int, float]:
-    """Validate the synchronous-window contract; return (periods, samples/period)."""
+) -> int:
+    """Validate the synchronous-window contract; return the whole periods
+    the window spans."""
     if n_samples < 2:
         raise AnalysisError("window must contain at least 2 samples")
-    if sample_rate_hz <= 0.0 or fundamental_hz <= 0.0:
-        raise AnalysisError("sample rate and fundamental must be positive")
+    _check_rates(sample_rate_hz, fundamental_hz)
     if max_order < 1:
         raise AnalysisError(f"max_order must be >= 1, got {max_order}")
     periods_f = n_samples * fundamental_hz / sample_rate_hz
@@ -145,7 +189,7 @@ def _window_layout(
             f"order {max_order} exceeds the Nyquist guard: {spp:g} samples per "
             f"period supports at most order {int(spp // 2)}"
         )
-    return periods, spp
+    return periods
 
 
 def spectrum(
@@ -160,33 +204,16 @@ def spectrum(
     carry at least ``2 * max_order`` samples per period.
     """
     x = np.asarray(samples, dtype=float)
-    periods, _ = _window_layout(len(x), sample_rate_hz, fundamental_hz, max_order)
+    periods = _window_periods(len(x), sample_rate_hz, fundamental_hz, max_order)
     bins = np.fft.rfft(x)
     coeff = 2.0 * bins[np.arange(1, max_order + 1) * periods] / len(x)
-    mags = np.abs(coeff) / math.sqrt(2.0)
-    phases = np.angle(coeff)
-    dc = float(bins[0].real) / len(x)
-    rms_total = float(np.sqrt(np.mean(x * x)))
-    thd = (
-        float(np.sqrt(np.sum(mags[1:] ** 2)) / mags[0]) if mags[0] > 0.0 else math.nan
-    )
     return HarmonicSpectrum(
         fundamental_hz=fundamental_hz,
-        orders=np.arange(1, max_order + 1),
-        magnitudes=mags,
-        phases_rad=phases,
-        thd=thd,
-        rms_total=rms_total,
-        dc=dc,
+        magnitudes=np.abs(coeff) / math.sqrt(2.0),
+        phases_rad=np.angle(coeff),
+        rms_total=float(np.sqrt(np.mean(x * x))),
+        dc=float(bins[0].real) / len(x),
     )
-
-
-def thd_of(spec: HarmonicSpectrum) -> float:
-    """Recompute sqrt(sum_{h>=2} mag_h^2) / mag_1 from the stored magnitudes."""
-    m = spec.magnitudes
-    if not m[0] > 0.0:
-        raise AnalysisError("THD is undefined for a zero fundamental")
-    return float(np.sqrt(np.sum(m[1:] ** 2)) / m[0])
 
 
 def power_report(
@@ -233,7 +260,7 @@ def settling_residual(
     window's max |x| (0 for an all-zero window).  Needs at least two
     periods."""
     x = np.asarray(samples, dtype=float)
-    periods, _ = _window_layout(len(x), sample_rate_hz, fundamental_hz, 1)
+    periods = _window_periods(len(x), sample_rate_hz, fundamental_hz, 1)
     if periods < 2:
         raise AnalysisError("a settling residual needs at least two periods")
     cycles = x.reshape(periods, -1)
@@ -246,5 +273,7 @@ def ieee519_check(
 ) -> ComplianceResult:
     """Aggregate-THD compliance: passes only when THD is strictly below the
     limit (a value exactly at the limit fails)."""
-    thd = thd_of(spec)
+    if not spec.magnitudes[0] > 0.0:
+        raise AnalysisError("THD is undefined for a zero fundamental")
+    thd = spec.thd
     return ComplianceResult(passed=thd < thd_limit, thd=thd, limit=thd_limit)

@@ -6,6 +6,10 @@ Commands: ``design`` (closed-form bank synthesis to JSON), ``simulate``
 spectrum CSV/SVG and a summary JSON), ``scan`` (impedance sweep to CSV plus
 a resonance JSON), and ``report`` (side-by-side comparison of two runs).
 
+``analyze`` and ``report`` share one analysis path: every input is read and
+validated before any file is analysed, and an unsettled window gets a note
+on stderr once the outputs are written.
+
 Exit codes: 0 on success, 2 for input or validation errors, 3 for numerical
 solver failures.
 """
@@ -18,6 +22,7 @@ import json
 import sys
 import time
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,33 +31,37 @@ from . import svg
 from .analyzer import (
     SETTLING_RESIDUAL_LIMIT,
     AnalysisError,
-    HarmonicSpectrum,
     ieee519_check,
+    last_cycles_window,
     power_report,
     settling_residual,
     spectrum,
 )
-from .design import DesignError, SystemBasis, bank_from_dict, bank_to_dict, design_bank
-from .network import NetworkError, find_resonances, scan
-from .scenario_io import ScenarioError, load_json, load_scenario
-from .simulator import (
-    CHANNEL_IDS,
-    SampleGridError,
-    SolverError,
-    WindowError,
-    last_cycles_window,
-    run,
-)
+from .design import SystemBasis, bank_from_dict, bank_to_dict, design_bank
+from .network import find_resonances, scan
+from .scenario_io import load_json, load_scenario
+from .simulator import CHANNEL_IDS, SolverError, run
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip() != ""]
+    try:
+        return [float(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of numbers, got {text!r}"
+        ) from None
 
 
-def _json_dump(doc: dict, path: Path) -> None:
+def _json_dump(doc: dict, path) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def _output_base(prefix, source) -> str:
+    """Every output path is this plus a suffix: the ``-o`` prefix, or by
+    default ``source`` without its extension."""
+    return str(Path(source).with_suffix("") if prefix is None else Path(prefix))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,10 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", help="size a shunt filter bank and emit its JSON")
     p.add_argument("--c", type=float, required=True, help="capacitance per branch [F]")
     p.add_argument(
-        "--orders", default="5,7,11,13", help="comma list of tuned harmonic orders"
+        "--orders",
+        type=_float_list,
+        default="5,7,11,13",
+        help="comma list of tuned harmonic orders",
     )
     p.add_argument(
         "--st-q",
+        type=_float_list,
         required=True,
         help="quality factor for the tuned branches (one value or comma list)",
     )
@@ -87,23 +100,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="waveform CSV path")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("analyze", help="harmonic/power summary of one channel")
-    p.add_argument("waveform", help="waveform CSV path")
-    p.add_argument("--channel", required=True, help="channel id to analyze")
-    p.add_argument("--f1", type=float, default=50.0, help="fundamental [Hz]")
-    p.add_argument("--max-order", type=int, default=50, help="highest harmonic order")
-    p.add_argument(
-        "--cycles", type=int, default=5, help="steady-state window length [cycles]"
-    )
-    p.add_argument(
+    analyze = sub.add_parser("analyze", help="harmonic/power summary of one channel")
+    analyze.add_argument("waveform", help="waveform CSV path")
+    analyze.add_argument("--channel", required=True, help="channel id to analyze")
+    analyze.add_argument(
         "--v-channel",
         default=None,
         help="voltage channel for the power-factor report",
     )
-    p.add_argument(
+    analyze.add_argument(
         "-o", "--output-prefix", default=None, help="output prefix (default: CSV stem)"
     )
-    p.set_defaults(func=cmd_analyze)
+    analyze.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("scan", help="impedance sweep of a bank JSON")
     p.add_argument("bank", help="bank JSON path")
@@ -118,33 +126,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("report", help="compare a baseline and a filtered run")
-    p.add_argument("baseline", help="baseline waveform CSV")
-    p.add_argument("filtered", help="filtered waveform CSV")
-    p.add_argument("--channel", default="i_src_a")
-    p.add_argument("--f1", type=float, default=50.0)
-    p.add_argument("--max-order", type=int, default=50)
-    p.add_argument("--cycles", type=int, default=5)
-    p.add_argument(
+    report = sub.add_parser("report", help="compare a baseline and a filtered run")
+    report.add_argument("baseline", help="baseline waveform CSV")
+    report.add_argument("filtered", help="filtered waveform CSV")
+    report.add_argument("--channel", default="i_src_a")
+    report.add_argument(
         "-o",
         "--output-prefix",
         default=None,
         help="output prefix (default: filtered stem)",
     )
-    p.set_defaults(func=cmd_report)
+    report.set_defaults(func=cmd_report)
+
+    # analyze and report take the same analysis window.
+    for p in (analyze, report):
+        p.add_argument("--f1", type=float, default=50.0, help="fundamental [Hz]")
+        p.add_argument("--max-order", type=int, default=50, help="highest harmonic order")
+        p.add_argument(
+            "--cycles", type=int, default=5, help="steady-state window length [cycles]"
+        )
     return parser
 
 
 def cmd_design(args: argparse.Namespace) -> int:
     # Only the fundamental enters the design equations.
     basis = SystemBasis(fundamental_hz=args.f1)
-    orders = _float_list(args.orders)
-    st_q = _float_list(args.st_q)
     bank = design_bank(
         basis,
-        orders,
+        args.orders,
         args.c,
-        st_q[0] if len(st_q) == 1 else st_q,
+        args.st_q[0] if len(args.st_q) == 1 else args.st_q,
         args.hp_corner,
         args.hp_q,
     )
@@ -163,9 +174,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - start
     out_csv = Path(args.output)
     waves.to_csv(out_csv)
-    meta_path = out_csv.with_suffix(".meta.json") if out_csv.suffix == ".csv" else Path(
-        str(out_csv) + ".meta.json"
-    )
+    # x.csv gets x.meta.json; any other name gets .meta.json appended.
+    meta_prefix = None if out_csv.suffix == ".csv" else out_csv
     _json_dump(
         {
             "scenario": str(args.scenario),
@@ -183,7 +193,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "switch_events": waves.switch_events,
             "wall_time_s": wall,
         },
-        meta_path,
+        _output_base(meta_prefix, out_csv) + ".meta.json",
     )
     return 0
 
@@ -258,39 +268,47 @@ def _channel_column(names: list[str], data: np.ndarray, channel: str, path) -> n
     return column
 
 
-def _windowed_spectrum(
-    samples: np.ndarray, sample_rate: float, f1: float, max_order: int, cycles: int
-) -> tuple[HarmonicSpectrum, range, float | None]:
-    """Spectrum and settling residual (None for one cycle) of the last
-    ``cycles`` periods, and the window they span."""
-    window = last_cycles_window(len(samples), sample_rate, f1, cycles)
-    x = samples[window.start : window.stop]
-    spec = spectrum(x, sample_rate, f1, max_order)
-    residual = settling_residual(x, sample_rate, f1) if cycles >= 2 else None
-    return spec, window, residual
+def _analyse_files(args: argparse.Namespace, paths: list, channels: list[str]) -> list[tuple]:
+    """Read and validate every input first: each waveform CSV, the match of
+    their sample rates and each file's ``channels`` columns.  Then analyse
+    the last ``args.cycles`` periods of each file's first column: (spectrum,
+    IEEE-519 check, settling residual or None for one cycle, power report
+    against the second column or None)."""
+    tables = [_read_waveform_csv(path) for path in paths]
+    rates = [rate for _, _, rate in tables]
+    if max(rates) - min(rates) > 1e-6 * max(rates):
+        raise AnalysisError(f"sample rates differ: {rates[0]!r} Hz vs {rates[1]!r} Hz")
+    inputs = [
+        (rate, [_channel_column(names, data, channel, path) for channel in channels])
+        for path, (names, data, rate) in zip(paths, tables)
+    ]
+    results = []
+    for rate, columns in inputs:
+        window = last_cycles_window(len(columns[0]), rate, args.f1, args.cycles)
+        i, *v = (column[window.start : window.stop] for column in columns)
+        spec = spectrum(i, rate, args.f1, args.max_order)
+        results.append((
+            spec,
+            ieee519_check(spec),
+            settling_residual(i, rate, args.f1) if args.cycles >= 2 else None,
+            power_report(v[0], i, rate, args.f1) if v else None,
+        ))
+    return results
+
+
+def _note_unsettled(channel: str, path, residual: float | None) -> None:
+    if residual is not None and residual > SETTLING_RESIDUAL_LIMIT:
+        print(
+            f"note: {channel} has not settled: it changes by {residual:.1e} of "
+            f"its peak from cycle to cycle over the analysis window of {path} "
+            f"(limit {SETTLING_RESIDUAL_LIMIT:g})",
+            file=sys.stderr,
+        )
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    names, data, sample_rate = _read_waveform_csv(args.waveform)
-    samples = _channel_column(names, data, args.channel, args.waveform)
-    if args.v_channel is not None:
-        v = _channel_column(names, data, args.v_channel, args.waveform)
-    spec, window, residual = _windowed_spectrum(
-        samples, sample_rate, args.f1, args.max_order, args.cycles
-    )
-    check = ieee519_check(spec)
-    if residual is not None and residual > SETTLING_RESIDUAL_LIMIT:
-        print(
-            f"note: {args.channel} has not settled: it changes by "
-            f"{residual:.1e} of its peak from cycle to cycle over the "
-            f"analysis window (limit {SETTLING_RESIDUAL_LIMIT:g})",
-            file=sys.stderr,
-        )
-    prefix = Path(
-        args.output_prefix
-        if args.output_prefix is not None
-        else Path(args.waveform).with_suffix("")
-    )
+    channels = [args.channel] + ([args.v_channel] if args.v_channel is not None else [])
+    [(spec, check, residual, pf)] = _analyse_files(args, [args.waveform], channels)
     summary = {
         "channel": args.channel,
         "fundamental_hz": args.f1,
@@ -301,27 +319,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "dc": spec.dc,
         "fundamental_rms": float(spec.magnitudes[0]),
         "settling_residual": residual,
-        "ieee519": {"passed": check.passed, "thd": check.thd, "limit": check.limit},
+        "ieee519": asdict(check),
     }
-    if args.v_channel is not None:
-        pf = power_report(
-            v[window.start : window.stop],
-            samples[window.start : window.stop],
-            sample_rate,
-            args.f1,
-        )
-        summary["power"] = {
-            "v_channel": args.v_channel,
-            "active_power_w": pf.active_power_w,
-            "apparent_power_va": pf.apparent_power_va,
-            "true_power_factor": pf.true_power_factor,
-            "displacement_power_factor": pf.displacement_power_factor,
-        }
-    spec.to_csv(Path(str(prefix) + ".spectrum.csv"))
-    Path(str(prefix) + ".spectrum.svg").write_text(
+    if pf is not None:
+        summary["power"] = {"v_channel": args.v_channel, **asdict(pf)}
+    out = _output_base(args.output_prefix, args.waveform)
+    spec.to_csv(out + ".spectrum.csv")
+    Path(out + ".spectrum.svg").write_text(
         svg.spectrum_bar_svg(spec, title=f"{args.channel} spectrum")
     )
-    _json_dump(summary, Path(str(prefix) + ".summary.json"))
+    _json_dump(summary, out + ".summary.json")
+    _note_unsettled(args.channel, args.waveform, residual)
     return 0
 
 
@@ -329,12 +337,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     bank = bank_from_dict(load_json(args.bank))
     curve = scan(bank, args.ls, args.f_start, args.f_end, args.points)
     report = find_resonances(curve)
-    prefix = Path(
-        args.output_prefix
-        if args.output_prefix is not None
-        else Path(args.bank).with_suffix("")
-    )
-    curve.to_csv(Path(str(prefix) + ".impedance.csv"))
+    out = _output_base(args.output_prefix, args.bank)
+    curve.to_csv(out + ".impedance.csv")
     _json_dump(
         {
             "f_start_hz": args.f_start,
@@ -344,61 +348,40 @@ def cmd_scan(args: argparse.Namespace) -> int:
             "series_resonances_hz": list(report.series_resonances_hz),
             "parallel_resonances_hz": list(report.parallel_resonances_hz),
         },
-        Path(str(prefix) + ".resonances.json"),
+        out + ".resonances.json",
     )
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    names_a, data_a, rate_a = _read_waveform_csv(args.baseline)
-    names_b, data_b, rate_b = _read_waveform_csv(args.filtered)
-    if abs(rate_a - rate_b) > 1e-6 * max(rate_a, rate_b):
-        raise AnalysisError(
-            f"sample rates differ: {rate_a!r} Hz vs {rate_b!r} Hz"
-        )
-    col_a = _channel_column(names_a, data_a, args.channel, args.baseline)
-    col_b = _channel_column(names_b, data_b, args.channel, args.filtered)
-    spec_a, _, residual_a = _windowed_spectrum(
-        col_a, rate_a, args.f1, args.max_order, args.cycles
-    )
-    spec_b, _, residual_b = _windowed_spectrum(
-        col_b, rate_b, args.f1, args.max_order, args.cycles
-    )
-    check_a = ieee519_check(spec_a)
-    check_b = ieee519_check(spec_b)
-    prefix = Path(
-        args.output_prefix
-        if args.output_prefix is not None
-        else Path(args.filtered).with_suffix("")
-    )
+    paths = {"baseline": args.baseline, "filtered": args.filtered}
+    results = _analyse_files(args, list(paths.values()), [args.channel])
     report = {
         "channel": args.channel,
         "fundamental_hz": args.f1,
         "max_order": args.max_order,
         "cycles": args.cycles,
-        "baseline": {
-            "csv": str(args.baseline),
-            "thd": spec_a.thd,
-            "fundamental_rms": float(spec_a.magnitudes[0]),
-            "settling_residual": residual_a,
-            "ieee519_passed": check_a.passed,
-        },
-        "filtered": {
-            "csv": str(args.filtered),
-            "thd": spec_b.thd,
-            "fundamental_rms": float(spec_b.magnitudes[0]),
-            "settling_residual": residual_b,
-            "ieee519_passed": check_b.passed,
-        },
-        "thd_delta": spec_b.thd - spec_a.thd,
-        "ieee519_flip": (not check_a.passed) and check_b.passed,
     }
-    _json_dump(report, Path(str(prefix) + ".report.json"))
-    Path(str(prefix) + ".overlay.svg").write_text(
+    for (side, path), (spec, check, residual, _) in zip(paths.items(), results):
+        report[side] = {
+            "csv": str(path),
+            "thd": spec.thd,
+            "fundamental_rms": float(spec.magnitudes[0]),
+            "settling_residual": residual,
+            "ieee519_passed": check.passed,
+        }
+    (spec_a, check_a, *_), (spec_b, check_b, *_) = results
+    report["thd_delta"] = spec_b.thd - spec_a.thd
+    report["ieee519_flip"] = (not check_a.passed) and check_b.passed
+    out = _output_base(args.output_prefix, args.filtered)
+    _json_dump(report, out + ".report.json")
+    Path(out + ".overlay.svg").write_text(
         svg.spectrum_overlay_svg(
             spec_a, spec_b, title=f"{args.channel}: baseline vs filtered"
         )
     )
+    for path, (_, _, residual, _) in zip(paths.values(), results):
+        _note_unsettled(args.channel, path, residual)
     return 0
 
 
@@ -414,16 +397,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    except (
-        ScenarioError,
-        DesignError,
-        NetworkError,
-        AnalysisError,
-        WindowError,
-        SampleGridError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -51,6 +51,8 @@ channel's maximum and the history to 2.8e-9; against per-step stepping,
 to 5e-12 and 2e-12, with the same flagged steps and counters.
 
 All states start at zero; analysis windows exclude the start-up transient.
+:func:`steady_state_window` applies :mod:`harmflow.analyzer`'s window
+contract to a waveform set; a window that breaks it raises AnalysisError.
 ``SolverConfig.record_cycles`` keeps only the last whole fundamental
 periods of a run: every step is taken, but the record, and so the waveform
 set, starts at the window's first step, bit for bit as in a full record.
@@ -66,6 +68,7 @@ import numpy as np
 from scipy.integrate import trapezoid
 from scipy.linalg.lapack import dgetrf, dgetrs
 
+from .analyzer import AnalysisError, last_cycles_window, samples_per_period
 from .design import FilterBank, SystemBasis
 
 TWO_PI = 2.0 * math.pi
@@ -107,14 +110,6 @@ _CHUNK = 4096
 
 class SolverError(RuntimeError):
     """Raised when the transient solve cannot proceed (singular matrix)."""
-
-
-class WindowError(ValueError):
-    """Requested analysis window does not fit the waveform."""
-
-
-class SampleGridError(ValueError):
-    """Sample grid is incommensurate with the fundamental period."""
 
 
 @dataclass(frozen=True)
@@ -215,8 +210,8 @@ class Scenario:
             return 0
         try:
             spp = samples_per_period(1.0 / self.solver.dt_s, self.basis.fundamental_hz)
-        except SampleGridError as exc:
-            raise SampleGridError(f"solver.record_cycles: {exc}") from None
+        except AnalysisError as exc:
+            raise ValueError(f"solver.record_cycles: {exc}") from None
         n = self.solver.n_samples
         if cycles * spp > n:
             raise ValueError(
@@ -609,44 +604,6 @@ class _TransientSolver:
         ])
 
 
-def samples_per_period(sample_rate_hz: float, fundamental_hz: float) -> int:
-    """Samples per fundamental period, which must be an integer of at least
-    2 (:class:`SampleGridError` otherwise); both rates must be positive and
-    finite (:class:`WindowError` otherwise)."""
-    for name, value in (("sample_rate_hz", sample_rate_hz), ("fundamental_hz", fundamental_hz)):
-        if not 0.0 < value < math.inf:
-            raise WindowError(f"{name} must be positive and finite, got {float(value)!r}")
-    spp_f = float(sample_rate_hz) / fundamental_hz
-    spp = round(spp_f)
-    if spp < 2 or abs(spp_f - spp) > 1e-6 * spp:
-        raise SampleGridError(
-            f"{spp_f!r} samples per fundamental period is not an integer; "
-            "pick dt = T1/k for an integer k"
-        )
-    return spp
-
-
-def last_cycles_window(
-    n_samples: int, sample_rate_hz: float, fundamental_hz: float, n_cycles: int
-) -> range:
-    """Sample index range covering the last ``n_cycles`` whole fundamental
-    periods of an ``n_samples``-long record.
-
-    The sample grid must contain an integer number of samples per period
-    and the record must span at least ``n_cycles + 2`` periods so the
-    window excludes the start-up transient.
-    """
-    if n_cycles < 1:
-        raise WindowError(f"n_cycles must be >= 1, got {n_cycles!r}")
-    spp = samples_per_period(sample_rate_hz, fundamental_hz)
-    if n_samples < (n_cycles + 2) * spp:
-        raise WindowError(
-            f"waveform spans {n_samples / spp:g} periods; need at least "
-            f"{n_cycles + 2} to window the last {n_cycles}"
-        )
-    return range(n_samples - n_cycles * spp, n_samples)
-
-
 def steady_state_window(w: WaveformSet, basis: SystemBasis, n_cycles: int) -> range:
     """Last ``n_cycles`` whole fundamental periods of the waveform set."""
     return last_cycles_window(
@@ -679,8 +636,9 @@ def energy_audit(w: WaveformSet, scenario: Scenario, window: range) -> EnergyAud
     Source energy is matched against resistive dissipation (load, filter
     resistors, diode conduction/blocking) and the net change of the energy
     ``m q^2 / 2`` in every inductor and capacitor, with element states and
-    flows read from ``w.history`` (ValueError without one).  The relative
-    imbalance is the defect normalized by the largest term.
+    flows read from ``w.history`` (ValueError without one).  ``window``
+    must be a step-1 range of at least 2 samples (AnalysisError otherwise).
+    The relative imbalance is the defect normalized by the largest term.
     """
     m = _masses(scenario)
     if w.history is None or w.history.shape[1] != len(m):
@@ -688,8 +646,8 @@ def energy_audit(w: WaveformSet, scenario: Scenario, window: range) -> EnergyAud
             f"energy_audit needs the run's history of {len(m)} terms, got "
             f"{None if w.history is None else w.history.shape[1]}"
         )
-    if window.start < 0 or window.stop > w.n_samples or len(window) < 2:
-        raise WindowError(f"window {window!r} does not fit the waveform")
+    if window.step != 1 or window.start < 0 or window.stop > w.n_samples or len(window) < 2:
+        raise AnalysisError(f"window {window!r} is not a step-1 range within the waveform")
     sl = slice(window.start, window.stop)
     z = w.history[window.start : window.stop + 1]
     dt = w.dt_s

@@ -53,7 +53,7 @@ def _axes(
     slot = plot_w / len(orders)
     for h in orders:
         if h == 1 or h % 5 == 0:
-            x = x0 + (h - orders[0] + 0.5) * slot
+            x = x0 + (h - 0.5) * slot
             parts.append(
                 f'<text x="{x:.2f}" y="{y0 + 16:.2f}" font-family="sans-serif" '
                 f'font-size="11" text-anchor="middle">{int(h)}</text>'
@@ -82,8 +82,8 @@ def _axes(
 def _percentages(spec: HarmonicSpectrum) -> np.ndarray:
     base = spec.magnitudes[0]
     if base <= 0.0:
-        return np.zeros_like(np.asarray(spec.magnitudes, dtype=float))
-    return 100.0 * np.asarray(spec.magnitudes, dtype=float) / base
+        return np.zeros_like(spec.magnitudes)
+    return 100.0 * spec.magnitudes / base
 
 
 def _bar_chart(
@@ -105,7 +105,7 @@ def _bar_chart(
     bar_w, shifts = _BAR_LAYOUTS[len(specs)]
     for pct, fill, shift in zip(pcts, _FILLS, shifts):
         for h, p in zip(orders[: len(pct)], pct):
-            x = x0 + (h - orders[0] + shift) * slot
+            x = x0 + (h - 1 + shift) * slot
             bh = p / y_max * plot_h
             parts.append(
                 f'<rect x="{x:.2f}" y="{y0 - bh:.2f}" width="{bar_w * slot:.2f}" '

@@ -161,26 +161,33 @@ def test_scaling_leaves_power_factors_unchanged():
 # --- THD -------------------------------------------------------------------------
 
 
-def test_thd_of_recomputes_stored_value():
-    spp, periods = 400, 3
-    t = np.arange(spp * periods) / spp
-    x = np.sin(TWO_PI * t) + 0.07 * np.sin(7 * TWO_PI * t)
-    spec = hf.spectrum(x, spp * 50.0, 50.0, 10)
-    assert hf.thd_of(spec) == spec.thd
-
-
-def test_thd_of_rejects_zero_fundamental():
+def test_ieee519_check_rejects_zero_fundamental():
     spec = hf.HarmonicSpectrum(
         fundamental_hz=50.0,
-        orders=np.array([1, 3]),
         magnitudes=np.array([0.0, 0.5]),
         phases_rad=np.zeros(2),
-        thd=math.nan,
         rms_total=0.5,
         dc=0.0,
     )
-    with pytest.raises(AnalysisError):
-        hf.thd_of(spec)
+    assert math.isnan(spec.thd)
+    with pytest.raises(AnalysisError, match="zero fundamental"):
+        hf.ieee519_check(spec)
+
+
+def test_hand_built_spectrum_derives_orders_and_thd():
+    spec = hf.HarmonicSpectrum(
+        fundamental_hz=50.0,
+        magnitudes=np.array([2.0, 0.0, 0.6, 0.8]),
+        phases_rad=np.zeros(4),
+        rms_total=3.0,
+        dc=0.0,
+    )
+    assert spec.orders.tolist() == [1, 2, 3, 4]
+    for h in spec.orders:
+        assert spec.magnitude(h) == spec.magnitudes[h - 1]
+    assert spec.thd == 0.5
+    with pytest.raises(AnalysisError, match="order 5 not in spectrum"):
+        spec.magnitude(5)
 
 
 def test_spectrum_only_fundamental_thd_zero():
@@ -210,6 +217,18 @@ def test_spectrum_rejects_orders_beyond_nyquist_guard():
 def test_spectrum_rejects_empty_window():
     with pytest.raises(AnalysisError):
         hf.spectrum(np.array([1.0]), 100.0, 50.0, 1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("rate", ["sample_rate_hz", "fundamental_hz"])
+@pytest.mark.parametrize("analysis", ["spectrum", "power_report", "settling_residual"])
+def test_non_finite_rate_raises_analysis_error(analysis, rate, value):
+    spp = 100
+    x = np.sin(TWO_PI * np.arange(2 * spp) / spp)
+    rates = {"sample_rate_hz": spp * 50.0, "fundamental_hz": 50.0, rate: value}
+    samples = (x, x) if analysis == "power_report" else (x,)
+    with pytest.raises(AnalysisError, match=f"^{rate} must be positive and finite"):
+        getattr(hf, analysis)(*samples, rates["sample_rate_hz"], rates["fundamental_hz"])
 
 
 # --- power report ------------------------------------------------------------------
@@ -285,10 +304,8 @@ def _synthetic_spectrum(thd_target):
     mags = np.array([1.0, thd_target])
     return hf.HarmonicSpectrum(
         fundamental_hz=50.0,
-        orders=np.array([1, 2]),
         magnitudes=mags,
         phases_rad=np.zeros(2),
-        thd=float(np.sqrt(np.sum(mags[1:] ** 2)) / mags[0]),
         rms_total=float(np.sqrt(np.sum(mags**2))),
         dc=0.0,
     )
@@ -330,19 +347,6 @@ def test_spectrum_csv_layout(tmp_path):
     first = lines[2].split(",")
     assert first[0] == "1"
     assert float(first[1]) == 50.0
-
-
-def test_spectrum_validation_rejects_inconsistent_thd():
-    with pytest.raises(AnalysisError):
-        hf.HarmonicSpectrum(
-            fundamental_hz=50.0,
-            orders=np.array([1, 2]),
-            magnitudes=np.array([1.0, 0.1]),
-            phases_rad=np.zeros(2),
-            thd=0.5,
-            rms_total=2.0,
-            dc=0.0,
-        )
 
 
 def test_settling_residual_of_decaying_ringing():

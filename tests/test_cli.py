@@ -104,6 +104,16 @@ def test_design_missing_required_flag_names_it(capsys):
     assert "--st-q" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--st-q", "50,abc"), ("--orders", "5,x")])
+def test_design_unparsable_list_names_flag(capsys, flag, value):
+    argv = ["design", "--c", "1e-5", "--st-q", "50", "--hp-corner", "600", "--hp-q", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected a comma list of numbers, got {value!r}" in err
+
+
 def test_design_invalid_values_exit_2(capsys):
     rc = main(
         ["design", "--c=-1e-5", "--st-q", "50", "--hp-corner", "600", "--hp-q", "2"]
@@ -166,8 +176,8 @@ def test_simulate_outputs_csv_and_metadata(short_waveform, short_scenario_path):
 
 def test_bundled_walkthrough_records_last_cycles(tmp_path, capsys):
     # The README walkthrough: the bundled files record the last 7 of 25
-    # periods, and analyze notes that the filtered run has not settled but
-    # exits 0.
+    # periods, and analyze and report note that the filtered run has not
+    # settled but exit 0.
     notes, residual = {}, {}
     for case in ("baseline", "filtered"):
         csv = tmp_path / f"{case}.csv"
@@ -191,6 +201,10 @@ def test_bundled_walkthrough_records_last_cycles(tmp_path, capsys):
     assert residual["filtered"] == pytest.approx(7.2e-3, rel=0.01)
     argv = ["report", str(tmp_path / "baseline.csv"), str(tmp_path / "filtered.csv")]
     assert main(argv + ["-o", str(tmp_path / "comparison")]) == 0
+    note = capsys.readouterr().err
+    assert note.startswith("note: i_src_a has not settled: it changes by 7.2e-03 ")
+    assert note.count("\n") == 1
+    assert str(tmp_path / "filtered.csv") in note and "baseline.csv" not in note
     report = json.loads((tmp_path / "comparison.report.json").read_text())
     assert round(100 * report["baseline"]["thd"], 2) == 20.41
     assert round(100 * report["filtered"]["thd"], 2) == 4.12
@@ -690,6 +704,20 @@ def test_report_mismatched_sample_rates_exit_2(tmp_path, short_waveform, capsys)
     err = capsys.readouterr().err
     assert "sample rates differ" in err
     assert "np.float64" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_failed_write_prints_one_error_and_no_note(tmp_path, short_waveform, capsys, command):
+    # The short run has not settled, so a successful run prints a note.
+    if command == "analyze":
+        argv = ["analyze", str(short_waveform), "--channel", "i_src_a"]
+    else:
+        argv = ["report", str(short_waveform), str(short_waveform)]
+    rc = main(argv + ["-o", str(tmp_path / "missing" / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["analyze", "report"])

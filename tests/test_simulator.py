@@ -15,18 +15,16 @@ import pytest
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 import harmflow as hf
-from harmflow import presets, simulator
+from harmflow import analyzer, presets, simulator
+from harmflow.analyzer import AnalysisError, last_cycles_window
 from harmflow.design import QualityFactorWarning
 from harmflow.simulator import (
     CHANNEL_IDS,
     LOOKAHEAD_GATE,
     LOOKAHEAD_STEPS,
     MAX_SAMPLES,
-    SampleGridError,
     SolverError,
-    WindowError,
     _TransientSolver,
-    last_cycles_window,
 )
 
 
@@ -70,7 +68,7 @@ def test_record_cycles_must_fit_run_and_grid():
     presets.baseline_scenario(hf.SolverConfig(record_cycles=25))
     with pytest.raises(ValueError, match=r"solver.record_cycles must be at most the 25 "):
         presets.baseline_scenario(hf.SolverConfig(record_cycles=26))
-    with pytest.raises(SampleGridError, match=r"solver.record_cycles: .*T1/k"):
+    with pytest.raises(ValueError, match=r"solver.record_cycles: .*T1/k"):
         presets.baseline_scenario(hf.SolverConfig(dt_s=1.5e-5, record_cycles=7))
 
 
@@ -110,8 +108,8 @@ def test_scenario_requires_ten_periods():
 def test_samples_per_period_rejects_bad_sample_rate(rate):
     # A numpy scalar is printed as a plain float.
     message = f"^sample_rate_hz must be positive and finite, got {float(rate)!r}$"
-    with pytest.raises(simulator.WindowError, match=message):
-        simulator.samples_per_period(rate, 50.0)
+    with pytest.raises(AnalysisError, match=message):
+        analyzer.samples_per_period(rate, 50.0)
 
 
 # --- basic runs ------------------------------------------------------------------
@@ -330,8 +328,19 @@ def test_energy_imbalance_shrinks_with_dt():
 
 def test_energy_audit_rejects_bad_window(baseline_run):
     scenario, waves, _ = baseline_run
-    with pytest.raises(WindowError):
+    with pytest.raises(AnalysisError):
         hf.energy_audit(waves, scenario, range(0, waves.n_samples + 5))
+
+
+@pytest.mark.parametrize("step", [7, -1])
+def test_energy_audit_rejects_window_step(baseline_run, step):
+    # A strided window would be audited as if contiguous; a reversed one
+    # would index past the history.
+    scenario, waves, _ = baseline_run
+    window = hf.steady_state_window(waves, scenario.basis, 5)
+    bounds = (window.start, window.stop) if step > 0 else (window.stop - 1, window.start - 1)
+    with pytest.raises(AnalysisError, match="step-1 range"):
+        hf.energy_audit(waves, scenario, range(*bounds, step))
 
 
 def test_energy_audit_needs_history(baseline_run, filtered_run):
@@ -410,7 +419,7 @@ def test_record_cycles_keeps_last_rows_of_full_record(case, request):
         ))
     assert figures[0] == figures[1]
     # 7 periods are the fewest that hold the 5-period window (n_cycles + 2).
-    with pytest.raises(WindowError):
+    with pytest.raises(AnalysisError):
         hf.steady_state_window(waves, scenario.basis, 6)
 
 
@@ -718,7 +727,7 @@ def test_last_cycles_window_arithmetic():
 
 def test_window_rejects_overlong_request(baseline_run):
     scenario, waves, _ = baseline_run
-    with pytest.raises(WindowError):
+    with pytest.raises(AnalysisError):
         hf.steady_state_window(waves, scenario.basis, 24)
 
 
@@ -726,7 +735,7 @@ def test_window_rejects_incommensurate_grid():
     channels = {"x": np.zeros(1000)}
     waves = hf.WaveformSet(sample_rate_hz=100025.0, channels=channels)
     basis = presets.bundled_basis()
-    with pytest.raises(SampleGridError, match="T1/k"):
+    with pytest.raises(AnalysisError, match="T1/k"):
         hf.steady_state_window(waves, basis, 2)
 
 
