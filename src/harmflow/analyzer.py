@@ -55,13 +55,14 @@ class HarmonicSpectrum:
             raise AnalysisError("magnitudes and phases must match in length")
         object.__setattr__(self, "magnitudes", mags)
         object.__setattr__(self, "phases_rad", phases)
-        # Parseval: harmonic plus DC power cannot exceed the window power
-        # (equality only for band-limited content).
-        power = float(np.sum(mags**2)) + self.dc**2
-        if power > self.rms_total**2 * (1.0 + 1e-9) + 1e-300:
-            raise AnalysisError(
-                f"harmonic power {power!r} exceeds total power {self.rms_total**2!r}"
-            )
+        for name in ("magnitudes", "phases_rad", "rms_total", "dc"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise AnalysisError(f"spectrum {name} must be finite")
+        # Parseval: the harmonic plus DC RMS cannot exceed the window RMS
+        # (equality only for band-limited content); hypot cannot overflow.
+        rms = math.hypot(*mags, self.dc)
+        if rms > self.rms_total * (1.0 + 5e-10) + 1e-150:
+            raise AnalysisError(f"harmonic RMS {rms!r} exceeds total RMS {self.rms_total!r}")
 
     @property
     def orders(self) -> np.ndarray:
@@ -207,11 +208,13 @@ def spectrum(
     periods = _window_periods(len(x), sample_rate_hz, fundamental_hz, max_order)
     bins = np.fft.rfft(x)
     coeff = 2.0 * bins[np.arange(1, max_order + 1) * periods] / len(x)
+    with np.errstate(over="ignore"):  # HarmonicSpectrum rejects an infinite power
+        rms_total = float(np.sqrt(np.mean(x * x)))
     return HarmonicSpectrum(
         fundamental_hz=fundamental_hz,
         magnitudes=np.abs(coeff) / math.sqrt(2.0),
         phases_rad=np.angle(coeff),
-        rms_total=float(np.sqrt(np.mean(x * x))),
+        rms_total=rms_total,
         dc=float(bins[0].real) / len(x),
     )
 
@@ -263,7 +266,7 @@ def settling_residual(
     periods = _window_periods(len(x), sample_rate_hz, fundamental_hz, 1)
     if periods < 2:
         raise AnalysisError("a settling residual needs at least two periods")
-    cycles = x.reshape(periods, -1)
+    cycles = x.reshape(periods, samples_per_period(sample_rate_hz, fundamental_hz))
     peak = float(np.max(np.abs(x)))
     return float(np.max(np.abs(np.diff(cycles, axis=0)))) / peak if peak > 0.0 else 0.0
 

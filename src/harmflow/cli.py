@@ -53,9 +53,7 @@ def _float_list(text: str) -> list[float]:
 
 
 def _json_dump(doc: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _output_base(prefix, source) -> str:

@@ -18,6 +18,10 @@ A second-order high-pass branch keeps the series capacitor but places R in
 parallel with L.  Its corner frequency satisfies the same L-C relation and
 its quality factor uses the reciprocal convention q = R / X_L, with X_L
 evaluated at the corner (where X_L = X_C).
+
+A branch stores R, L and C (and a tuned branch its order), each checked
+positive and finite by its type; q, the tuned frequency and the corner
+derive from them, so the bank JSON holds no ``q`` or ``corner_hz``.
 """
 
 from __future__ import annotations
@@ -37,8 +41,6 @@ HIGH_PASS_Q_RANGE = (0.5, 5.0)
 
 SIX_PULSE_ORDERS = (5, 7, 11, 13)
 
-_REL_TOL = 1e-9
-
 
 class DesignError(ValueError):
     """Raised when a design quantity is outside its mathematical domain."""
@@ -50,8 +52,13 @@ class QualityFactorWarning(UserWarning):
 
 def _require_positive(**values: float) -> None:
     for name, value in values.items():
-        if not value > 0.0:
-            raise DesignError(f"{name} must be positive, got {value!r}")
+        if not 0.0 < value < math.inf:
+            raise DesignError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _resonant_hz(l: float, c: float) -> float:
+    """1/(2*pi*sqrt(LC)), where the reactances of ``l`` and ``c`` cancel."""
+    return 1.0 / (TWO_PI * math.sqrt(l * c))
 
 
 @dataclass(frozen=True)
@@ -98,28 +105,25 @@ class SingleTunedFilter:
     capacitance_f: float
     inductance_h: float
     resistance_ohm: float
-    quality_factor: float
 
     def __post_init__(self) -> None:
         _require_positive(
             capacitance_f=self.capacitance_f,
             inductance_h=self.inductance_h,
             resistance_ohm=self.resistance_ohm,
-            quality_factor=self.quality_factor,
         )
         if not 2.0 <= self.order < math.inf:
             raise DesignError(f"harmonic order must be >= 2 and finite, got {self.order!r}")
-        q_check = math.sqrt(self.inductance_h / self.capacitance_f) / self.resistance_ohm
-        if not math.isclose(q_check, self.quality_factor, rel_tol=_REL_TOL):
-            raise DesignError(
-                f"stored quality factor {self.quality_factor!r} does not match "
-                f"sqrt(L/C)/R = {q_check!r}"
-            )
 
     @property
     def tuned_hz(self) -> float:
         """Frequency where the branch reactances cancel."""
-        return 1.0 / (TWO_PI * math.sqrt(self.inductance_h * self.capacitance_f))
+        return _resonant_hz(self.inductance_h, self.capacitance_f)
+
+    @property
+    def quality_factor(self) -> float:
+        """sqrt(L/C)/R."""
+        return math.sqrt(self.inductance_h / self.capacitance_f) / self.resistance_ohm
 
 
 @dataclass(frozen=True)
@@ -129,29 +133,23 @@ class HighPassFilter:
     capacitance_f: float
     inductance_h: float
     resistance_ohm: float
-    quality_factor: float
-    corner_hz: float
 
     def __post_init__(self) -> None:
         _require_positive(
             capacitance_f=self.capacitance_f,
             inductance_h=self.inductance_h,
             resistance_ohm=self.resistance_ohm,
-            quality_factor=self.quality_factor,
-            corner_hz=self.corner_hz,
         )
-        corner_check = 1.0 / (TWO_PI * math.sqrt(self.inductance_h * self.capacitance_f))
-        if not math.isclose(corner_check, self.corner_hz, rel_tol=_REL_TOL):
-            raise DesignError(
-                f"stored corner {self.corner_hz!r} Hz does not match "
-                f"1/(2*pi*sqrt(LC)) = {corner_check!r} Hz"
-            )
-        q_check = self.resistance_ohm / (TWO_PI * self.corner_hz * self.inductance_h)
-        if not math.isclose(q_check, self.quality_factor, rel_tol=_REL_TOL):
-            raise DesignError(
-                f"stored quality factor {self.quality_factor!r} does not match "
-                f"R/X_L at the corner = {q_check!r}"
-            )
+
+    @property
+    def corner_hz(self) -> float:
+        """Frequency where X_L = X_C."""
+        return _resonant_hz(self.inductance_h, self.capacitance_f)
+
+    @property
+    def quality_factor(self) -> float:
+        """R/X_L at the corner, where X_L = sqrt(L/C)."""
+        return self.resistance_ohm / math.sqrt(self.inductance_h / self.capacitance_f)
 
 
 FilterBranch = SingleTunedFilter | HighPassFilter
@@ -217,7 +215,7 @@ def capacitor_from_reactive_power(q_var: float, basis: SystemBasis) -> float:
 
 def tune_inductor(c: float, order: float, basis: SystemBasis) -> float:
     """Inductance resonating with ``c`` at ``order`` times the fundamental."""
-    _require_positive(capacitance=c, order=order)
+    _require_positive(capacitance=c)
     if not 1.0 <= order < math.inf:
         raise DesignError(f"harmonic order must be >= 1 and finite, got {order!r}")
     return _resonant_inductor(TWO_PI * order * basis.fundamental_hz, c)
@@ -242,41 +240,29 @@ def resistor_from_quality(l: float, c: float, q: float) -> float:
     return math.sqrt(l / c) / q
 
 
-def design_single_tuned(
-    basis: SystemBasis,
-    order: float,
-    c: float,
-    q: float,
-    q_range: tuple[float, float] = SINGLE_TUNED_Q_RANGE,
-) -> SingleTunedFilter:
-    """Size a series R-L-C branch tuned to ``order`` times the fundamental."""
-    _require_positive(capacitance=c, quality_factor=q)
-    if not 2.0 <= order < math.inf:
-        raise DesignError(f"harmonic order must be >= 2 and finite, got {order!r}")
+def _warned(branch: FilterBranch, kind: str, q: float, q_range: tuple[float, float]):
+    """``branch``, after a QualityFactorWarning if ``q`` is outside ``q_range``."""
     if not q_range[0] <= q <= q_range[1]:
         warnings.warn(
-            f"single-tuned quality factor {q:.4g} outside recommended range "
+            f"{kind} quality factor {q:.4g} outside recommended range "
             f"[{q_range[0]:g}, {q_range[1]:g}]",
             QualityFactorWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
+    return branch
+
+
+def design_single_tuned(
+    basis: SystemBasis, order: float, c: float, q: float
+) -> SingleTunedFilter:
+    """Size a series R-L-C branch tuned to ``order`` times the fundamental."""
     l = tune_inductor(c, order, basis)
-    r = resistor_from_quality(l, c, q)
-    return SingleTunedFilter(
-        order=order,
-        capacitance_f=c,
-        inductance_h=l,
-        resistance_ohm=r,
-        quality_factor=q,
-    )
+    branch = SingleTunedFilter(order, c, l, resistor_from_quality(l, c, q))
+    return _warned(branch, "single-tuned", q, SINGLE_TUNED_Q_RANGE)
 
 
 def design_high_pass(
-    basis: SystemBasis,
-    corner_hz: float,
-    c: float,
-    q: float,
-    q_range: tuple[float, float] = HIGH_PASS_Q_RANGE,
+    basis: SystemBasis, corner_hz: float, c: float, q: float
 ) -> HighPassFilter:
     """Size a high-pass branch with the given corner frequency.
 
@@ -284,23 +270,9 @@ def design_high_pass(
     damping resistor follows from R = q * X_L(corner).
     """
     _require_positive(corner_hz=corner_hz, capacitance=c, quality_factor=q)
-    if not q_range[0] <= q <= q_range[1]:
-        warnings.warn(
-            f"high-pass quality factor {q:.4g} outside recommended range "
-            f"[{q_range[0]:g}, {q_range[1]:g}]",
-            QualityFactorWarning,
-            stacklevel=2,
-        )
     w = TWO_PI * corner_hz
     l = _resonant_inductor(w, c)
-    r = q * w * l
-    return HighPassFilter(
-        capacitance_f=c,
-        inductance_h=l,
-        resistance_ohm=r,
-        quality_factor=q,
-        corner_hz=corner_hz,
-    )
+    return _warned(HighPassFilter(c, l, q * w * l), "high-pass", q, HIGH_PASS_Q_RANGE)
 
 
 def design_bank(
@@ -355,11 +327,9 @@ def design_bank_six_pulse(
 # keys of its own fields.
 _BRANCH_KEYS = {
     "order": "order",
-    "corner_hz": "corner_hz",
     "c_farads": "capacitance_f",
     "l_henries": "inductance_h",
     "r_ohms": "resistance_ohm",
-    "q": "quality_factor",
 }
 _BRANCH_KINDS = {"single_tuned": SingleTunedFilter, "high_pass": HighPassFilter}
 

@@ -190,6 +190,23 @@ def test_hand_built_spectrum_derives_orders_and_thd():
         spec.magnitude(5)
 
 
+@pytest.mark.parametrize("field", ["magnitudes", "phases_rad", "rms_total", "dc"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_hand_built_spectrum_rejects_non_finite(field, value):
+    fields = dict(magnitudes=np.array([2.0, 0.6]), phases_rad=np.zeros(2), rms_total=3.0, dc=0.0)
+    fields[field] = np.array([2.0, value]) if field in ("magnitudes", "phases_rad") else value
+    with pytest.raises(AnalysisError, match=f"spectrum {field} must be finite"):
+        hf.HarmonicSpectrum(fundamental_hz=50.0, **fields)
+
+
+def test_parseval_check_cannot_overflow():
+    # Squaring 1e200 overflows a double; the check still accepts or rejects.
+    big = dict(fundamental_hz=50.0, phases_rad=np.zeros(1), dc=1e200)
+    hf.HarmonicSpectrum(magnitudes=np.array([1e200]), rms_total=math.sqrt(2.0) * 1e200, **big)
+    with pytest.raises(AnalysisError, match="exceeds total RMS"):
+        hf.HarmonicSpectrum(magnitudes=np.array([1e200]), rms_total=1e200, **big)
+
+
 def test_spectrum_only_fundamental_thd_zero():
     spp = 100
     t = np.arange(2 * spp) / spp
@@ -368,3 +385,9 @@ def test_settling_residual_needs_two_whole_periods():
         hf.settling_residual(np.ones(200), 200 * 50.0, 50.0)
     with pytest.raises(AnalysisError, match="whole periods"):
         hf.settling_residual(np.ones(300), 200 * 50.0, 50.0)
+
+
+def test_settling_residual_needs_integer_samples_per_period():
+    # Three whole periods of 10/3 samples each cannot be cut into cycles.
+    with pytest.raises(AnalysisError, match="samples per fundamental period is not an integer"):
+        hf.settling_residual(np.ones(10), 1000.0, 300.0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import math
 import warnings
@@ -12,7 +13,7 @@ import pytest
 
 import harmflow as hf
 from harmflow import network, presets
-from harmflow.cli import _read_waveform_csv, main
+from harmflow.cli import _json_dump, _read_waveform_csv, main
 from harmflow.scenario_io import (
     ScenarioError,
     load_scenario,
@@ -75,8 +76,11 @@ def test_design_custom_orders_and_q_list(tmp_path):
         ]
     )
     assert rc == 0
-    doc = json.loads(out.read_text())
-    assert [b["q"] for b in doc["branches"][:2]] == [40.0, 60.0]
+    bank = hf.design.bank_from_dict(json.loads(out.read_text()))
+    assert [b.quality_factor for b in bank.single_tuned] == [
+        pytest.approx(40.0, rel=1e-12),
+        pytest.approx(60.0, rel=1e-12),
+    ]
 
 
 def test_design_out_of_range_quality_warns_but_succeeds(tmp_path, recwarn):
@@ -130,6 +134,19 @@ def test_design_underflowing_frequency_exit_2(tmp_path, capsys, flag):
     rc = main(argv + [flag, "1e-300", "-o", str(out)])
     assert rc == 2
     assert "inductance 1/(w^2 C)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--c", "--st-q", "--hp-corner", "--hp-q"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_design_non_finite_value_exit_2(tmp_path, capsys, flag, value):
+    # An infinite --hp-q once gave r_ohms = Infinity in the bank file.
+    out = tmp_path / "bank.json"
+    flags = {"--c": "1e-5", "--st-q": "50", "--hp-corner": "600", "--hp-q": "2", flag: value}
+    rc = main(["design", *itertools.chain(*flags.items()), "-o", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be positive and finite" in err
     assert not out.exists()
 
 
@@ -611,6 +628,41 @@ def test_scan_non_number_exit_2(tmp_path, ref_bank, capsys):
     assert list(tmp_path.iterdir()) == [bank_path]
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("key", ["c_farads", "l_henries", "r_ohms"])
+@pytest.mark.parametrize("index", [0, 4], ids=["single_tuned", "high_pass"])
+def test_bad_branch_value_exit_2(tmp_path, capsys, index, key, value):
+    section = f"bank.branches[{index}]"
+    rc, err, wrote = _simulate_with(tmp_path, capsys, section, key, value)
+    assert rc == 2 and f"{section}: " in err and "must be positive and finite" in err, err
+    assert not wrote
+    doc = hf.design.bank_to_dict(presets.bundled_bank())
+    doc["branches"][index][key] = value
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps(doc))
+    rc = main(["scan", str(bank_path), "-o", str(tmp_path / "bank")])
+    err = capsys.readouterr().err
+    assert rc == 2 and f"{section}: " in err and "must be positive and finite" in err, err
+    assert not list(tmp_path.glob("bank.*.*"))
+
+
+@pytest.mark.parametrize("command", ["scan", "simulate"])
+def test_bank_file_with_stored_quality_exit_2(tmp_path, capsys, command):
+    # Bank files once stored q (and a high-pass corner_hz) beside R, L and C.
+    doc = hf.design.bank_to_dict(presets.bundled_bank())
+    doc["branches"][0]["q"] = presets.bundled_bank().branches[0].quality_factor
+    if command == "scan":
+        path = tmp_path / "bank.json"
+    else:
+        doc = {**scenario_to_dict(presets.filtered_scenario()), "bank": doc}
+        path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    rc = main([command, str(path), "-o", str(tmp_path / "out.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: unknown key 'q' in bank.branches[0]\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize(
     "branches, message",
     [
@@ -798,6 +850,26 @@ def test_non_finite_analysed_channel_names_line(
     assert not list(tmp_path.glob("out*"))
 
 
+@pytest.mark.parametrize("command", ["analyze", "report"])
+@pytest.mark.parametrize("peak", [1e153, 1e155])
+def test_samples_too_large_to_square_exit_2(tmp_path, capsys, command, peak):
+    # The window power overflows a double: the summary once read
+    # "rms": Infinity, and at 1e155 the Parseval check raised OverflowError.
+    t = np.arange(2000) / 10_000.0
+    path = tmp_path / "huge.csv"
+    np.savetxt(path, np.column_stack([t, peak * np.sin(2 * np.pi * 50.0 * t)]),
+               fmt="%.17g", delimiter=",", header="t_s,i_src_a", comments="")
+    if command == "analyze":
+        argv = ["analyze", str(path), "--channel", "i_src_a"]
+    else:
+        argv = ["report", str(path), str(path)]
+    rc = main(argv + ["-o", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: spectrum rms_total must be finite\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 # --- scenario document validation ----------------------------------------------
 
 
@@ -896,7 +968,7 @@ def test_simulate_extreme_values_fuzz(tmp_path, capsys):
         path for path, value in nodes
         if isinstance(value, (int, float)) and not isinstance(value, bool)
     ]
-    assert len(fields) == 3 + 3 + 6 + 1 + 5 * 5  # basis, load, solver, bank
+    assert len(fields) == 3 + 3 + 6 + 1 + 4 * 4 + 3  # basis, load, solver, bank
     extremes = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, 1e-300, 10**400)
     ill_typed = (None, 5, "x", [], {}, [5], {"a": 1}, True, _DELETED)
     cases = [(field, value) for field in fields for value in extremes]
@@ -933,6 +1005,14 @@ def test_simulate_extreme_values_fuzz(tmp_path, capsys):
 
 
 # --- misc -----------------------------------------------------------------------
+
+
+def test_json_outputs_refuse_non_finite(tmp_path):
+    # A command would exit 2 rather than write Infinity into a summary.
+    path = tmp_path / "x.summary.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _json_dump({"rms": math.inf}, path)
+    assert not path.exists()
 
 
 def test_unknown_subcommand_exit_2():

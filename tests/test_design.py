@@ -160,14 +160,11 @@ def test_design_single_tuned_quality_in_range_is_silent(recwarn):
     assert f.quality_factor == 50.0
 
 
-def test_design_single_tuned_accepts_custom_range(recwarn):
-    hf.design_single_tuned(BASIS, 5, REF_C, 106.24, q_range=(20.0, 120.0))
-    assert not [w for w in recwarn if issubclass(w.category, QualityFactorWarning)]
-
-
 def test_design_single_tuned_rejects_low_order():
-    with pytest.raises(DesignError):
-        hf.design_single_tuned(BASIS, 1.5, REF_C, 50.0)
+    # With an out-of-range q too: every input is validated before warning.
+    for q in (50.0, 500.0):
+        with pytest.raises(DesignError, match="order must be >= 2"):
+            hf.design_single_tuned(BASIS, 1.5, REF_C, q)
 
 
 @given(c=positive_caps, h=orders, q=qualities)
@@ -190,7 +187,7 @@ def test_design_high_pass_reference_row():
     f = hf.design_high_pass(BASIS, 858.3, REF_C, 2.97)
     assert round(f.inductance_h, 4) == REF_HP_L
     assert round(f.resistance_ohm, 2) == REF_HP_R
-    assert f.corner_hz == 858.3
+    assert f.corner_hz == pytest.approx(858.3, rel=1e-12)
 
 
 def test_design_high_pass_unity_q_identity():
@@ -286,26 +283,42 @@ def test_basis_from_line_to_line():
     assert b.source_vrms == pytest.approx(380.0 / math.sqrt(3.0), rel=1e-12)
 
 
-def test_single_tuned_rejects_inconsistent_quality():
-    with pytest.raises(DesignError):
-        hf.SingleTunedFilter(
-            order=5,
-            capacitance_f=REF_C,
-            inductance_h=0.0365,
-            resistance_ohm=0.54,
-            quality_factor=50.0,
-        )
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["capacitance_f", "inductance_h", "resistance_ohm"])
+def test_branches_reject_non_positive_or_non_finite_values(name, value):
+    tuned = dict(order=5, capacitance_f=REF_C, inductance_h=0.0365, resistance_ohm=0.54)
+    high_pass = dict(capacitance_f=REF_C, inductance_h=REF_HP_L, resistance_ohm=REF_HP_R)
+    for cls, values in ((hf.SingleTunedFilter, tuned), (hf.HighPassFilter, high_pass)):
+        with pytest.raises(DesignError, match=f"{name} must be positive and finite"):
+            cls(**{**values, name: value})
 
 
-def test_high_pass_rejects_inconsistent_corner():
-    with pytest.raises(DesignError):
-        hf.HighPassFilter(
-            capacitance_f=REF_C,
-            inductance_h=REF_HP_L,
-            resistance_ohm=REF_HP_R,
-            quality_factor=2.97,
-            corner_hz=500.0,
-        )
+def test_branch_quality_and_corner_are_derived():
+    f5 = hf.SingleTunedFilter(5, REF_C, 0.0365, 0.54)
+    assert f5.quality_factor == pytest.approx(math.sqrt(0.0365 / REF_C) / 0.54, rel=1e-15)
+    assert f5.tuned_hz == pytest.approx(1.0 / (TWO_PI * math.sqrt(0.0365 * REF_C)), rel=1e-15)
+    hp = hf.HighPassFilter(REF_C, REF_HP_L, REF_HP_R)
+    corner = 1.0 / (TWO_PI * math.sqrt(REF_HP_L * REF_C))
+    assert hp.corner_hz == pytest.approx(corner, rel=1e-15)
+    assert hp.quality_factor == pytest.approx(REF_HP_R / (TWO_PI * corner * REF_HP_L), rel=1e-12)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_capacitor_sizing_rejects_non_finite(value):
+    with pytest.raises(DesignError, match="reactive_power must be positive and finite"):
+        hf.capacitor_from_reactive_power(value, BASIS)
+    with pytest.raises(DesignError, match="capacitance must be positive and finite"):
+        hf.reactive_power_of_capacitor(value, BASIS)
+
+
+@pytest.mark.parametrize("q", [math.inf, math.nan, 0.0])
+def test_design_rejects_bad_quality_before_warning(q):
+    # filterwarnings = error would turn a warning issued first into the failure.
+    with pytest.raises(DesignError, match="quality_factor must be positive and finite"):
+        hf.design_single_tuned(BASIS, 5, REF_C, q)
+    with pytest.raises(DesignError, match="quality_factor must be positive and finite"):
+        hf.design_high_pass(BASIS, 858.3, REF_C, q)
+
 
 
 # --- serialization ---------------------------------------------------------
@@ -323,15 +336,24 @@ def test_bank_json_layout(ref_bank):
     assert kinds == ["single_tuned"] * 4 + ["high_pass"]
     for b in doc["branches"]:
         if b["kind"] == "single_tuned":
-            assert set(b) == {"kind", "order", "c_farads", "l_henries", "r_ohms", "q"}
+            assert set(b) == {"kind", "order", "c_farads", "l_henries", "r_ohms"}
         else:
-            assert set(b) == {"kind", "corner_hz", "c_farads", "l_henries", "r_ohms", "q"}
+            assert set(b) == {"kind", "c_farads", "l_henries", "r_ohms"}
 
 
 def test_bank_json_rejects_unknown_key(ref_bank):
     doc = bank_to_dict(ref_bank)
     doc["branches"][0]["color"] = "blue"
     with pytest.raises(DesignError, match="color"):
+        bank_from_dict(doc)
+
+
+@pytest.mark.parametrize("index, key", [(0, "q"), (4, "q"), (4, "corner_hz")])
+def test_bank_json_rejects_derived_keys(ref_bank, index, key):
+    # Old bank files stored q and the corner beside R, L and C.
+    doc = bank_to_dict(ref_bank)
+    doc["branches"][index][key] = 1.0
+    with pytest.raises(DesignError, match=rf"unknown key '{key}' in bank\.branches\[{index}\]"):
         bank_from_dict(doc)
 
 

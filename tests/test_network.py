@@ -114,14 +114,7 @@ def test_hp_impedance_large_r_reduces_to_series_lc():
     corner = 800.0
     l = 1.0 / ((TWO_PI * corner) ** 2 * REF_C)
     r = 1e9
-    q = r / (TWO_PI * corner * l)
-    f = hf.HighPassFilter(
-        capacitance_f=REF_C,
-        inductance_h=l,
-        resistance_ohm=r,
-        quality_factor=q,
-        corner_hz=corner,
-    )
+    f = hf.HighPassFilter(capacitance_f=REF_C, inductance_h=l, resistance_ohm=r)
     for fk in (100.0, 500.0, 2000.0):
         w = TWO_PI * fk
         series = 1j * (w * l - 1.0 / (w * REF_C))
