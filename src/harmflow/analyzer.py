@@ -13,7 +13,9 @@ orders (1..N) and THD derive from them.
 
 This module owns the window contract (:func:`samples_per_period`,
 :func:`last_cycles_window`): sample rate and fundamental must be positive
-and finite, and every violation raises :class:`AnalysisError`.
+and finite, a steady-state window must fit its record and start at least
+2 whole periods after t = 0, and every violation raises
+:class:`AnalysisError`.
 """
 
 from __future__ import annotations
@@ -147,24 +149,40 @@ def samples_per_period(sample_rate_hz: float, fundamental_hz: float) -> int:
 
 
 def last_cycles_window(
-    n_samples: int, sample_rate_hz: float, fundamental_hz: float, n_cycles: int
+    n_samples: int,
+    sample_rate_hz: float,
+    fundamental_hz: float,
+    n_cycles: int,
+    t_start_s: float = 0.0,
 ) -> range:
     """Sample index range covering the last ``n_cycles`` whole fundamental
-    periods of an ``n_samples``-long record.
+    periods of an ``n_samples``-long record whose first sample is at time
+    ``t_start_s`` of a run that starts at t = 0.
 
-    The sample grid must contain an integer number of samples per period
-    and the record must span at least ``n_cycles + 2`` periods so the
-    window excludes the start-up transient.
+    The sample grid must contain an integer number of samples per period,
+    the window must fit the record, and it must start at least 2 whole
+    periods after t = 0 so it excludes the start-up transient.  For a
+    record from t = 0 that means ``n_cycles + 2`` recorded periods.
     """
     if n_cycles < 1:
         raise AnalysisError(f"n_cycles must be >= 1, got {n_cycles!r}")
     spp = samples_per_period(sample_rate_hz, fundamental_hz)
-    if n_samples < (n_cycles + 2) * spp:
+    start = n_samples - n_cycles * spp
+    if start < 0:
         raise AnalysisError(
-            f"waveform spans {n_samples / spp:g} periods; need at least "
-            f"{n_cycles + 2} to window the last {n_cycles}"
+            f"waveform spans {n_samples / spp:g} periods; the last {n_cycles} do not fit"
         )
-    return range(n_samples - n_cycles * spp, n_samples)
+    # Samples from t = 0 to the window's first sample.  The tolerance of
+    # 1e-6 of a sample absorbs the rounding of t_start_s; at t_start_s = 0
+    # both sides are integers, so the rule is exact there.
+    lead = t_start_s * fundamental_hz * spp + start
+    if not lead >= 2 * spp - 1e-6:
+        raise AnalysisError(
+            f"the last {n_cycles} periods start {lead / spp:g} periods after "
+            "t = 0; the window must start at least 2 periods after, past the "
+            "start-up transient"
+        )
+    return range(start, n_samples)
 
 
 def _window_periods(

@@ -196,8 +196,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_waveform_csv(path) -> tuple[list[str], np.ndarray, float]:
-    """Return (channel names, data matrix, sample rate) of a waveform CSV."""
+def _read_waveform_csv(path) -> tuple[list[str], np.ndarray, float, float]:
+    """Return (channel names, data matrix, sample rate, first ``t_s``) of a
+    waveform CSV."""
     with open(path) as fh:
         header = fh.readline().strip()
     names = header.split(",")
@@ -218,7 +219,7 @@ def _read_waveform_csv(path) -> tuple[list[str], np.ndarray, float]:
     if not (np.isfinite(t).all() and (np.diff(t) > 0.0).all()):
         raise AnalysisError(f"{path}: t_s must be finite and strictly increasing")
     sample_rate = float((len(t) - 1) / (t[-1] - t[0]))
-    return names[1:], data[:, 1:], sample_rate
+    return names[1:], data[:, 1:], sample_rate, float(t[0])
 
 
 def _data_lines(path):
@@ -269,20 +270,21 @@ def _channel_column(names: list[str], data: np.ndarray, channel: str, path) -> n
 def _analyse_files(args: argparse.Namespace, paths: list, channels: list[str]) -> list[tuple]:
     """Read and validate every input first: each waveform CSV, the match of
     their sample rates and each file's ``channels`` columns.  Then analyse
-    the last ``args.cycles`` periods of each file's first column: (spectrum,
-    IEEE-519 check, settling residual or None for one cycle, power report
-    against the second column or None)."""
+    the last ``args.cycles`` periods of each file's first column, which must
+    start at least 2 periods after t = 0: (spectrum, IEEE-519 check,
+    settling residual or None for one cycle, power report against the
+    second column or None)."""
     tables = [_read_waveform_csv(path) for path in paths]
-    rates = [rate for _, _, rate in tables]
+    rates = [rate for _, _, rate, _ in tables]
     if max(rates) - min(rates) > 1e-6 * max(rates):
         raise AnalysisError(f"sample rates differ: {rates[0]!r} Hz vs {rates[1]!r} Hz")
     inputs = [
-        (rate, [_channel_column(names, data, channel, path) for channel in channels])
-        for path, (names, data, rate) in zip(paths, tables)
+        (rate, t_start, [_channel_column(names, data, channel, path) for channel in channels])
+        for path, (names, data, rate, t_start) in zip(paths, tables)
     ]
     results = []
-    for rate, columns in inputs:
-        window = last_cycles_window(len(columns[0]), rate, args.f1, args.cycles)
+    for rate, t_start, columns in inputs:
+        window = last_cycles_window(len(columns[0]), rate, args.f1, args.cycles, t_start)
         i, *v = (column[window.start : window.stop] for column in columns)
         spec = spectrum(i, rate, args.f1, args.max_order)
         results.append((

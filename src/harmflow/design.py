@@ -113,7 +113,7 @@ class SingleTunedFilter:
             resistance_ohm=self.resistance_ohm,
         )
         if not 2.0 <= self.order < math.inf:
-            raise DesignError(f"harmonic order must be >= 2 and finite, got {self.order!r}")
+            raise DesignError(f"order must be >= 2 and finite, got {self.order!r}")
 
     @property
     def tuned_hz(self) -> float:
@@ -401,7 +401,10 @@ def _branch_from_dict(doc, where: str) -> FilterBranch:
     try:
         return cls(**values)
     except DesignError as exc:
-        raise DesignError(f"{where}: {exc}") from None
+        # A branch type's message starts with its field; name the key instead.
+        name, _, rule = str(exc).partition(" ")
+        key = {n: k for k, n in keys.items()}.get(name, name)
+        raise DesignError(f"{where}: {key} {rule}") from None
 
 
 def bank_from_dict(doc, where: str = "bank") -> FilterBank:

@@ -52,10 +52,13 @@ to 5e-12 and 2e-12, with the same flagged steps and counters.
 
 All states start at zero; analysis windows exclude the start-up transient.
 :func:`steady_state_window` applies :mod:`harmflow.analyzer`'s window
-contract to a waveform set; a window that breaks it raises AnalysisError.
-``SolverConfig.record_cycles`` keeps only the last whole fundamental
-periods of a run: every step is taken, but the record, and so the waveform
-set, starts at the window's first step, bit for bit as in a full record.
+contract to a waveform set: the window must fit the record and start at
+least 2 whole periods after t = 0, and one that breaks it raises
+AnalysisError.  ``SolverConfig.record_cycles`` keeps only the last whole
+fundamental periods of a run: every step is taken, but the record, and so
+the waveform set, starts at the window's first step, bit for bit as in a
+full record.  A record that starts 2 or more periods into the run may
+therefore hold exactly the periods it analyses.
 """
 
 from __future__ import annotations
@@ -605,9 +608,16 @@ class _TransientSolver:
 
 
 def steady_state_window(w: WaveformSet, basis: SystemBasis, n_cycles: int) -> range:
-    """Last ``n_cycles`` whole fundamental periods of the waveform set."""
+    """Last ``n_cycles`` whole fundamental periods of the waveform set,
+    which must fit it and start at least 2 periods after the run's t = 0
+    (:func:`harmflow.analyzer.last_cycles_window` with the record's start
+    time)."""
     return last_cycles_window(
-        w.n_samples, w.sample_rate_hz, basis.fundamental_hz, n_cycles
+        w.n_samples,
+        w.sample_rate_hz,
+        basis.fundamental_hz,
+        n_cycles,
+        w.first_step / w.sample_rate_hz,
     )
 
 

@@ -44,14 +44,14 @@ def filtered_run():
 @pytest.fixture(scope="session")
 def baseline_bundled_run():
     """The baseline run at the bundled solver settings, which record the
-    last 7 of 25 periods."""
+    last 5 of 25 periods."""
     return _timed_run(presets.baseline_scenario())
 
 
 @pytest.fixture(scope="session")
 def filtered_bundled_run():
     """The filtered run at the bundled solver settings, which record the
-    last 7 of 25 periods."""
+    last 5 of 25 periods."""
     return _timed_run(presets.filtered_scenario())
 
 

@@ -192,7 +192,7 @@ def test_simulate_outputs_csv_and_metadata(short_waveform, short_scenario_path):
 
 
 def test_bundled_walkthrough_records_last_cycles(tmp_path, capsys):
-    # The README walkthrough: the bundled files record the last 7 of 25
+    # The README walkthrough: the bundled files record the last 5 of 25
     # periods, and analyze and report note that the filtered run has not
     # settled but exit 0.
     notes, residual = {}, {}
@@ -200,10 +200,10 @@ def test_bundled_walkthrough_records_last_cycles(tmp_path, capsys):
         csv = tmp_path / f"{case}.csv"
         assert main(["simulate", str(presets.SCENARIOS / f"{case}.json"), "-o", str(csv)]) == 0
         meta = json.loads(csv.with_suffix(".meta.json").read_text())
-        assert meta["record_cycles"] == 7
-        assert meta["n_samples"] == 14_000
-        assert meta["first_step"] == 36_000
-        assert meta["t_start_s"] == 0.36000000000000004
+        assert meta["record_cycles"] == 5
+        assert meta["n_samples"] == 10_000
+        assert meta["first_step"] == 40_000
+        assert meta["t_start_s"] == 0.4
         assert float(csv.read_text().splitlines()[1].split(",")[0]) == meta["t_start_s"]
         capsys.readouterr()
         argv = ["analyze", str(csv), "--channel", "i_src_a", "--v-channel", "v_src_a"]
@@ -529,6 +529,24 @@ def test_analyze_matches_library_path(tmp_path, short_waveform, short_scenario_p
     assert summary["thd"] == pytest.approx(spec.thd, rel=1e-9)
 
 
+@pytest.mark.parametrize("t_start_s, rc", [(0.02, 2), (0.04, 0)])
+def test_analyze_window_must_start_two_periods_in(tmp_path, short_waveform, capsys, t_start_s, rc):
+    # Five periods cut from the run: the window is the whole file, so its
+    # first t_s decides whether it is past the start-up transient.
+    header, *rows = short_waveform.read_text().splitlines()
+    first = next(i for i, row in enumerate(rows) if float(row.split(",")[0]) >= t_start_s)
+    cut = tmp_path / "cut.csv"
+    cut.write_text("\n".join([header, *rows[first : first + 5 * 400]]) + "\n")
+    argv = ["analyze", str(cut), "--channel", "i_src_a", "-o", str(tmp_path / "cut")]
+    assert main(argv) == rc
+    err = capsys.readouterr().err
+    if rc:
+        assert err.startswith("error: the last 5 periods start 1 periods after t = 0; ")
+        assert list(tmp_path.iterdir()) == [cut]
+    else:
+        assert (tmp_path / "cut.summary.json").exists()
+
+
 def test_analyze_unknown_channel_lists_available(tmp_path, short_waveform, capsys):
     rc = main(
         ["analyze", str(short_waveform), "--channel", "i_src_x", "-o", str(tmp_path / "x")]
@@ -541,13 +559,14 @@ def test_analyze_unknown_channel_lists_available(tmp_path, short_waveform, capsy
 
 def _assert_csv_round_trip(waves: hf.WaveformSet, path) -> None:
     waves.to_csv(path)
-    names, data, sample_rate = _read_waveform_csv(path)
+    names, data, sample_rate, t_start = _read_waveform_csv(path)
     assert names == list(CHANNEL_IDS)
     times = np.loadtxt(path, delimiter=",", skiprows=1, usecols=0)
     assert np.array_equal(times, waves.time())
     for i, channel in enumerate(CHANNEL_IDS):
         assert np.array_equal(data[:, i], waves.channels[channel]), channel
     assert sample_rate == pytest.approx(waves.sample_rate_hz, rel=1e-9)
+    assert t_start == times[0]
 
 
 def test_waveform_csv_round_trip_is_bit_exact(tmp_path):
@@ -644,6 +663,30 @@ def test_bad_branch_value_exit_2(tmp_path, capsys, index, key, value):
     err = capsys.readouterr().err
     assert rc == 2 and f"{section}: " in err and "must be positive and finite" in err, err
     assert not list(tmp_path.glob("bank.*.*"))
+
+
+@pytest.mark.parametrize(
+    "index, key, value",
+    [
+        (0, "order", 1),
+        (0, "c_farads", -1.0),
+        (0, "l_henries", -1.0),
+        (0, "r_ohms", -1.0),
+        (4, "c_farads", -1.0),
+        (4, "l_henries", -1.0),
+        (4, "r_ohms", -1.0),
+    ],
+)
+def test_bad_branch_value_names_json_key(tmp_path, capsys, index, key, value):
+    rule = "must be >= 2 and finite" if key == "order" else "must be positive and finite"
+    message = f"bank.branches[{index}]: {key} {rule}, got {float(value)!r}"
+    doc = hf.design.bank_to_dict(presets.bundled_bank())
+    doc["branches"][index][key] = value
+    with pytest.raises(hf.design.DesignError) as info:
+        hf.design.bank_from_dict(doc)
+    assert str(info.value) == message
+    rc, err, wrote = _simulate_with(tmp_path, capsys, f"bank.branches[{index}]", key, value)
+    assert (rc, err, wrote) == (2, f"error: {message}\n", False)
 
 
 @pytest.mark.parametrize("command", ["scan", "simulate"])

@@ -389,19 +389,19 @@ def test_source_channels_are_exact_samples(baseline_run, filtered_run):
 
 @pytest.mark.parametrize("case", ["baseline", "filtered"])
 def test_record_cycles_keeps_last_rows_of_full_record(case, request):
-    # The bundled runs record the last 7 periods; everything they hold and
+    # The bundled runs record the last 5 periods; everything they hold and
     # every figure taken from them equals the full record's, bit for bit.
     scenario, waves, _ = request.getfixturevalue(f"{case}_bundled_run")
     full_scenario, full, _ = request.getfixturevalue(f"{case}_run")
-    assert scenario.solver.record_cycles == 7
+    assert scenario.solver.record_cycles == 5
     assert full_scenario.solver.record_cycles is None
-    assert waves.n_samples == 14_000 and full.n_samples == 50_000
-    assert waves.first_step == 36_000 and full.first_step == 0
-    assert waves.time()[0] == 0.36000000000000004
-    assert np.array_equal(waves.time(), full.time()[-14_000:])
+    assert waves.n_samples == 10_000 and full.n_samples == 50_000
+    assert waves.first_step == 40_000 and full.first_step == 0
+    assert waves.time()[0] == 0.4
+    assert np.array_equal(waves.time(), full.time()[-10_000:])
     for name in CHANNEL_IDS:
-        assert np.array_equal(waves.channels[name], full.channels[name][-14_000:]), name
-    assert np.array_equal(waves.history, full.history[-14_001:])
+        assert np.array_equal(waves.channels[name], full.channels[name][-10_000:]), name
+    assert np.array_equal(waves.history, full.history[-10_001:])
     for counter in ("flagged_steps", "diode_states", "switch_iterations", "switch_events"):
         assert getattr(waves, counter) == getattr(full, counter), counter
     assert waves.switch_events == {"baseline": 490, "filtered": 409}[case]
@@ -418,8 +418,9 @@ def test_record_cycles_keeps_last_rows_of_full_record(case, request):
             hf.energy_audit(w, scenario, window),
         ))
     assert figures[0] == figures[1]
-    # 7 periods are the fewest that hold the 5-period window (n_cycles + 2).
-    with pytest.raises(AnalysisError):
+    # The record starts 20 periods into the run, so it may hold exactly the
+    # 5-period window, but no longer one.
+    with pytest.raises(AnalysisError, match="spans 5 periods; the last 6 do not fit"):
         hf.steady_state_window(waves, scenario.basis, 6)
 
 
@@ -723,6 +724,32 @@ def test_steady_state_window_example(baseline_run):
 def test_last_cycles_window_arithmetic():
     assert last_cycles_window(50000, 1e5, 50.0, 5) == range(40000, 50000)
     assert last_cycles_window(14000, 1e5, 50.0, 5) == range(4000, 14000)
+    # A record that starts 20 periods into the run may hold just the window.
+    assert last_cycles_window(10000, 1e5, 50.0, 5, 0.4) == range(0, 10000)
+    assert last_cycles_window(10000, 1e5, 50.0, 5, 0.04) == range(0, 10000)
+
+
+@pytest.mark.parametrize(
+    "n_samples, t_start_s",
+    [
+        # At t = 0 the rule is n_samples >= (n_cycles + 2) spp, to the sample.
+        (13_999, 0.0),
+        (12_000, 0.0),
+        (10_000, 0.02),  # the window would start 1 period after t = 0
+        (10_000, 0.04 - 1e-5),  # one sample short of 2 periods
+        (14_000, -0.02),  # a negative start time makes the rule stricter
+        (12_000, 0.02 - 1e-5),
+    ],
+)
+def test_window_must_start_two_periods_after_t0(n_samples, t_start_s):
+    with pytest.raises(AnalysisError, match="at least 2 periods after"):
+        last_cycles_window(n_samples, 1e5, 50.0, 5, t_start_s)
+
+
+@pytest.mark.parametrize("t_start_s", [0.0, 0.4, 100.0])
+def test_window_must_fit_record_whatever_its_start(t_start_s):
+    with pytest.raises(AnalysisError, match="spans 5 periods; the last 6 do not fit"):
+        last_cycles_window(10_000, 1e5, 50.0, 6, t_start_s)
 
 
 def test_window_rejects_overlong_request(baseline_run):
