@@ -189,6 +189,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "diode_states": waves.diode_states,
             "switch_iterations": waves.switch_iterations,
             "switch_events": waves.switch_events,
+            "block_steps": waves.block_steps,
             "wall_time_s": wall,
         },
         _output_base(meta_prefix, out_csv) + ".meta.json",

@@ -159,20 +159,32 @@ FilterBranch = SingleTunedFilter | HighPassFilter
 class FilterBank:
     """Ordered collection of shunt branches sharing one bus.
 
-    Single-tuned orders must be strictly increasing and at most one
-    high-pass branch is allowed; its corner must sit above the highest
-    tuned frequency.
+    A single-tuned branch's order must be the harmonic nearest its L-C
+    resonance: ``tuned_hz / fundamental_hz`` lies at most half a harmonic
+    from it, so a branch tuned to 4.7 may be order 5.  Single-tuned orders
+    must be strictly increasing and at most one high-pass branch is
+    allowed; its corner must sit above the highest tuned frequency.
     """
 
     fundamental_hz: float
     branches: tuple[FilterBranch, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if not self.fundamental_hz > 0.0:
+        # The order rule divides by it.
+        if not 0.0 < self.fundamental_hz < math.inf:
             raise DesignError(
-                f"fundamental_hz must be positive, got {self.fundamental_hz!r}"
+                f"fundamental_hz must be positive and finite, got {self.fundamental_hz!r}"
             )
         object.__setattr__(self, "branches", tuple(self.branches))
+        for i, b in enumerate(self.branches):
+            if isinstance(b, SingleTunedFilter):
+                h = b.tuned_hz / self.fundamental_hz
+                if not abs(h - b.order) <= 0.5:
+                    raise DesignError(
+                        f"branches[{i}].order {b.order:g} lies more than half a "
+                        f"harmonic from harmonic {h:.6g}, where its L and C "
+                        f"resonate ({b.tuned_hz:.6g} Hz)"
+                    )
         orders = [b.order for b in self.single_tuned]
         if any(prev >= nxt for prev, nxt in zip(orders, orders[1:])):
             raise DesignError(f"tuned orders must be strictly increasing, got {orders}")
@@ -420,7 +432,8 @@ def bank_from_dict(doc, where: str = "bank") -> FilterBank:
         _branch_from_dict(b, f"{where}.branches[{i}]")
         for i, b in enumerate(doc["branches"])
     ]
-    return FilterBank(
-        fundamental_hz=float(json_number(doc["fundamental_hz"], f"{where}.fundamental_hz")),
-        branches=tuple(branches),
-    )
+    fundamental_hz = float(json_number(doc["fundamental_hz"], f"{where}.fundamental_hz"))
+    try:
+        return FilterBank(fundamental_hz=fundamental_hz, branches=tuple(branches))
+    except DesignError as exc:
+        raise DesignError(f"{where}: {exc}") from None

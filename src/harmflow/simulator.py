@@ -43,12 +43,21 @@ to the same ``w``.  The source voltages are the exact samples.
 Runs of unchanged diode state are stepped in look-ahead blocks of up to B
 steps once G consecutive steps passed the sign test on the first try: one
 product with the state's cached diode rows through ``M^0 .. M^(B-1)``
-(``M`` the ``w`` -> next-``w`` block) finds the steps before the first
-sign change, and one product with ``M^1 .. M^B`` writes their ``w`` into
-the record.  Against a per-step LU solve whose channels come from its
-unknowns and the element laws, the channels agree to 1.3e-10 of each
-channel's maximum and the history to 2.8e-9; against per-step stepping,
-to 5e-12 and 2e-12, with the same flagged steps and counters.
+(``M`` the ``w`` -> next-``w`` block) finds the j steps before the first
+sign change, and the step loop goes on from ``M^j w``, the block's end,
+which it records.  The rows inside the blocks are filled after the loop,
+each as ``M^i`` times the block's starting ``w``: one matrix-matrix
+product per diode state and window of absolute steps, over the stacked
+starting rows of its blocks.  Against a per-step LU solve whose channels
+come from its unknowns and the element laws, the channels agree to
+1.3e-10 of each channel's maximum and the history to 2.8e-9; against
+per-step stepping, to 5e-12 and 2e-12, with the same flagged steps and
+counters.
+
+After the fill the channels are formed chunk by chunk from contiguous
+copies of each history term's rows, and the guard checks that the sum
+of the history and the channels is finite (all is then finite); only a
+sum that is not runs the exact, row-naming check.
 
 All states start at zero; analysis windows exclude the start-up transient.
 :func:`steady_state_window` applies :mod:`harmflow.analyzer`'s window
@@ -57,7 +66,9 @@ least 2 whole periods after t = 0, and one that breaks it raises
 AnalysisError.  ``SolverConfig.record_cycles`` keeps only the last whole
 fundamental periods of a run: every step is taken, but the record, and so
 the waveform set, starts at the window's first step, bit for bit as in a
-full record.  A record that starts 2 or more periods into the run may
+full record: the fill's windows are counted from step 0 and the one that
+holds the first recorded step is filled whole, so each product sees the
+same rows in either run.  A record that starts 2 or more periods into the run may
 therefore hold exactly the periods it analyses.
 """
 
@@ -108,7 +119,11 @@ LOOKAHEAD_STEPS = 32
 LOOKAHEAD_GATE = 2
 
 # Steps whose channels are formed from the history record at a time.
-_CHUNK = 4096
+_CHUNK = 2048
+
+# Absolute steps (from step 0) whose look-ahead blocks are filled with one
+# product per diode state: about 40 rows a product on the 1.2 s filtered run.
+_WINDOW = 16384
 
 
 class SolverError(RuntimeError):
@@ -236,10 +251,11 @@ class WaveformSet:
     fixed form of its rows k and k+1.  :func:`energy_audit` reads it; a
     waveform set read from CSV has none.  ``diode_states`` counts the
     distinct diode state words the run visited, ``switch_iterations`` the
-    fixed-point solves over all steps and ``switch_events`` the steps
-    whose state word differs from the previous step's.  ``first_step`` is
-    the step of the first sample: nonzero when the solver recorded only
-    the last periods of the run.
+    fixed-point solves over all steps, ``switch_events`` the steps whose
+    state word differs from the previous step's and ``block_steps`` the
+    steps taken in look-ahead blocks (each counted as one solve).
+    ``first_step`` is the step of the first sample: nonzero when the solver
+    recorded only the last periods of the run.
     """
 
     sample_rate_hz: float
@@ -249,6 +265,7 @@ class WaveformSet:
     diode_states: int = 0
     switch_iterations: int = 0
     switch_events: int = 0
+    block_steps: int = 0
     first_step: int = 0
 
     def __post_init__(self) -> None:
@@ -356,8 +373,15 @@ class _TransientSolver:
     state adds the diode stamp and folds its solve in as
     ``F_s = out_w + out_x X`` with ``A_s X = -kcl_w``.  ``_tables`` holds
     each state's look-ahead tables: ``M^1 .. M^B``, B·nw × nw, and the
-    signed diode rows, B·6 × nw (380 kB and 60 kB at nw = 39, B = 32).  The
-    ``w`` of steps before ``first_step`` are computed but not recorded."""
+    signed diode rows, B·6 × nw (380 kB and 60 kB at nw = 39, B = 32).
+
+    The step loop computes every step's ``w`` except those inside
+    look-ahead blocks, whose end alone it forms; it queues each block that
+    has inside rows to record.  :meth:`_fill_interiors` then writes those
+    rows with one product per state and window, and the channels are
+    formed from the full record.  The ``w`` of steps before ``first_step``
+    are computed but not recorded, and blocks that end before the window
+    holding ``first_step`` are not filled."""
 
     def __init__(self, scenario: Scenario) -> None:
         cfg = scenario.solver
@@ -488,10 +512,16 @@ class _TransientSolver:
         self._tables[key] = powers, diode
         return powers, diode
 
-    def _lookahead(self, key: int, k: int, w: np.ndarray, record: np.ndarray) -> int:
+    def _lookahead(
+        self, key: int, k: int, w: np.ndarray, record: np.ndarray, queue: np.ndarray, saved: list
+    ) -> int:
         """Steps ``k``, ``k+1``, .. in state ``key`` from ``w`` while they
-        pass the sign test, at most B: records the ``w`` they leave, advances
-        ``w`` in place and returns how many were taken."""
+        pass the sign test, at most B, and returns how many (j) it took.
+        Only the block's end is formed here: ``w`` advances in place to
+        ``M^j w``, which is recorded.  A block with rows inside it whose
+        last one lies in a window that :meth:`_fill_interiors` fills is
+        queued as ``queue[:, k] = j, key``, and the ``w`` entering step k
+        saved when the record does not hold it."""
         powers, diode = self._tables.get(key) or self._lookahead_tables(key)
         # Signed diode voltages of steps k .. k+B-1.  NaN compares false, so
         # a block holding NaN is taken whole and left to the guard after
@@ -500,18 +530,54 @@ class _TransientSolver:
         j = int(neg.argmax())
         j = j // 6 if neg[j] else LOOKAHEAD_STEPS
         if j:
-            nw = len(w)
-            # Record row of the w after step k, then the w after each step.
-            row = k + 1 - self.first_step
-            if row >= 0:
-                after = record[row : row + j]
-                np.dot(powers[: j * nw], w, out=after.reshape(-1))
+            nw, first = len(w), self.first_step
+            if j > 1 and (k + j - 1) // _WINDOW >= first // _WINDOW:
+                queue[0, k] = j
+                queue[1, k] = key
+                if k < first:
+                    saved.append(w.copy())
+            end = powers[(j - 1) * nw : j * nw]
+            if k + j >= first:
+                row = record[k + j - first]
+                np.dot(end, w, out=row)
+                w[:] = row
             else:
-                after = (powers[: j * nw] @ w).reshape(j, nw)
-                if row + j > 0:
-                    record[: row + j] = after[-row:]
-            w[:] = after[-1]
+                w[:] = np.dot(end, w)
         return j
+
+    def _fill_interiors(self, queue: np.ndarray, saved: list, record: np.ndarray) -> None:
+        """Records the rows inside the queued blocks: the ``w`` after steps
+        k .. k+j-2 of the block queued at step k are ``M^1 .. M^(j-1)`` times the
+        ``w`` entering step k.  One product per diode state and window of
+        ``_WINDOW`` absolute steps (the window of a block's last inside
+        row) fills them, so a block's rows do not depend on where the
+        record starts: a product of one row differs in the last bit from
+        the same row in a batch."""
+        ks = np.flatnonzero(queue[0])
+        if not len(ks):
+            return
+        first, nw, b = self.first_step, record.shape[1], LOOKAHEAD_STEPS - 1
+        js, keys = queue[:, ks].astype(np.int64)
+        # Window-major, then by state word (6 bits).
+        group = (ks + js - 1) // _WINDOW * 64 + keys
+        order = np.argsort(group, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(group[order])) + 1)
+        # One buffer for every product: products of varying size, each
+        # allocated anew, leave the heap larger.
+        buffer = np.empty((max(map(len, groups)), b * nw))
+        for idx in groups:
+            # The w entering each block's first step; those saved are of
+            # the first blocks queued.
+            starts = record[np.maximum(ks[idx] - first, 0)]
+            for i in np.flatnonzero(idx < len(saved)).tolist():
+                starts[i] = saved[idx[i]]
+            powers = self._tables[int(keys[idx[0]])][0][: b * nw]
+            after = np.matmul(starts, powers.T, out=buffer[: len(idx)]).reshape(-1, b, nw)
+            for a, k, j in zip(after, ks[idx].tolist(), js[idx].tolist()):
+                # The inside rows from the first recorded one, if any.
+                lo = max(k + 1, first)
+                if lo < k + j:
+                    record[lo - first : k + j - first] = a[lo - k - 1 : j - 1]
 
     def run(self) -> WaveformSet:
         n, maps, max_iter = self.n_samples, self._maps, self.max_iter
@@ -527,18 +593,24 @@ class _TransientSolver:
             record[1 - first] = cur[2]
 
         key = 0  # all diodes blocking
-        solves = events = 0
+        solves = events = blocked = 0
         # Consecutive steps that passed the sign test on the first try.
         streak = 0
         flagged: list[int] = []
+        # Column k: the steps j and state word of a block queued at step k,
+        # else zeros.  A fixed array, since a growing one fragments the
+        # heap.  Then the starting w of the queued blocks the record does
+        # not hold.
+        queue = np.zeros((2, n), dtype=np.int8)
+        saved: list[np.ndarray] = []
         # Overflow is reported by the guard after the loop.
         with np.errstate(over="ignore", invalid="ignore"):
             k = 1
             while k < n:
                 w = cur[2]
                 if streak >= LOOKAHEAD_GATE and k + LOOKAHEAD_STEPS <= n:
-                    j = self._lookahead(key, k, w, record)
-                    solves += j
+                    j = self._lookahead(key, k, w, record, queue, saved)
+                    blocked += j
                     k += j
                     if j == LOOKAHEAD_STEPS:
                         continue
@@ -566,17 +638,27 @@ class _TransientSolver:
                     record[k + 1 - first] = w_next
                 cur, nxt = nxt, cur
                 k += 1
+            self._fill_interiors(queue, saved, record)
+            # The look-ahead tables (440 kB a state) have served; their
+            # memory goes to the channels' temporaries.
+            self._tables.clear()
             history = record[:, : self.n_z]
             channels = np.empty((len(CHANNEL_IDS) - 3, n - first))
-            # In chunks of steps, so that the temporaries stay small.
+            total = 0.0
+            # In chunks of steps, so that the temporaries stay small; each
+            # history term's rows are made contiguous once per chunk.
             for lo in range(0, n - first, _CHUNK):
-                z, e = history[lo : lo + _CHUNK + 1], self.esrc[:, lo : lo + _CHUNK]
-                channels[:, lo : lo + _CHUNK] = self._channels(z, e)
+                z = np.asfortranarray(history[lo : lo + _CHUNK + 1])
+                out = channels[:, lo : lo + _CHUNK]
+                self._channels(z, self.esrc[:, lo : lo + _CHUNK], out)
+                total += z.sum() + out.sum()
 
         # Step k leaves channel row k - first and history row k + 1 - first.
         # A non-finite w stays non-finite, so a run that failed before the
         # record starts fails at its first row.
-        if not (_finite(history) and _finite(channels)):
+        # A sum is finite when all its terms are; one that overflows on
+        # finite terms falls through to the exact check.
+        if not (np.isfinite(total) or _finite(history) and _finite(channels)):
             row = int(np.argmin(_finite(channels, 0) & _finite(history[1:], 1)))
             at = "at or before" if first and row == 0 else "at"
             raise SolverError(f"non-finite solution {at} step {first + row}")
@@ -586,25 +668,27 @@ class _TransientSolver:
             flagged_steps=tuple(flagged),
             history=history,
             diode_states=len(maps),
-            switch_iterations=solves,
+            switch_iterations=solves + blocked,
             switch_events=events,
+            block_steps=blocked,
             first_step=first,
         )
 
-    def _channels(self, z: np.ndarray, e: np.ndarray) -> np.ndarray:
-        """The channels after the source voltages, one row each, of the steps
-        with source samples ``e``, from their history rows and the next."""
+    def _channels(self, z: np.ndarray, e: np.ndarray, out: np.ndarray) -> None:
+        """Writes into ``out`` the channels after the source voltages, one
+        row each, of the steps with source samples ``e``, from their history
+        rows ``z`` and the next, by :func:`_states` and :func:`_flows`.  With
+        ``z`` in column-major order each term's rows are contiguous, and so
+        is every operand."""
         m, dt = self.masses, self.dt
         v_dc = _states(z, _Z_DC)
-        return np.vstack([
-            e - _flows(z, _Z_LS, m, dt).T,
-            _states(z, _Z_LS).T,
-            _states(z, _Z_FE).T,
-            # Each filter branch's current flows through its capacitor.
-            _flows(z, self._caps, m, dt).reshape(len(v_dc), -1, 3).sum(axis=1).T,
-            v_dc,
-            self.g_rl * v_dc + _flows(z, _Z_DC, m, dt),
-        ])
+        np.subtract(e, _flows(z, _Z_LS, m, dt).T, out=out[0:3])
+        out[3:6] = _states(z, _Z_LS).T
+        out[6:9] = _states(z, _Z_FE).T
+        # Each filter branch's current flows through its capacitor.
+        out[9:12] = _flows(z, self._caps, m, dt).T.reshape(-1, 3, len(v_dc)).sum(axis=0)
+        out[12] = v_dc
+        out[13] = self.g_rl * v_dc + _flows(z, _Z_DC, m, dt)
 
 
 def steady_state_window(w: WaveformSet, basis: SystemBasis, n_cycles: int) -> range:

@@ -185,6 +185,7 @@ def test_simulate_outputs_csv_and_metadata(short_waveform, short_scenario_path):
     # A step that changes the state word retries at least once.
     assert 1 <= meta["switch_events"] <= meta["switch_iterations"] - (meta["n_samples"] - 1)
     assert meta["channels"] == list(CHANNEL_IDS)
+    assert 0 < meta["block_steps"] <= meta["n_samples"] - 1
     assert meta["wall_time_s"] > 0.0
     # Recorded whole.
     assert meta["record_cycles"] is None
@@ -204,6 +205,8 @@ def test_bundled_walkthrough_records_last_cycles(tmp_path, capsys):
         assert meta["n_samples"] == 10_000
         assert meta["first_step"] == 40_000
         assert meta["t_start_s"] == 0.4
+        # Counters of the whole run: 49,999 steps, most in look-ahead blocks.
+        assert meta["block_steps"] == {"baseline": 48_906, "filtered": 48_990}[case]
         assert float(csv.read_text().splitlines()[1].split(",")[0]) == meta["t_start_s"]
         capsys.readouterr()
         argv = ["analyze", str(csv), "--channel", "i_src_a", "--v-channel", "v_src_a"]
@@ -636,6 +639,37 @@ def test_scan_inverted_range_exit_2(tmp_path, ref_bank, capsys):
     assert "f_start" in capsys.readouterr().err
 
 
+def _mistuned(bank_doc):
+    """The bank document with its first branch (L and C resonant at the
+    5th harmonic) labelled order 6."""
+    doc = copy.deepcopy(bank_doc)
+    doc["branches"][0]["order"] = 6
+    return doc
+
+
+_MISTUNED = "bank: branches[0].order 6 lies more than half a harmonic from harmonic 5"
+
+
+def test_simulate_tuned_order_off_its_resonance_exit_2(tmp_path, capsys):
+    doc = scenario_to_dict(presets.filtered_scenario())
+    doc["bank"] = _mistuned(doc["bank"])
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["simulate", str(path), "-o", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert _MISTUNED in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_scan_tuned_order_off_its_resonance_exit_2(tmp_path, ref_bank, capsys):
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps(_mistuned(hf.design.bank_to_dict(ref_bank))))
+    rc = main(["scan", str(bank_path), "-o", str(tmp_path / "x")])
+    assert rc == 2
+    assert _MISTUNED in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [bank_path]
+
+
 def test_scan_non_number_exit_2(tmp_path, ref_bank, capsys):
     doc = hf.design.bank_to_dict(ref_bank)
     doc["branches"][1]["r_ohms"] = "abc"
@@ -970,7 +1004,9 @@ def test_scenario_error_carries_field_path():
 def test_scenario_rejects_bank_fundamental_mismatch(ref_bank):
     doc = scenario_to_dict(presets.filtered_scenario())
     doc["bank"]["fundamental_hz"] = 60.0
-    doc["bank"]["branches"] = doc["bank"]["branches"][:1]
+    # The 250 Hz branch is the harmonic nearest 4 of 60 Hz, so the bank
+    # itself is valid.
+    doc["bank"]["branches"] = [{**doc["bank"]["branches"][0], "order": 4}]
     with pytest.raises(ScenarioError, match="fundamental_hz"):
         scenario_from_dict(doc)
 

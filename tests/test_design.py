@@ -3,6 +3,7 @@ algebraic identities."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -243,6 +244,34 @@ def test_bank_rejects_duplicate_orders():
     f5 = hf.design_single_tuned(BASIS, 5, REF_C, 50.0)
     with pytest.raises(DesignError):
         hf.FilterBank(fundamental_hz=50.0, branches=(f5, f5))
+
+
+def test_bank_tuned_order_is_nearest_harmonic():
+    # The order must lie within half a harmonic of tuned_hz / fundamental_hz.
+    f5 = hf.design_single_tuned(BASIS, 5, REF_C, 50.0)
+    for order in (6, 4, 5.6):
+        message = r"branches\[0\]\.order .* more than half a harmonic from harmonic 5,"
+        with pytest.raises(DesignError, match=message):
+            hf.FilterBank(50.0, (dataclasses.replace(f5, order=order),))
+    # A branch tuned a little below its harmonic keeps that order.
+    f47 = hf.design_single_tuned(BASIS, 4.7, REF_C, 50.0)
+    assert hf.FilterBank(50.0, (dataclasses.replace(f47, order=5),)).branches[0].order == 5
+    f7 = hf.design_single_tuned(BASIS, 7, REF_C, 50.0)
+    with pytest.raises(DesignError, match=r"branches\[1\]\.order 8 "):
+        hf.FilterBank(50.0, (f5, dataclasses.replace(f7, order=8)))
+
+
+@pytest.mark.parametrize("f1", [0.0, -50.0, math.inf, math.nan])
+def test_bank_fundamental_must_be_positive_and_finite(f1):
+    hp = hf.design_high_pass(BASIS, 858.3, REF_C, 2.97)
+    with pytest.raises(DesignError, match="fundamental_hz must be positive and finite"):
+        hf.FilterBank(f1, (hp,))
+
+
+def test_bundled_and_designed_banks_are_tuned_to_their_orders(ref_bank):
+    for bank in (ref_bank, hf.design_bank_six_pulse(BASIS, REF_C, 50.0, 858.3, 2.97)):
+        for b in bank.single_tuned:
+            assert abs(b.tuned_hz / bank.fundamental_hz - b.order) <= 1e-12
 
 
 def test_bank_rejects_low_corner():

@@ -371,6 +371,9 @@ def test_switch_counters(baseline_run, filtered_run):
         assert waves.switch_iterations >= waves.n_samples - 1
     assert baseline_run[1].switch_events == 490
     assert filtered_run[1].switch_events == 409
+    # Of the 49,999 steps, those taken in look-ahead blocks.
+    assert baseline_run[1].block_steps == 48_906
+    assert filtered_run[1].block_steps == 48_990
     # The filtered run retries some step with a restored right-hand side,
     # so the pinned figures cover that path of the step loop.
     assert filtered_run[1].switch_iterations > filtered_run[1].n_samples - 1
@@ -385,6 +388,37 @@ def test_source_channels_are_exact_samples(baseline_run, filtered_run):
                 2.0 * math.pi * basis.fundamental_hz * t - ph * 2.0 * math.pi / 3.0
             )
             assert np.array_equal(waves.channels[f"v_src_{phase}"], expected)
+
+
+def _channels_of_history(scenario, waves):
+    """The channels after ``v_src_*``, one column each, from the element
+    laws applied to the whole history at once, rows as steps."""
+    solver = _TransientSolver(scenario)
+    z, m, dt = waves.history, solver.masses, solver.dt
+    states, flows = simulator._states, simulator._flows
+    v_dc = states(z, simulator._Z_DC)
+    v_src = np.column_stack([waves.channels[f"v_src_{p}"] for p in "abc"])
+    return np.column_stack([
+        v_src - flows(z, simulator._Z_LS, m, dt),
+        states(z, simulator._Z_LS),
+        states(z, simulator._Z_FE),
+        flows(z, solver._caps, m, dt).reshape(len(v_dc), -1, 3).sum(axis=1),
+        v_dc,
+        solver.g_rl * v_dc + flows(z, simulator._Z_DC, m, dt),
+    ])
+
+
+@pytest.mark.parametrize(
+    "fixture", ["baseline_bundled_run", "filtered_bundled_run", "settled_filtered_run"]
+)
+def test_channels_are_element_laws_of_whole_history(fixture, request):
+    # The solver forms the channels in chunks of steps from contiguous
+    # copies of each history term; the values are those of the same
+    # arithmetic over the whole history, bit for bit.
+    scenario, waves, _ = request.getfixturevalue(fixture)
+    got = np.column_stack([waves.channels[name] for name in CHANNEL_IDS[3:]])
+    assert len(got) > simulator._CHUNK
+    assert np.array_equal(got, _channels_of_history(scenario, waves))
 
 
 @pytest.mark.parametrize("case", ["baseline", "filtered"])
@@ -443,6 +477,37 @@ def test_record_cycles_on_either_stepping_path(blocks, monkeypatch):
         assert np.array_equal(got, expected[waves.first_step :]), cycles
         assert np.array_equal(waves.history, full.history[waves.first_step :]), cycles
         assert waves.switch_iterations == full.switch_iterations
+
+
+@pytest.mark.parametrize("window", [simulator._WINDOW, 1024], ids=["default", "small"])
+def test_record_cycles_from_mid_window_of_settled_run(window, settled_filtered_run, monkeypatch):
+    # The block interiors are filled one window of absolute steps at a time,
+    # and the window that holds the record's first step is filled whole, so
+    # a record that starts inside a window and spans several holds the full
+    # run's last rows bit for bit.  Here it starts inside a block, too.  In
+    # small windows some state has a single block, and a product of one row
+    # differs in the last bit from the same row in a batch.
+    scenario, full, _ = settled_filtered_run
+    if window != simulator._WINDOW:
+        monkeypatch.setattr(simulator, "_WINDOW", window)
+        full = hf.run(scenario)
+    solver = hf.SolverConfig(
+        dt_s=scenario.solver.dt_s, duration_s=scenario.solver.duration_s, record_cycles=47
+    )
+    logged = _BlockLog(presets.filtered_scenario(solver))
+    waves = logged.run()
+    first = waves.first_step
+    assert first == 119_880 - 47 * 1998
+    assert first % window > LOOKAHEAD_STEPS
+    assert (full.n_samples - 1) // window - first // window >= 3
+    assert any(k + 1 < first < k + j - 1 for k, j in logged.blocks)
+    assert np.array_equal(waves.history, full.history[first:])
+    for name in CHANNEL_IDS:
+        assert np.array_equal(waves.channels[name], full.channels[name][first:]), name
+    for counter in (
+        "flagged_steps", "diode_states", "switch_iterations", "switch_events", "block_steps"
+    ):
+        assert getattr(waves, counter) == getattr(full, counter), counter
 
 
 def test_default_iteration_budget_converges(baseline_run, filtered_run):
@@ -550,8 +615,8 @@ class _BlockLog(_TransientSolver):
         super().__init__(scenario)
         self.blocks = []
 
-    def _lookahead(self, key, k, w, record):
-        j = super()._lookahead(key, k, w, record)
+    def _lookahead(self, key, k, w, record, queue, saved):
+        j = super()._lookahead(key, k, w, record, queue, saved)
         self.blocks.append((k, j))
         return j
 
@@ -702,6 +767,24 @@ def test_non_finite_before_record_names_first_recorded_step():
     )
     with pytest.raises(SolverError, match="non-finite solution at or before step 1800$"):
         hf.run(scenario)
+
+
+def test_guard_passes_finite_run_whose_sum_overflows():
+    # Every value is finite, the largest about 3.3e305, but their sum is
+    # not: the guard's one-pass sum falls back to the exact check.
+    scenario = presets.filtered_scenario(hf.SolverConfig(dt_s=1e-4, duration_s=0.2))
+    scenario = hf.Scenario(
+        hf.SystemBasis(50.0, 1e305, scenario.basis.source_inductance_h),
+        scenario.load,
+        scenario.bank,
+        scenario.solver,
+    )
+    waves = hf.run(scenario)
+    assert np.isfinite(waves.history).all()
+    for name in CHANNEL_IDS:
+        assert np.isfinite(waves.channels[name]).all(), name
+    with np.errstate(over="ignore"):
+        assert np.isinf(waves.history.sum())
 
 
 def test_singular_matrix_names_step():
