@@ -279,13 +279,15 @@ def settling_residual(
     """Largest change between consecutive periods of a window of whole
     fundamental periods, max |cycle k+1 - cycle k|, relative to the
     window's max |x| (0 for an all-zero window).  Needs at least two
-    periods."""
+    periods, all finite."""
     x = np.asarray(samples, dtype=float)
     periods = _window_periods(len(x), sample_rate_hz, fundamental_hz, 1)
     if periods < 2:
         raise AnalysisError("a settling residual needs at least two periods")
-    cycles = x.reshape(periods, samples_per_period(sample_rate_hz, fundamental_hz))
     peak = float(np.max(np.abs(x)))
+    if not math.isfinite(peak):
+        raise AnalysisError("settling-residual window must be finite")
+    cycles = x.reshape(periods, samples_per_period(sample_rate_hz, fundamental_hz))
     return float(np.max(np.abs(np.diff(cycles, axis=0)))) / peak if peak > 0.0 else 0.0
 
 

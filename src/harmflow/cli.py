@@ -199,12 +199,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _read_waveform_csv(path) -> tuple[list[str], np.ndarray, float, float]:
     """Return (channel names, data matrix, sample rate, first ``t_s``) of a
-    waveform CSV."""
+    waveform CSV, whose ``t_s`` must be finite and evenly spaced."""
     with open(path) as fh:
         header = fh.readline().strip()
     names = header.split(",")
     if not names or names[0] != "t_s":
         raise AnalysisError(f"{path}: expected a waveform CSV with a t_s column")
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise AnalysisError(f"{path}: the header names column {repeated[0]!r} twice")
     with warnings.catch_warnings():
         # A file without data rows is reported below.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -217,8 +220,19 @@ def _read_waveform_csv(path) -> tuple[list[str], np.ndarray, float, float]:
     if data.shape[1] != len(names):
         raise AnalysisError(f"{path}: header and data column counts differ")
     t = data[:, 0]
-    if not (np.isfinite(t).all() and (np.diff(t) > 0.0).all()):
+    steps = np.diff(t)
+    if not (np.isfinite(t).all() and (steps > 0.0).all()):
         raise AnalysisError(f"{path}: t_s must be finite and strictly increasing")
+    # The sample rate is that of the mean step, so each step must match it.
+    mean_step = (t[-1] - t[0]) / (len(t) - 1)
+    uneven = np.abs(steps - mean_step) > 1e-6 * mean_step
+    if uneven.any():
+        row = int(np.argmax(uneven)) + 1
+        raise AnalysisError(
+            f"{path}: line {_line_number(path, row)}: t_s step "
+            f"{float(steps[row - 1])!r} differs from the mean step "
+            f"{float(mean_step)!r} by more than 1e-6 of it"
+        )
     sample_rate = float((len(t) - 1) / (t[-1] - t[0]))
     return names[1:], data[:, 1:], sample_rate, float(t[0])
 
@@ -233,6 +247,11 @@ def _data_lines(path):
             line = line.split("#", 1)[0]
             if line.strip():
                 yield number, line
+
+
+def _line_number(path, row: int) -> int:
+    """Line number of data row ``row`` (from 0) of a waveform CSV."""
+    return next(itertools.islice(_data_lines(path), row, None))[0]
 
 
 def _first_bad_line(path, names: list[str]) -> str | None:
@@ -261,9 +280,9 @@ def _channel_column(names: list[str], data: np.ndarray, channel: str, path) -> n
     column = data[:, names.index(channel)]
     if not np.isfinite(column).all():
         row = int(np.argmin(np.isfinite(column)))
-        number = next(itertools.islice(_data_lines(path), row, None))[0]
         raise AnalysisError(
-            f"{path}: line {number}: {channel} value {float(column[row])!r} is not finite"
+            f"{path}: line {_line_number(path, row)}: {channel} value "
+            f"{float(column[row])!r} is not finite"
         )
     return column
 

@@ -75,10 +75,7 @@ class SystemBasis:
     source_inductance_h: float = 0.0016
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.fundamental_hz < math.inf:
-            raise DesignError(
-                f"fundamental_hz must be positive and finite, got {self.fundamental_hz!r}"
-            )
+        _require_positive(fundamental_hz=self.fundamental_hz)
         # Zero volts is allowed so unexcited networks can be simulated.
         for name in ("source_vrms", "source_inductance_h"):
             value = getattr(self, name)
@@ -171,10 +168,7 @@ class FilterBank:
 
     def __post_init__(self) -> None:
         # The order rule divides by it.
-        if not 0.0 < self.fundamental_hz < math.inf:
-            raise DesignError(
-                f"fundamental_hz must be positive and finite, got {self.fundamental_hz!r}"
-            )
+        _require_positive(fundamental_hz=self.fundamental_hz)
         object.__setattr__(self, "branches", tuple(self.branches))
         for i, b in enumerate(self.branches):
             if isinstance(b, SingleTunedFilter):

@@ -154,7 +154,8 @@ def scan(
     """Driving-point impedance seen by harmonic current injected at the bus.
 
     With ``source_inductance_h`` zero the curve is the bank alone; otherwise
-    the source inductance appears in parallel with the bank.
+    the source inductance appears in parallel with the bank.  An impedance
+    that is not finite raises ``NetworkError`` naming its frequency.
     """
     if not (0.0 < f_start < f_end < np.inf):
         raise NetworkError(
@@ -169,7 +170,16 @@ def scan(
             f"source_inductance_h must be non-negative and finite, got {source_inductance_h!r}"
         )
     freqs = np.linspace(f_start, f_end, int(n_points))
-    return ImpedanceCurve(freqs, _bank_z(bank, _angular(freqs), source_inductance_h))
+    # An overflow is reported below, naming the frequency.
+    with np.errstate(all="ignore"):
+        z = _bank_z(bank, _angular(freqs), source_inductance_h)
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise NetworkError(
+            f"impedance at {float(freqs[np.argmin(finite)])!r} Hz is not finite "
+            f"(source_inductance_h {source_inductance_h!r})"
+        )
+    return ImpedanceCurve(freqs, z)
 
 
 def find_resonances(curve: ImpedanceCurve) -> ResonanceReport:

@@ -35,7 +35,6 @@ class ScenarioError(ValueError):
 
 # Each section is read into, and written from, the dataclass of its name.
 _SECTIONS = {"basis": SystemBasis, "load": RectifierLoad, "solver": SolverConfig}
-_INTEGER_FIELDS = ("max_switch_iterations", "record_cycles")
 
 
 def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
@@ -50,12 +49,12 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
             key: json_number(value, f"{name}.{key}", ScenarioError)
             for key, value in section.items()
         }
-    for key in _INTEGER_FIELDS:
-        count = values["solver"].get(key)
-        if isinstance(count, float):
-            if not count.is_integer():
-                raise ScenarioError(f"solver.{key} must be a finite integer, got {count!r}")
-            values["solver"][key] = int(count)
+    # A count may be written as a float with an integer value.
+    cycles = values["solver"].get("record_cycles")
+    if isinstance(cycles, float):
+        if not cycles.is_integer():
+            raise ScenarioError(f"solver.record_cycles must be a finite integer, got {cycles!r}")
+        values["solver"]["record_cycles"] = int(cycles)
 
     sections = {}
     for name, cls in _SECTIONS.items():

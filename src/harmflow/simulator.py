@@ -75,7 +75,7 @@ therefore hold exactly the periods it analyses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import IO, Mapping
 
 import numpy as np
@@ -83,7 +83,7 @@ from scipy.integrate import trapezoid
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .analyzer import AnalysisError, last_cycles_window, samples_per_period
-from .design import FilterBank, SystemBasis
+from .design import FilterBank, SystemBasis, _require_positive
 
 TWO_PI = 2.0 * math.pi
 
@@ -118,6 +118,11 @@ MAX_SAMPLES = 1_500_000
 LOOKAHEAD_STEPS = 32
 LOOKAHEAD_GATE = 2
 
+# Solves one step may take before it is flagged and stepped on.  A diode
+# flips only when another solve is allowed, so the cap must be at least 2
+# or the bridge would stay blocking forever.
+MAX_SWITCH_ITERATIONS = 10
+
 # Steps whose channels are formed from the history record at a time.
 _CHUNK = 2048
 
@@ -140,14 +145,7 @@ class RectifierLoad:
     load_capacitance_f: float = 50e-6
 
     def __post_init__(self) -> None:
-        for name in (
-            "front_end_inductance_h",
-            "load_resistance_ohm",
-            "load_capacitance_f",
-        ):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        _require_positive(**asdict(self))
 
 
 @dataclass(frozen=True)
@@ -162,36 +160,23 @@ class SolverConfig:
     duration_s: float = 0.5
     diode_on_ohm: float = 1e-3
     diode_off_ohm: float = 1e6
-    max_switch_iterations: int = 10
     # Whole fundamental periods kept at the end of the run; None keeps all.
     record_cycles: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("dt_s", "duration_s", "diode_on_ohm", "diode_off_ohm"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        positive = ("dt_s", "duration_s", "diode_on_ohm", "diode_off_ohm")
+        _require_positive(**{name: getattr(self, name) for name in positive})
         samples = self.duration_s / self.dt_s
-        # The solver records round(samples) samples.
-        if not samples < MAX_SAMPLES + 0.5:
+        # The solver records round(samples) samples; round(1.5) is 2.
+        if not 1.5 <= samples < MAX_SAMPLES + 0.5:
             raise ValueError(
-                f"duration_s / dt_s must be finite and round to at most "
-                f"{MAX_SAMPLES} samples, got {samples!r}"
+                f"duration_s / dt_s must be finite and round to at least 2 and "
+                f"at most {MAX_SAMPLES} samples, got {samples!r}"
             )
         if not self.diode_off_ohm / self.diode_on_ohm >= 1e6:
             raise ValueError(
                 "diode_off_ohm / diode_on_ohm must be at least 1e6, got "
                 f"{self.diode_off_ohm / self.diode_on_ohm!r}"
-            )
-        # A diode flips only when another solve is allowed, so a cap of 1
-        # would hold the bridge blocking forever.
-        if type(self.max_switch_iterations) is not int:  # bool is no count
-            raise ValueError(
-                f"max_switch_iterations must be an integer, got {self.max_switch_iterations!r}"
-            )
-        if self.max_switch_iterations < 2:
-            raise ValueError(
-                f"max_switch_iterations must be >= 2, got {self.max_switch_iterations!r}"
             )
         cycles = self.record_cycles
         if cycles is not None and not (type(cycles) is int and cycles >= 1):
@@ -309,7 +294,8 @@ def run(scenario: Scenario) -> WaveformSet:
     """Integrate the scenario and return its waveforms.
 
     Deterministic for identical inputs.  Steps whose diode-state iteration
-    hits the cap are recorded in ``flagged_steps`` rather than raised.
+    hits ``MAX_SWITCH_ITERATIONS`` are recorded in ``flagged_steps`` rather
+    than raised.
     Raises :class:`SolverError` for a singular system matrix or a
     non-finite solution, naming the step.
     """
@@ -387,12 +373,9 @@ class _TransientSolver:
         cfg = scenario.solver
         self.dt = cfg.dt_s
         self.n_samples = cfg.n_samples
-        if self.n_samples < 2:
-            raise ValueError("duration_s must span at least two samples")
         self.first_step = scenario.first_recorded_step()
         self.g_on = 1.0 / cfg.diode_on_ohm
         self.g_off = 1.0 / cfg.diode_off_ohm
-        self.max_iter = cfg.max_switch_iterations
         self.g_rl = 1.0 / scenario.load.load_resistance_ohm
         self.masses = _masses(scenario)
         self.n_z = len(self.masses)
@@ -580,7 +563,7 @@ class _TransientSolver:
                     record[lo - first : k + j - first] = a[lo - k - 1 : j - 1]
 
     def run(self) -> WaveformSet:
-        n, maps, max_iter = self.n_samples, self._maps, self.max_iter
+        n, maps, max_iter = self.n_samples, self._maps, MAX_SWITCH_ITERATIONS
         first, nw = self.first_step, self.n_z + 2
         # Row r holds the w entering step first + r; the w entering steps
         # 0 and 1 are zero but for the source phase.

@@ -11,32 +11,34 @@ import numpy as np
 
 from .analyzer import HarmonicSpectrum
 
+_WIDTH = 720.0
+_HEIGHT = 420.0
 _MARGIN_LEFT = 64.0
 _MARGIN_RIGHT = 16.0
 _MARGIN_TOP = 40.0
 _MARGIN_BOTTOM = 52.0
 
 _FILLS = ("#3a6ea5", "#c05b2d")
+# Legend labels of an overlay's two series.
+_OVERLAY_LABELS = ("baseline", "filtered")
 # Bar width and each series' bar offset, as fractions of an order's slot,
 # by the number of series.
 _BAR_LAYOUTS = {1: (0.7, (0.15,)), 2: (0.38, (0.10, 0.52))}
 
 
-def _header(width: float, height: float, title: str) -> list[str]:
+def _header(title: str) -> list[str]:
     return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" '
-        f'height="{height:g}" viewBox="0 0 {width:g} {height:g}">',
-        f'<rect x="0" y="0" width="{width:g}" height="{height:g}" fill="white"/>',
-        f'<text x="{width / 2:.2f}" y="22" font-family="sans-serif" font-size="15" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:g}" '
+        f'height="{_HEIGHT:g}" viewBox="0 0 {_WIDTH:g} {_HEIGHT:g}">',
+        f'<rect x="0" y="0" width="{_WIDTH:g}" height="{_HEIGHT:g}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.2f}" y="22" font-family="sans-serif" font-size="15" '
         f'text-anchor="middle">{title}</text>',
     ]
 
 
-def _axes(
-    width: float, height: float, orders: np.ndarray, y_max: float
-) -> tuple[list[str], float, float, float]:
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+def _axes(orders: np.ndarray, y_max: float) -> tuple[list[str], float, float, float]:
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
     x0, y0 = _MARGIN_LEFT, _MARGIN_TOP + plot_h
     parts = []
     for frac in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
@@ -87,19 +89,15 @@ def _percentages(spec: HarmonicSpectrum) -> np.ndarray:
 
 
 def _bar_chart(
-    specs: tuple[HarmonicSpectrum, ...],
-    labels: tuple[str, ...],
-    title: str,
-    width: float,
-    height: float,
+    specs: tuple[HarmonicSpectrum, ...], labels: tuple[str, ...], title: str
 ) -> str:
     """Side-by-side bars for one or two spectra on a shared percent axis,
     with a legend entry for each label."""
     orders = max((spec.orders for spec in specs), key=len)
     pcts = [_percentages(spec) for spec in specs]
     y_max = max([100.0] + [float(pct.max()) for pct in pcts if len(pct)])
-    parts = _header(width, height, title)
-    axis_parts, x0, y0, slot = _axes(width, height, orders, y_max)
+    parts = _header(title)
+    axis_parts, x0, y0, slot = _axes(orders, y_max)
     parts += axis_parts
     plot_h = y0 - _MARGIN_TOP
     bar_w, shifts = _BAR_LAYOUTS[len(specs)]
@@ -124,24 +122,14 @@ def _bar_chart(
     return "\n".join(parts) + "\n"
 
 
-def spectrum_bar_svg(
-    spec: HarmonicSpectrum,
-    title: str = "Harmonic spectrum",
-    width: float = 720.0,
-    height: float = 420.0,
-) -> str:
+def spectrum_bar_svg(spec: HarmonicSpectrum, title: str = "Harmonic spectrum") -> str:
     """Bar chart of magnitude versus order, fundamental normalized to 100%."""
-    return _bar_chart((spec,), (), title, width, height)
+    return _bar_chart((spec,), (), title)
 
 
 def spectrum_overlay_svg(
-    spec_a: HarmonicSpectrum,
-    spec_b: HarmonicSpectrum,
-    label_a: str = "baseline",
-    label_b: str = "filtered",
-    title: str = "Harmonic spectra",
-    width: float = 720.0,
-    height: float = 420.0,
+    baseline: HarmonicSpectrum, filtered: HarmonicSpectrum, title: str = "Harmonic spectra"
 ) -> str:
-    """Side-by-side bars for two spectra on a shared percent axis."""
-    return _bar_chart((spec_a, spec_b), (label_a, label_b), title, width, height)
+    """Side-by-side bars for a baseline and a filtered spectrum on a shared
+    percent axis."""
+    return _bar_chart((baseline, filtered), _OVERLAY_LABELS, title)

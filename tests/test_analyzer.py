@@ -387,6 +387,17 @@ def test_settling_residual_needs_two_whole_periods():
         hf.settling_residual(np.ones(300), 200 * 50.0, 50.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["everywhere", "one_sample"])
+def test_settling_residual_rejects_non_finite_window(value, where):
+    # An all-NaN window has no peak to be settled at, nor does one that
+    # holds an infinity.
+    x = np.full(400, value) if where == "everywhere" else np.ones(400)
+    x[123] = value
+    with pytest.raises(AnalysisError, match="settling-residual window must be finite"):
+        hf.settling_residual(x, 200 * 50.0, 50.0)
+
+
 def test_settling_residual_needs_integer_samples_per_period():
     # Three whole periods of 10/3 samples each cannot be cut into cycles.
     with pytest.raises(AnalysisError, match="samples per fundamental period is not an integer"):

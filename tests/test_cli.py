@@ -266,10 +266,11 @@ def test_simulate_missing_file_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
-def test_simulate_iteration_cap_of_one_exit_2(tmp_path, capsys):
-    rc, err, wrote = _simulate_with(tmp_path, capsys, "solver", "max_switch_iterations", 1)
+def test_simulate_iteration_cap_key_exit_2(tmp_path, capsys):
+    # The iteration cap is a solver constant, no longer a scenario field.
+    rc, err, wrote = _simulate_with(tmp_path, capsys, "solver", "max_switch_iterations", 10)
     assert rc == 2
-    assert "solver.max_switch_iterations must be >= 2, got 1" in err
+    assert err == "error: unknown key 'max_switch_iterations' in solver\n"
     assert not wrote
 
 
@@ -317,9 +318,6 @@ def _simulate_with(tmp_path, capsys, section, key, value):
         ("basis", "source_inductance_h", math.nan),
         ("solver", "duration_s", math.inf),
         ("solver", "diode_off_ohm", math.inf),
-        ("solver", "max_switch_iterations", math.inf),
-        ("solver", "max_switch_iterations", -math.inf),
-        ("solver", "max_switch_iterations", math.nan),
         ("bank.branches[0]", "order", math.nan),
         ("bank.branches[3]", "order", math.inf),  # the last tuned branch
     ],
@@ -335,7 +333,7 @@ def test_simulate_non_finite_input_exit_2(tmp_path, capsys, section, key, value)
     "section, key",
     [
         ("basis", "fundamental_hz"),
-        ("solver", "max_switch_iterations"),
+        ("solver", "dt_s"),
         ("bank", "fundamental_hz"),
         ("bank.branches[2]", "l_henries"),
     ],
@@ -763,6 +761,9 @@ def test_scan_malformed_branches_exit_2(tmp_path, capsys, branches, message):
         ("--ls", "nan", "source_inductance_h"),
         ("--ls", "inf", "source_inductance_h"),
         ("--f-end", "inf", "f_end"),
+        # Finite flags whose impedance overflows a double.
+        ("--ls", "1e-320", "impedance at 50.0 Hz is not finite"),
+        ("--f-end", "1e308", "Hz is not finite"),
     ],
 )
 def test_scan_non_finite_flag_exit_2(tmp_path, ref_bank, capsys, flag, value, quantity):
@@ -864,7 +865,10 @@ def test_zero_fundamental_flag_exit_2(tmp_path, short_waveform, capsys, command)
 @pytest.mark.parametrize("command", ["analyze", "report"])
 @pytest.mark.parametrize(
     "defect",
-    ["ragged", "non_numeric", "constant_t", "nan_t", "decreasing_t", "header_only"],
+    [
+        "ragged", "non_numeric", "constant_t", "nan_t", "decreasing_t", "header_only",
+        "uneven_t", "repeated_column",
+    ],
 )
 def test_malformed_waveform_csv_names_file(tmp_path, short_waveform, capsys, command, defect):
     header, *lines = short_waveform.read_text().splitlines()
@@ -880,6 +884,23 @@ def test_malformed_waveform_csv_names_file(tmp_path, short_waveform, capsys, com
     elif defect == "header_only":
         rows = []
         message = "need at least two data rows"
+    elif defect == "uneven_t":
+        # Rows 9 to the last but one shifted by 0.4 of a step: t_s still
+        # increases and the mean step is unchanged.
+        t = [float(cells[0]) for cells in rows]
+        shift = 0.4 * (t[1] - t[0])
+        for cells, value in zip(rows[9:-1], t[9:-1]):
+            cells[0] = repr(value + shift)
+        message = (
+            f"line 11: t_s step {t[9] + shift - t[8]!r} differs from the mean "
+            f"step {(t[-1] - t[0]) / (len(t) - 1)!r} by more than 1e-6 of it"
+        )
+    elif defect == "repeated_column":
+        # --channel i_src_a would read the first of the two.
+        names = header.split(",")
+        names[1 + CHANNEL_IDS.index("v_dc")] = "i_src_a"
+        header = ",".join(names)
+        message = "the header names column 'i_src_a' twice"
     else:
         if defect == "constant_t":
             for cells in rows:
@@ -1001,6 +1022,20 @@ def test_scenario_error_carries_field_path():
         scenario_from_dict(doc)
 
 
+def test_scenario_needs_two_samples():
+    # 0.2 s holds the 10 periods a scenario needs; the step sets the count.
+    doc = scenario_to_dict(presets.baseline_scenario(hf.SolverConfig(duration_s=0.2)))
+    doc["solver"]["dt_s"] = 0.1
+    assert scenario_from_dict(doc).solver.n_samples == 2
+    doc["solver"]["dt_s"] = 0.2 / 1.4
+    with pytest.raises(
+        ScenarioError,
+        match=r"^solver\.duration_s / dt_s must be finite and round to at least 2 and "
+        r"at most 1500000 samples, got 1\.4",
+    ):
+        scenario_from_dict(doc)
+
+
 def test_scenario_rejects_bank_fundamental_mismatch(ref_bank):
     doc = scenario_to_dict(presets.filtered_scenario())
     doc["bank"]["fundamental_hz"] = 60.0
@@ -1009,14 +1044,6 @@ def test_scenario_rejects_bank_fundamental_mismatch(ref_bank):
     doc["bank"]["branches"] = [{**doc["bank"]["branches"][0], "order": 4}]
     with pytest.raises(ScenarioError, match="fundamental_hz"):
         scenario_from_dict(doc)
-
-
-def test_scenario_requires_integer_iteration_cap():
-    for value in (2.5, math.inf, -math.inf, math.nan):
-        doc = scenario_to_dict(presets.baseline_scenario())
-        doc["solver"]["max_switch_iterations"] = value
-        with pytest.raises(ScenarioError, match="max_switch_iterations"):
-            scenario_from_dict(doc)
 
 
 def _nodes(node, path=()):
@@ -1047,7 +1074,7 @@ def test_simulate_extreme_values_fuzz(tmp_path, capsys):
         path for path, value in nodes
         if isinstance(value, (int, float)) and not isinstance(value, bool)
     ]
-    assert len(fields) == 3 + 3 + 6 + 1 + 4 * 4 + 3  # basis, load, solver, bank
+    assert len(fields) == 3 + 3 + 5 + 1 + 4 * 4 + 3  # basis, load, solver, bank
     extremes = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, 1e-300, 10**400)
     ill_typed = (None, 5, "x", [], {}, [5], {"a": 1}, True, _DELETED)
     cases = [(field, value) for field in fields for value in extremes]

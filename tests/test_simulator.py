@@ -46,15 +46,6 @@ def test_solver_config_validation():
         hf.SolverConfig(diode_on_ohm=1.0, diode_off_ohm=1e5)
     with pytest.raises(ValueError, match="diode_off_ohm must be positive and finite"):
         hf.SolverConfig(diode_off_ohm=math.inf)
-    with pytest.raises(ValueError):
-        hf.SolverConfig(max_switch_iterations=0)
-    for value in (2.5, True, "3"):
-        with pytest.raises(ValueError, match="max_switch_iterations must be an integer"):
-            hf.SolverConfig(max_switch_iterations=value)
-    # A diode flips only when another solve is allowed, so a cap of 1 could
-    # never leave the all-blocking state.
-    with pytest.raises(ValueError, match="max_switch_iterations must be >= 2, got 1"):
-        hf.SolverConfig(max_switch_iterations=1)
 
 
 @pytest.mark.parametrize("cycles", [0, -1, 2.5, math.nan, math.inf, True, "3"])
@@ -358,8 +349,9 @@ def test_energy_audit_needs_history(baseline_run, filtered_run):
 # --- switching behavior ---------------------------------------------------------------
 
 
-def test_iteration_cap_flags_steps():
-    solver = hf.SolverConfig(dt_s=1e-4, duration_s=0.2, max_switch_iterations=2)
+def test_iteration_cap_flags_steps(monkeypatch):
+    monkeypatch.setattr(simulator, "MAX_SWITCH_ITERATIONS", 2)
+    solver = hf.SolverConfig(dt_s=1e-4, duration_s=0.2)
     waves = hf.run(presets.baseline_scenario(solver))
     assert len(waves.flagged_steps) > 0
     assert all(1 <= k < waves.n_samples for k in waves.flagged_steps)
@@ -576,7 +568,7 @@ def _reference_run(scenario):
         z = history[k]
         b = -kcl_z @ z
         b[8:11] += s.esrc[:, k]
-        for it in range(s.max_iter):
+        for it in range(simulator.MAX_SWITCH_ITERATIONS):
             if key not in maps:
                 maps[key] = step_map(key)
             lu, piv, out = maps[key]
@@ -585,7 +577,7 @@ def _reference_run(scenario):
             flips = sum(1 << i for i, v in enumerate(y[:6].tolist()) if v < 0.0)
             if not flips:
                 break
-            if it < s.max_iter - 1:
+            if it < simulator.MAX_SWITCH_ITERATIONS - 1:
                 key ^= flips
         else:
             flagged.append(k)
@@ -678,6 +670,12 @@ def _zero_source_inductance():
     )
 
 
+def _cap2_flagged():
+    """Flagged steps between runs that are stepped as blocks, once the test
+    sets the iteration cap to 2, the lowest that lets a diode flip."""
+    return presets.filtered_scenario(hf.SolverConfig(dt_s=1e-4, duration_s=0.2))
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -688,11 +686,7 @@ def _zero_source_inductance():
         # Ends in a run of unchanged state stepped as blocks, then 8 steps
         # one at a time: fewer than B remain.
         lambda: presets.filtered_scenario(hf.SolverConfig(duration_s=0.2401)),
-        # Flagged steps between runs that are stepped as blocks, at the
-        # lowest cap allowed.
-        lambda: presets.filtered_scenario(
-            hf.SolverConfig(dt_s=1e-4, duration_s=0.2, max_switch_iterations=2)
-        ),
+        _cap2_flagged,
         # About 150 state changes per period.
         lambda: _off_grid_candidate(9),
         # A blocked bridge terminal held only by the diodes' off
@@ -706,7 +700,9 @@ def _zero_source_inductance():
         "zero_ls",
     ],
 )
-def test_step_maps_match_per_step_lu_reference(make):
+def test_step_maps_match_per_step_lu_reference(make, monkeypatch):
+    if make is _cap2_flagged:
+        monkeypatch.setattr(simulator, "MAX_SWITCH_ITERATIONS", 2)
     scenario = make()
     channels, history, flagged, states, solves, keys, first_try = _reference_run(scenario)
     solver = _BlockLog(scenario)
