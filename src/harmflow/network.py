@@ -38,11 +38,19 @@ class NetworkError(ValueError):
     """Raised for out-of-domain frequencies or malformed scan requests."""
 
 
-def _angular(f) -> np.ndarray:
+def _evaluate(z_of, f, detail: str = "") -> np.ndarray:
+    """``z_of(w)`` at ``f`` Hz, each positive and finite, without warnings;
+    NetworkError names the first frequency whose impedance is not finite."""
     f = np.atleast_1d(np.asarray(f, dtype=float))
     if not np.all((f > 0.0) & (f < np.inf)):
         raise NetworkError("frequency must be positive and finite")
-    return TWO_PI * f
+    with np.errstate(all="ignore"):
+        z = z_of(TWO_PI * f)
+    finite = np.isfinite(z)
+    if not finite.all():
+        bad = float(f[np.argmin(finite)])
+        raise NetworkError(f"impedance at {bad!r} Hz is not finite{detail}")
+    return z
 
 
 def _scalar_or_array(z: np.ndarray, f):
@@ -92,14 +100,14 @@ def branch_impedance(branch: FilterBranch, f):
     single-tuned branch, 1/(jwC) + 1/(1/R + 1/(jwL)) for a high-pass one.
 
     Accepts a scalar or an array of frequencies; each must be positive and
-    finite, else ``NetworkError``.
+    finite, and so must each impedance, else ``NetworkError``.
     """
-    return _scalar_or_array(_branch_z(branch, _angular(f)), f)
+    return _scalar_or_array(_evaluate(lambda w: _branch_z(branch, w), f), f)
 
 
 def bank_impedance(bank: FilterBank, f):
     """Parallel combination 1 / sum(1/Z_branch) of every branch at ``f`` Hz."""
-    return _scalar_or_array(_bank_z(bank, _angular(f)), f)
+    return _scalar_or_array(_evaluate(lambda w: _bank_z(bank, w), f), f)
 
 
 @dataclass(frozen=True)
@@ -170,15 +178,8 @@ def scan(
             f"source_inductance_h must be non-negative and finite, got {source_inductance_h!r}"
         )
     freqs = np.linspace(f_start, f_end, int(n_points))
-    # An overflow is reported below, naming the frequency.
-    with np.errstate(all="ignore"):
-        z = _bank_z(bank, _angular(freqs), source_inductance_h)
-    finite = np.isfinite(z)
-    if not finite.all():
-        raise NetworkError(
-            f"impedance at {float(freqs[np.argmin(finite)])!r} Hz is not finite "
-            f"(source_inductance_h {source_inductance_h!r})"
-        )
+    detail = f" (source_inductance_h {source_inductance_h!r})"
+    z = _evaluate(lambda w: _bank_z(bank, w, source_inductance_h), freqs, detail)
     return ImpedanceCurve(freqs, z)
 
 

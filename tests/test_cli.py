@@ -6,13 +6,18 @@ import copy
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import harmflow as hf
-from harmflow import network, presets
+from harmflow import network, presets, simulator
 from harmflow.cli import _json_dump, _read_waveform_csv, main
 from harmflow.scenario_io import (
     ScenarioError,
@@ -267,18 +272,53 @@ def test_simulate_missing_file_exit_2(tmp_path, capsys):
 
 
 def test_simulate_iteration_cap_key_exit_2(tmp_path, capsys):
-    # The iteration cap is a solver constant, no longer a scenario field.
-    rc, err, wrote = _simulate_with(tmp_path, capsys, "solver", "max_switch_iterations", 10)
-    assert rc == 2
-    assert err == "error: unknown key 'max_switch_iterations' in solver\n"
-    assert not wrote
+    # The iteration cap and the diode resistances are solver constants, no
+    # longer scenario fields.
+    for key, value in (
+        ("max_switch_iterations", 10), ("diode_on_ohm", 1e-3), ("diode_off_ohm", 1e6)
+    ):
+        rc, err, wrote = _simulate_with(tmp_path, capsys, "solver", key, value)
+        assert rc == 2
+        assert err == f"error: unknown key '{key}' in solver\n"
+        assert not wrote
 
 
-def test_simulate_solver_failure_exit_3(tmp_path, capsys):
+def test_runs_without_scipy(tmp_path, short_scenario_path):
+    """The package needs numpy alone: with scipy unimportable, ``simulate``
+    runs a short scenario and the energy audit of the run balances."""
+    code = textwrap.dedent(f"""
+        import sys
+        sys.modules["scipy"] = None
+        import harmflow as hf
+        from harmflow import cli
+        from harmflow.scenario_io import load_scenario
+
+        path = {str(short_scenario_path)!r}
+        assert cli.main(["simulate", path, "-o", {str(tmp_path / "run.csv")!r}]) == 0
+        scenario = load_scenario(path)
+        waves = hf.run(scenario)
+        window = hf.steady_state_window(waves, scenario.basis, 5)
+        assert hf.energy_audit(waves, scenario, window).relative_imbalance < 1e-3
+        assert not [name for name in sys.modules if name.startswith("scipy.")]
+    """)
+    src = str(Path(hf.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_simulate_solver_failure_exit_3(tmp_path, capsys, monkeypatch):
+    # With every diode blocking and no off-state conductance, nothing holds
+    # the DC bus's common-mode voltage: the matrix is exactly singular.
+    monkeypatch.setattr(simulator, "DIODE_OFF_OHM", math.inf)
     doc = scenario_to_dict(
         presets.baseline_scenario(hf.SolverConfig(dt_s=1e-4, duration_s=0.2))
     )
-    doc["solver"]["diode_off_ohm"] = 1e300
     path = tmp_path / "singular.json"
     path.write_text(json.dumps(doc))
     rc = main(["simulate", str(path), "-o", str(tmp_path / "x.csv")])
@@ -317,7 +357,6 @@ def _simulate_with(tmp_path, capsys, section, key, value):
         ("basis", "source_vrms", math.nan),
         ("basis", "source_inductance_h", math.nan),
         ("solver", "duration_s", math.inf),
-        ("solver", "diode_off_ohm", math.inf),
         ("bank.branches[0]", "order", math.nan),
         ("bank.branches[3]", "order", math.inf),  # the last tuned branch
     ],
@@ -1074,7 +1113,7 @@ def test_simulate_extreme_values_fuzz(tmp_path, capsys):
         path for path, value in nodes
         if isinstance(value, (int, float)) and not isinstance(value, bool)
     ]
-    assert len(fields) == 3 + 3 + 5 + 1 + 4 * 4 + 3  # basis, load, solver, bank
+    assert len(fields) == 3 + 3 + 3 + 1 + 4 * 4 + 3  # basis, load, solver, bank
     extremes = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, 1e-300, 10**400)
     ill_typed = (None, 5, "x", [], {}, [5], {"a": 1}, True, _DELETED)
     cases = [(field, value) for field in fields for value in extremes]

@@ -71,6 +71,11 @@ def test_st_impedance_rejects_nonpositive_frequency():
             hf.branch_impedance(f5, bad)
         with pytest.raises(NetworkError, match="positive and finite"):
             hf.bank_impedance(hf.FilterBank(50.0, (f5,)), np.array([100.0, bad]))
+    # Finite frequencies whose impedance is not finite name the frequency.
+    with pytest.raises(NetworkError, match=r"^impedance at 1e\+308 Hz is not finite$"):
+        hf.bank_impedance(hf.FilterBank(50.0, (f5,)), np.array([100.0, 1e308]))
+    with pytest.raises(NetworkError, match=r"^impedance at 1e-320 Hz is not finite$"):
+        hf.branch_impedance(f5, 1e-320)
 
 
 def test_st_impedance_matches_elementwise_formula():

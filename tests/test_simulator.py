@@ -42,10 +42,6 @@ def test_solver_config_validation():
         hf.SolverConfig(duration_s=-1.0)
     with pytest.raises(ValueError, match="dt_s must be positive and finite"):
         hf.SolverConfig(dt_s=math.nan)
-    with pytest.raises(ValueError):
-        hf.SolverConfig(diode_on_ohm=1.0, diode_off_ohm=1e5)
-    with pytest.raises(ValueError, match="diode_off_ohm must be positive and finite"):
-        hf.SolverConfig(diode_off_ohm=math.inf)
 
 
 @pytest.mark.parametrize("cycles", [0, -1, 2.5, math.nan, math.inf, True, "3"])
@@ -783,10 +779,11 @@ def test_guard_passes_finite_run_whose_sum_overflows():
         assert np.isinf(waves.history.sum())
 
 
-def test_singular_matrix_names_step():
-    solver = hf.SolverConfig(
-        dt_s=1e-4, duration_s=0.2, diode_on_ohm=1e-3, diode_off_ohm=1e300
-    )
+def test_singular_matrix_names_step(monkeypatch):
+    # With every diode blocking and no off-state conductance, nothing holds
+    # the DC bus's common-mode voltage: the matrix is exactly singular.
+    monkeypatch.setattr(simulator, "DIODE_OFF_OHM", math.inf)
+    solver = hf.SolverConfig(dt_s=1e-4, duration_s=0.2)
     with pytest.raises(SolverError, match="step 1"):
         hf.run(presets.baseline_scenario(solver))
 
