@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 import time
 import warnings
@@ -254,6 +255,15 @@ def _line_number(path, row: int) -> int:
     return next(itertools.islice(_data_lines(path), row, None))[0]
 
 
+# A field np.loadtxt reads as a float: decimal or exponent notation in
+# ASCII digits, inf, infinity or nan.  float() also takes underscores and
+# non-ASCII digits.
+_NUMBER = re.compile(
+    r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)",
+    re.IGNORECASE | re.ASCII,
+)
+
+
 def _first_bad_line(path, names: list[str]) -> str | None:
     """Describe the first line of a waveform CSV whose field count differs
     from the header's or which holds a field that is not a number; None if
@@ -263,9 +273,7 @@ def _first_bad_line(path, names: list[str]) -> str | None:
         if len(fields) != len(names):
             return f"line {number} has {len(fields)} fields, expected {len(names)}"
         for name, value in zip(names, fields):
-            try:
-                float(value)
-            except ValueError:
+            if not _NUMBER.fullmatch(value.strip()):
                 return f"line {number}: {name} value {value.strip()!r} is not a number"
     return None
 

@@ -8,6 +8,11 @@ driving-point scan, harmonic current injected at the bus divides between
 the bank and the source inductance, so the source appears in parallel with
 the bank rather than in series.
 
+A bank is evaluated as the sum of its branch admittances, the real and
+imaginary parts of each branch formed in real arithmetic: one complex
+division per single-tuned branch, two per high-pass branch and one for the
+sum, 7 a frequency for the bundled bank.  A source inductance adds one.
+
 Resonances are read off a scanned curve as discrete interior extrema of
 |Z|: local minima are series resonances, local maxima parallel resonances.
 Grid density is the caller's accuracy knob; no interpolation is applied.
@@ -40,13 +45,16 @@ class NetworkError(ValueError):
 
 def _evaluate(z_of, f, detail: str = "") -> np.ndarray:
     """``z_of(w)`` at ``f`` Hz, each positive and finite, without warnings;
-    NetworkError names the first frequency whose impedance is not finite."""
+    NetworkError names the first frequency whose impedance is not finite.
+    A frequency whose w overflows counts as not finite too, since the
+    admittance form of a bank stays finite at w = inf."""
     f = np.atleast_1d(np.asarray(f, dtype=float))
     if not np.all((f > 0.0) & (f < np.inf)):
         raise NetworkError("frequency must be positive and finite")
     with np.errstate(all="ignore"):
-        z = z_of(TWO_PI * f)
-    finite = np.isfinite(z)
+        w = TWO_PI * f
+        z = z_of(w)
+    finite = np.isfinite(z) & np.isfinite(w)
     if not finite.all():
         bad = float(f[np.argmin(finite)])
         raise NetworkError(f"impedance at {bad!r} Hz is not finite{detail}")
@@ -57,23 +65,23 @@ def _scalar_or_array(z: np.ndarray, f):
     return complex(z[0]) if np.ndim(f) == 0 else z
 
 
-def _st_z(branch: SingleTunedFilter, w: np.ndarray) -> np.ndarray:
-    return branch.resistance_ohm + 1j * (
-        w * branch.inductance_h - 1.0 / (w * branch.capacitance_f)
-    )
-
-
-def _hp_z(branch: HighPassFilter, w: np.ndarray) -> np.ndarray:
-    section = 1.0 / (1.0 / branch.resistance_ohm + 1.0 / (1j * w * branch.inductance_h))
-    return 1.0 / (1j * w * branch.capacitance_f) + section
-
-
-def _branch_z(branch, w: np.ndarray) -> np.ndarray:
+def _branch_z(branch, w: np.ndarray, inv_w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Writes the branch's impedance at ``w`` rad/s into the complex array
+    ``out`` and returns it; ``inv_w`` is ``1/w``.  Each part is formed in
+    real arithmetic, so a high-pass branch costs one complex division."""
     if isinstance(branch, SingleTunedFilter):
-        return _st_z(branch, w)
-    if isinstance(branch, HighPassFilter):
-        return _hp_z(branch, w)
-    raise NetworkError(f"unknown branch type {type(branch).__name__}")
+        out.real = branch.resistance_ohm
+        out.imag = w * branch.inductance_h - 1.0 / (w * branch.capacitance_f)
+    elif isinstance(branch, HighPassFilter):
+        # R || jwL is the reciprocal of its admittance 1/R - j/(wL); the
+        # capacitor adds -j/(wC).
+        out.real = 1.0 / branch.resistance_ohm
+        out.imag = inv_w / -branch.inductance_h
+        np.divide(1.0, out, out=out)
+        out.imag -= inv_w / branch.capacitance_f
+    else:
+        raise NetworkError(f"unknown branch type {type(branch).__name__}")
+    return out
 
 
 def _bank_z(
@@ -86,10 +94,13 @@ def _bank_z(
     z = np.empty(w.shape, dtype=complex)
     for lo in range(0, len(w), _CHUNK):
         wc = w[lo : lo + _CHUNK]
+        inv_w = 1.0 / wc
         y = np.zeros(wc.shape, dtype=complex)
+        zb = np.empty(wc.shape, dtype=complex)
         for b in bank.branches:
-            y += 1.0 / _branch_z(b, wc)
+            y += np.divide(1.0, _branch_z(b, wc, inv_w, zb), out=zb)
         if source_inductance_h:
+            # Complex, so that a wLs that underflows gives NaN, not 0 ohm.
             y -= 1j / (wc * source_inductance_h)
         np.divide(1.0, y, out=z[lo : lo + _CHUNK])
     return z
@@ -102,7 +113,8 @@ def branch_impedance(branch: FilterBranch, f):
     Accepts a scalar or an array of frequencies; each must be positive and
     finite, and so must each impedance, else ``NetworkError``.
     """
-    return _scalar_or_array(_evaluate(lambda w: _branch_z(branch, w), f), f)
+    z_of = lambda w: _branch_z(branch, w, 1.0 / w, np.empty(w.shape, dtype=complex))
+    return _scalar_or_array(_evaluate(z_of, f), f)
 
 
 def bank_impedance(bank: FilterBank, f):
@@ -122,8 +134,11 @@ class ImpedanceCurve:
         z = np.asarray(self.impedances, dtype=complex)
         if f.ndim != 1 or z.ndim != 1 or len(f) != len(z) or len(f) < 2:
             raise NetworkError("curve needs matching 1-D arrays of length >= 2")
-        if np.any(f <= 0.0) or np.any(np.diff(f) <= 0.0):
-            raise NetworkError("frequencies must be positive and strictly increasing")
+        # NaN fails each comparison, so a NaN anywhere is rejected too.
+        if not (f[0] > 0.0 and f[-1] < np.inf and np.all(np.diff(f) > 0.0)):
+            raise NetworkError(
+                "frequencies must be positive, finite and strictly increasing"
+            )
         object.__setattr__(self, "frequencies_hz", f)
         object.__setattr__(self, "impedances", z)
 
@@ -190,11 +205,15 @@ def find_resonances(curve: ImpedanceCurve) -> ResonanceReport:
     either endpoint are excluded.  NaN equals nothing, so each NaN is a run
     of its own and never an extremum.
     """
-    mags = curve.magnitudes
-    starts = np.flatnonzero(np.r_[True, mags[1:] != mags[:-1]])
-    vals = mags[starts]
+    mags, f = curve.magnitudes, curve.frequencies_hz
+    change = mags[1:] != mags[:-1]
+    if change.all():
+        # No plateau: every point is a run of its own.
+        vals, interior = mags, f[1:-1]
+    else:
+        starts = np.flatnonzero(np.r_[True, change])
+        vals, interior = mags[starts], f[starts[1:-1]]
     left, mid, right = vals[:-2], vals[1:-1], vals[2:]
-    interior = curve.frequencies_hz[starts[1:-1]]
     series = interior[(left > mid) & (mid < right)]
     parallel = interior[(left < mid) & (mid > right)]
     return ResonanceReport(tuple(series.tolist()), tuple(parallel.tolist()))

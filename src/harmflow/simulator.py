@@ -602,9 +602,10 @@ class _TransientSolver:
                     if f is None:
                         f = self._step_map(key, k)
                     np.dot(f, w, out=y)
-                    vd = signed_vd.tolist()
-                    flips = 0 if min(vd) >= 0.0 else sum(
-                        1 << i for i, v in enumerate(vd) if v < 0.0
+                    v0, v1, v2, v3, v4, v5 = signed_vd.tolist()
+                    flips = (
+                        (v0 < 0.0) | (v1 < 0.0) << 1 | (v2 < 0.0) << 2
+                        | (v3 < 0.0) << 3 | (v4 < 0.0) << 4 | (v5 < 0.0) << 5
                     )
                     if not flips:
                         break

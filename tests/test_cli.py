@@ -905,8 +905,8 @@ def test_zero_fundamental_flag_exit_2(tmp_path, short_waveform, capsys, command)
 @pytest.mark.parametrize(
     "defect",
     [
-        "ragged", "non_numeric", "constant_t", "nan_t", "decreasing_t", "header_only",
-        "uneven_t", "repeated_column",
+        "ragged", "non_numeric", "underscore", "constant_t", "nan_t", "decreasing_t",
+        "header_only", "uneven_t", "repeated_column",
     ],
 )
 def test_malformed_waveform_csv_names_file(tmp_path, short_waveform, capsys, command, defect):
@@ -920,6 +920,10 @@ def test_malformed_waveform_csv_names_file(tmp_path, short_waveform, capsys, com
         # v_dc is read by neither command below, yet must still be numeric.
         rows[9][1 + CHANNEL_IDS.index("v_dc")] = "abc"
         message = "line 11: v_dc value 'abc' is not a number"
+    elif defect == "underscore":
+        # float() reads 1_0 as 10; np.loadtxt does not.
+        rows[9][1 + CHANNEL_IDS.index("v_dc")] = "1_0"
+        message = "line 11: v_dc value '1_0' is not a number"
     elif defect == "header_only":
         rows = []
         message = "need at least two data rows"

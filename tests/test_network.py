@@ -329,6 +329,50 @@ def _reference_resonances(freqs, mags):
     return tuple(series), tuple(parallel)
 
 
+def _reference_z(bank, ls, f):
+    """Driving-point impedance at ``f`` Hz from the element laws in Python
+    complex arithmetic, one frequency at a time."""
+    w = TWO_PI * f
+    y = 0j
+    for b in bank.single_tuned:
+        y += 1.0 / complex(b.resistance_ohm, w * b.inductance_h - 1.0 / (w * b.capacitance_f))
+    for b in bank.high_pass:
+        zl = 1j * w * b.inductance_h
+        y += 1.0 / (1.0 / (1j * w * b.capacitance_f) + b.resistance_ohm * zl / (b.resistance_ohm + zl))
+    if ls:
+        y += 1.0 / (1j * w * ls)
+    return 1.0 / y
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dense_scan_of_random_bank_matches_scalar_reference(seed):
+    # A bank and source drawn from the ranges of the design sweep, whose
+    # quality factors stay inside the recommended ones.
+    rng = np.random.default_rng(seed)
+    basis = hf.SystemBasis(50.0, 220.0, rng.uniform(0.5e-3, 3e-3))
+    bank = hf.design_bank_six_pulse(
+        basis,
+        math.exp(rng.uniform(math.log(5e-6), math.log(20e-6))),
+        tuple(rng.uniform(20.0, 100.0, 4)),
+        rng.uniform(700.0, 1000.0),
+        rng.uniform(1.0, 4.0),
+    )
+    for ls in (0.0, basis.source_inductance_h):
+        curve = hf.scan(bank, ls, 50.0, 1000.0, 95001)
+        f, mags = curve.frequencies_hz, curve.magnitudes
+        report = find_resonances(curve)
+        # Every resonance, where the branch admittances cancel most, and
+        # every 97th point.
+        found = np.isin(f, report.series_resonances_hz + report.parallel_resonances_hz)
+        picked = np.flatnonzero(found | (np.arange(len(f)) % 97 == 0))
+        expected = np.array([_reference_z(bank, ls, float(f[i])) for i in picked])
+        np.testing.assert_allclose(curve.impedances[picked], expected, rtol=1e-12, atol=0.0)
+        # A dense scan has no plateau, so each point is a run of its own.
+        assert np.all(mags[1:] != mags[:-1])
+        expected_report = _reference_resonances(f, mags)
+        assert (report.series_resonances_hz, report.parallel_resonances_hz) == expected_report
+
+
 @given(
     st.lists(
         st.sampled_from([0.0, 1.0, 2.0, 3.0, math.nan, math.inf, -math.inf]),
@@ -382,6 +426,10 @@ def test_curve_validation():
         hf.ImpedanceCurve(np.array([-1.0, 1.0]), np.array([1 + 0j, 2 + 0j]))
     with pytest.raises(NetworkError):
         hf.ImpedanceCurve(np.array([1.0, 2.0]), np.array([1 + 0j]))
+    # Non-finite frequencies, a NaN first or last included.
+    for freqs in ([1.0, math.nan], [1.0, math.inf], [math.nan, math.nan, 3.0]):
+        with pytest.raises(NetworkError, match="positive, finite and strictly increasing"):
+            hf.ImpedanceCurve(np.array(freqs), np.ones(len(freqs), dtype=complex))
 
 
 def test_curve_csv_decimal_notation(ref_bank):

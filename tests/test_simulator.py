@@ -467,6 +467,31 @@ def test_record_cycles_on_either_stepping_path(blocks, monkeypatch):
         assert waves.switch_iterations == full.switch_iterations
 
 
+@pytest.mark.parametrize("steps", [LOOKAHEAD_STEPS, 24])
+def test_lookahead_tables_match_sequential_products(steps, monkeypatch):
+    # 24 steps are not a power of 2: the doubling overshoots and is cut back.
+    monkeypatch.setattr(simulator, "LOOKAHEAD_STEPS", steps)
+    solver = _TransientSolver(presets.filtered_scenario())
+    solver.run()  # visits the diode states whose tables a run builds
+    for key, f in solver._maps.items():
+        powers, diode = solver._lookahead_tables(key)
+        nw = f.shape[1]
+        assert powers.shape == (steps * nw, nw)
+        assert diode.shape == (6 * steps, nw)
+        # Entries that cancel to near zero carry the error of the block's
+        # largest, so each block is compared at that scale.
+        power = np.eye(nw)
+        for i in range(steps):
+            expected = f[:6] @ power
+            np.testing.assert_allclose(
+                diode[6 * i : 6 * i + 6], expected, rtol=0, atol=1e-12 * np.abs(expected).max()
+            )
+            power = power @ f[6:]
+            np.testing.assert_allclose(
+                powers[i * nw : (i + 1) * nw], power, rtol=0, atol=1e-12 * np.abs(power).max()
+            )
+
+
 @pytest.mark.parametrize("window", [simulator._WINDOW, 1024], ids=["default", "small"])
 def test_record_cycles_from_mid_window_of_settled_run(window, settled_filtered_run, monkeypatch):
     # The block interiors are filled one window of absolute steps at a time,
