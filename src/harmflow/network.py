@@ -13,6 +13,15 @@ imaginary parts of each branch formed in real arithmetic: one complex
 division per single-tuned branch, two per high-pass branch and one for the
 sum, 7 a frequency for the bundled bank.  A source inductance adds one.
 
+``scan`` keeps the admittance sum of the last scan that returned: one
+read-only array of the grid's size (16 bytes a frequency), keyed on the
+bank's repr and the grid
+``(float(f_start), float(f_end), int(n_points))``.  Another scan of a bank
+with equal values of the same types on the same grid, such as the same
+bank against another source inductance, reuses it and costs one division
+a frequency plus the source term, with the same result as a scan without
+it.
+
 Resonances are read off a scanned curve as discrete interior extrema of
 |Z|: local minima are series resonances, local maxima parallel resonances.
 Grid density is the caller's accuracy knob; no interpolation is applied.
@@ -35,8 +44,14 @@ TWO_PI = 2.0 * np.pi
 _CHUNK = 8192
 
 # Upper bound on a scan's grid, checked before anything is allocated:
-# 10 million points hold 240 MB of frequencies and impedances.
+# 10 million points hold 240 MB of frequencies and impedances, and the
+# 160 MB admittance sum that the scan keeps.
 MAX_SCAN_POINTS = 10_000_000
+
+# ``(key, y)`` of the last scan that returned: its grid's admittance sum,
+# read-only and shared with no curve.  Replaced as one tuple, so that
+# concurrent scans never pair one scan's key with another's array.
+_last_scan: tuple[tuple, np.ndarray] | None = None
 
 
 class NetworkError(ValueError):
@@ -85,25 +100,34 @@ def _branch_z(branch, w: np.ndarray, inv_w: np.ndarray, out: np.ndarray) -> np.n
 
 
 def _bank_z(
-    bank: FilterBank, w: np.ndarray, source_inductance_h: float = 0.0
-) -> np.ndarray:
-    """1 / sum(1/Z_branch), with a non-zero source inductance added to the
-    admittance sum as 1/(jwLs); evaluated ``_CHUNK`` frequencies at a time."""
+    bank: FilterBank,
+    w: np.ndarray,
+    source_inductance_h: float = 0.0,
+    y: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(z, y)``: z = 1/y at ``w`` rad/s for the bank's admittance sum
+    y = sum(1/Z_branch), with a non-zero source inductance added to y as
+    1/(jwLs).  A given ``y`` is only read; without one the sum is formed
+    into a new array.  Evaluated ``_CHUNK`` frequencies at a time, so a sum
+    is inverted while it is still in cache."""
     if not bank.branches:
         raise NetworkError("bank has no branches")
+    form_y = y is None
+    if form_y:
+        y = np.empty(w.shape, dtype=complex)
     z = np.empty(w.shape, dtype=complex)
     for lo in range(0, len(w), _CHUNK):
-        wc = w[lo : lo + _CHUNK]
-        inv_w = 1.0 / wc
-        y = np.zeros(wc.shape, dtype=complex)
-        zb = np.empty(wc.shape, dtype=complex)
-        for b in bank.branches:
-            y += np.divide(1.0, _branch_z(b, wc, inv_w, zb), out=zb)
+        wc, yc, zc = w[lo : lo + _CHUNK], y[lo : lo + _CHUNK], z[lo : lo + _CHUNK]
+        if form_y:
+            inv_w = 1.0 / wc
+            yc[:] = 0.0
+            for b in bank.branches:
+                yc += np.divide(1.0, _branch_z(b, wc, inv_w, zc), out=zc)
         if source_inductance_h:
             # Complex, so that a wLs that underflows gives NaN, not 0 ohm.
-            y -= 1j / (wc * source_inductance_h)
-        np.divide(1.0, y, out=z[lo : lo + _CHUNK])
-    return z
+            yc = np.subtract(yc, 1j / (wc * source_inductance_h), out=zc)
+        np.divide(1.0, yc, out=zc)
+    return z, y
 
 
 def branch_impedance(branch: FilterBranch, f):
@@ -119,7 +143,18 @@ def branch_impedance(branch: FilterBranch, f):
 
 def bank_impedance(bank: FilterBank, f):
     """Parallel combination 1 / sum(1/Z_branch) of every branch at ``f`` Hz."""
-    return _scalar_or_array(_evaluate(lambda w: _bank_z(bank, w), f), f)
+    z_of = lambda w: _bank_z(bank, w)[0]
+    return _scalar_or_array(_evaluate(z_of, f), f)
+
+
+def _decimal(v: float) -> str:
+    """Shortest repr that round-trips ``v``, in decimal notation: Python's
+    repr where it has no exponent (1e-4 <= |v| < 1e16), numpy's positional
+    form otherwise."""
+    text = repr(v)
+    if "e" in text:
+        return np.format_float_positional(v, unique=True, trim="0")
+    return text
 
 
 @dataclass(frozen=True)
@@ -149,10 +184,14 @@ class ImpedanceCurve:
     def write_csv(self, out: IO[str]) -> None:
         """Header ``frequency_hz,re_ohms,im_ohms,abs_ohms``; decimal notation,
         full double precision."""
-        fmt = lambda v: np.format_float_positional(v, unique=True, trim="0")
+        z = self.impedances
+        # |Z| one value at a time: numpy's vectorized abs can differ from it
+        # in the last digit.
+        mags = [float(abs(v)) for v in z]
+        columns = (self.frequencies_hz.tolist(), z.real.tolist(), z.imag.tolist(), mags)
+        rows = zip(*(map(_decimal, c) for c in columns))
         out.write("frequency_hz,re_ohms,im_ohms,abs_ohms\n")
-        for f, z in zip(self.frequencies_hz, self.impedances):
-            out.write(f"{fmt(f)},{fmt(z.real)},{fmt(z.imag)},{fmt(abs(z))}\n")
+        out.writelines(f"{f},{re},{im},{mag}\n" for f, re, im, mag in rows)
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -178,23 +217,43 @@ def scan(
 
     With ``source_inductance_h`` zero the curve is the bank alone; otherwise
     the source inductance appears in parallel with the bank.  An impedance
-    that is not finite raises ``NetworkError`` naming its frequency.
+    that is not finite raises ``NetworkError`` naming its frequency.  A
+    repeat scan of the last bank and grid reuses its admittance sum.
     """
     if not (0.0 < f_start < f_end < np.inf):
         raise NetworkError(
             f"need 0 < f_start < f_end < inf, got ({f_start!r}, {f_end!r})"
         )
-    if not 2 <= n_points <= MAX_SCAN_POINTS:
+    try:
+        integral = int(n_points) == n_points
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not (integral and 2 <= n_points <= MAX_SCAN_POINTS):
         raise NetworkError(
-            f"n_points must be between 2 and {MAX_SCAN_POINTS}, got {n_points!r}"
+            f"n_points must be an integer between 2 and {MAX_SCAN_POINTS}, got {n_points!r}"
         )
     if not 0.0 <= source_inductance_h < np.inf:
         raise NetworkError(
             f"source_inductance_h must be non-negative and finite, got {source_inductance_h!r}"
         )
-    freqs = np.linspace(f_start, f_end, int(n_points))
+    global _last_scan
+    # Equal values of different types (np.float32(0.5) == 0.5) can evaluate
+    # differently; a bank's repr spells each value with its type.
+    key = (repr(bank), float(f_start), float(f_end), int(n_points))
+    memo = _last_scan
+    y = memo[1] if memo is not None and memo[0] == key else None
+
+    def z_of(w):
+        nonlocal y
+        z, y = _bank_z(bank, w, source_inductance_h, y)
+        return z
+
+    freqs = np.linspace(*key[1:])
     detail = f" (source_inductance_h {source_inductance_h!r})"
-    z = _evaluate(lambda w: _bank_z(bank, w, source_inductance_h), freqs, detail)
+    z = _evaluate(z_of, freqs, detail)
+    if memo is None or memo[1] is not y:
+        y.flags.writeable = False
+        _last_scan = (key, y)
     return ImpedanceCurve(freqs, z)
 
 

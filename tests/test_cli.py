@@ -805,13 +805,18 @@ def test_scan_malformed_branches_exit_2(tmp_path, capsys, branches, message):
         ("--f-end", "1e308", "Hz is not finite"),
     ],
 )
-def test_scan_non_finite_flag_exit_2(tmp_path, ref_bank, capsys, flag, value, quantity):
+def test_scan_non_finite_flag_exit_2(
+    tmp_path, ref_bank, capsys, monkeypatch, flag, value, quantity
+):
+    monkeypatch.setattr(network, "_last_scan", None)
     bank_path = tmp_path / "bank.json"
     bank_path.write_text(json.dumps(hf.design.bank_to_dict(ref_bank)))
     rc = main(["scan", str(bank_path), flag, value, "-o", str(tmp_path / "x")])
     assert rc == 2
     assert quantity in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [bank_path]
+    # A scan that fails keeps no admittance sum.
+    assert network._last_scan is None
 
 
 def test_scan_points_above_cap_exit_2(tmp_path, ref_bank, capsys, monkeypatch):

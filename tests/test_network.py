@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import math
 import re
 import warnings
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import harmflow as hf
-from harmflow.design import QualityFactorWarning
+from harmflow import network
+from harmflow.design import QualityFactorWarning, bank_from_dict, bank_to_dict
 from harmflow.network import _CHUNK, NetworkError, find_resonances
 
 TWO_PI = 2.0 * math.pi
@@ -220,6 +222,17 @@ def test_scan_rejects_malformed_range(ref_bank):
         hf.scan(ref_bank, 0.0, 50.0, 1000.0, 1)
 
 
+@pytest.mark.parametrize("n_points", [951.7, np.float64(951.7), "951", math.nan, 951 + 0j])
+def test_scan_rejects_non_integral_points(ref_bank, n_points):
+    with pytest.raises(NetworkError, match=re.escape(f"got {n_points!r}")):
+        hf.scan(ref_bank, 0.0, 50.0, 1000.0, n_points)
+
+
+@pytest.mark.parametrize("n_points", [951, np.int64(951), np.int32(951), np.uint16(951)])
+def test_scan_accepts_integer_points(ref_bank, n_points):
+    assert len(hf.scan(ref_bank, 0.0, 50.0, 1000.0, n_points).frequencies_hz) == 951
+
+
 def test_scan_minima_at_tuned_frequencies(ref_bank):
     curve = hf.scan(ref_bank, 0.0, 50.0, 1000.0, 951)
     step = curve.frequencies_hz[1] - curve.frequencies_hz[0]
@@ -247,6 +260,98 @@ def test_full_bank_resonance_structure(ref_bank):
     assert len(parallel) == len(series) - 1
     for peak, lo, hi in zip(parallel, series, series[1:]):
         assert lo < peak < hi
+
+
+# --- the scan memo ------------------------------------------------------------
+
+
+def _memo_free(bank, ls, f_start, f_end, n_points):
+    """The scan's impedances with the memo empty before and after."""
+    saved = network._last_scan
+    network._last_scan = None
+    try:
+        return hf.scan(bank, ls, f_start, f_end, n_points).impedances
+    finally:
+        network._last_scan = saved
+
+
+def test_scan_memo_matches_memo_free_scans(ref_bank, monkeypatch):
+    monkeypatch.setattr(network, "_last_scan", None)
+    bank_a, bank_b = ref_bank, hf.FilterBank(50.0, ref_bank.branches[1:])
+    # Built apart from bank_a, with equal values: it shares bank_a's slot.
+    bank_a2 = bank_from_dict(json.loads(json.dumps(bank_to_dict(bank_a))))
+    assert bank_a2 == bank_a and bank_a2 is not bank_a
+    dense, coarse = (50.0, 1000.0, 2 * _CHUNK + 3), (50.0, 1000.0, 951)
+    scans = [
+        (bank_a, 0.0, dense),  # cold
+        (bank_a, 0.0016, dense),  # warm
+        (bank_a, 0.0, dense),
+        (bank_b, 0.0016, dense),  # interleaved: A, B, A
+        (bank_a, 0.002, dense),
+        (bank_a, 0.002, coarse),  # another grid
+        (bank_a2, 0.0016, coarse),
+        (bank_a2, 0.0, dense),
+        (bank_a, 3e-4, dense),
+    ]
+    expected = [_memo_free(bank, ls, *grid) for bank, ls, grid in scans]
+    curves, slots = [], []
+    for (bank, ls, grid), z in zip(scans, expected):
+        curve = hf.scan(bank, ls, *grid)
+        curves.append(curve)
+        assert curve.impedances.tobytes() == z.tobytes()
+        # One slot, holding this scan's key and an admittance sum of its size.
+        key, y = network._last_scan
+        assert key == (repr(bank), *grid)
+        assert y.shape == z.shape and y.dtype == complex
+        assert not y.flags.writeable
+        slots.append(y)
+    # Hits: the warm scans, the repeat after B, and the equal bank.
+    assert [s is t for s, t in zip(slots, slots[1:])] == [
+        True, True, False, False, False, True, False, True
+    ]
+    for y in slots:
+        for curve in curves:
+            assert not np.shares_memory(y, curve.impedances)
+            assert not np.shares_memory(y, curve.frequencies_hz)
+
+
+def test_scan_memo_tells_equal_values_of_other_types_apart(monkeypatch):
+    # Equal banks whose high-pass resistance is a float and a float32:
+    # 1/R is a double in one and a single in the other.
+    monkeypatch.setattr(network, "_last_scan", None)
+    hp = _hp()
+    as_float = hf.FilterBank(50.0, (hf.HighPassFilter(hp.capacitance_f, hp.inductance_h, 3.0),))
+    as_single = hf.FilterBank(
+        50.0, (hf.HighPassFilter(hp.capacitance_f, hp.inductance_h, np.float32(3.0)),)
+    )
+    assert as_float == as_single
+    grid = (50.0, 1000.0, 951)
+    expected = _memo_free(as_single, 0.0, *grid)
+    assert expected.tobytes() != _memo_free(as_float, 0.0, *grid).tobytes()
+    hf.scan(as_float, 0.0, *grid)
+    assert hf.scan(as_single, 0.0, *grid).impedances.tobytes() == expected.tobytes()
+
+
+def test_failing_scan_stores_nothing(ref_bank, monkeypatch):
+    monkeypatch.setattr(network, "_last_scan", None)
+    with pytest.raises(NetworkError, match="not finite"):
+        hf.scan(ref_bank, 1e-320, 50.0, 1000.0, 951)
+    assert network._last_scan is None
+    hf.scan(ref_bank, 0.0, 50.0, 1000.0, 951)
+    stored = network._last_scan
+    # A miss on another grid and a hit on this one, each failing.
+    with pytest.raises(NetworkError, match="not finite"):
+        hf.scan(ref_bank, 0.0, 50.0, 1e308, 951)
+    with pytest.raises(NetworkError, match="not finite"):
+        hf.scan(ref_bank, 1e-320, 50.0, 1000.0, 951)
+    assert network._last_scan is stored
+
+
+def test_bank_impedance_leaves_scan_memo_alone(ref_bank, monkeypatch):
+    monkeypatch.setattr(network, "_last_scan", None)
+    hf.bank_impedance(ref_bank, np.linspace(50.0, 1000.0, 951))
+    hf.branch_impedance(ref_bank.branches[0], 250.0)
+    assert network._last_scan is None
 
 
 # --- resonance detection ------------------------------------------------------
@@ -449,3 +554,37 @@ def test_curve_csv_decimal_notation(ref_bank):
     first = lines[1].split(",")
     assert float(first[0]) == curve.frequencies_hz[0]
     assert float(first[1]) == curve.impedances[0].real
+
+
+def _reference_csv(curve):
+    """The CSV text from numpy's positional formatter, row by row."""
+    fmt = lambda v: np.format_float_positional(v, unique=True, trim="0")
+    rows = ["frequency_hz,re_ohms,im_ohms,abs_ohms\n"]
+    for f, z in zip(curve.frequencies_hz, curve.impedances):
+        rows.append(f"{fmt(f)},{fmt(z.real)},{fmt(z.imag)},{fmt(abs(z))}\n")
+    return "".join(rows)
+
+
+def _csv(curve):
+    buf = io.StringIO()
+    curve.write_csv(buf)
+    return buf.getvalue()
+
+
+def test_curve_csv_matches_positional_formatter(ref_bank):
+    # The README scan, then values on both sides of repr's switch to
+    # exponent form (1e-4 and 1e16), subnormals, extremes and signed zeros.
+    readme = hf.scan(ref_bank, 0.0016, 50.0, 1000.0, 951)
+    assert _csv(readme) == _reference_csv(readme)
+    edge = [
+        5e-324, 1e-300, 2.2250738585072014e-308, 1e-5, 9.99999e-5, 1e-4, 0.1, 1.0,
+        9.999e15, 9999999999999998.0, 1e16, 1e300, 1.7976931348623157e308, -0.0, 0.0,
+    ]
+    rng = np.random.default_rng(11)
+    signs = rng.choice([-1.0, 1.0], size=(2, 2000))
+    random = signs * 10.0 ** rng.uniform(-323.0, 308.0, size=(2, 2000))
+    re = np.concatenate([edge, -np.array(edge), random[0]])
+    im = np.concatenate([edge[::-1], edge, random[1]])
+    freqs = np.cumsum(10.0 ** rng.uniform(-6.0, 6.0, size=len(re)))
+    curve = hf.ImpedanceCurve(freqs, re + 1j * im)
+    assert _csv(curve) == _reference_csv(curve)
