@@ -40,7 +40,7 @@ from .analyzer import (
 )
 from .design import SystemBasis, bank_from_dict, bank_to_dict, design_bank
 from .network import find_resonances, scan
-from .scenario_io import load_json, load_scenario
+from .scenario_io import decode_utf8, load_json, load_scenario
 from .simulator import CHANNEL_IDS, SolverError, run
 
 
@@ -198,24 +198,47 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_waveform_csv(path) -> tuple[list[str], np.ndarray, float, float]:
+def _read_waveform_csv(path, channels=None) -> tuple[list[str], np.ndarray, float, float]:
     """Return (channel names, data matrix, sample rate, first ``t_s``) of a
-    waveform CSV, whose ``t_s`` must be finite and evenly spaced."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-    names = header.split(",")
+    waveform CSV, whose ``t_s`` must be finite and evenly spaced.
+
+    The matrix holds every channel, or only ``channels`` when each of them
+    is in the header and every field of the file is a plain number (see
+    :func:`_plain_numbers`); the names label its columns.  Any other file
+    is parsed in full, so that each field is checked."""
+    raw = Path(path).read_bytes()
+    body = raw.find(b"\n") + 1 or len(raw)
+    header = decode_utf8(raw[:body], path, AnalysisError)
+    # A header ends at the first line break, as text-mode reading splits.
+    names = header.split("\r", 1)[0].strip().split(",")
     if not names or names[0] != "t_s":
         raise AnalysisError(f"{path}: expected a waveform CSV with a t_s column")
     repeated = [name for i, name in enumerate(names) if name in names[:i]]
     if repeated:
         raise AnalysisError(f"{path}: the header names column {repeated[0]!r} twice")
+    usecols = None
+    if (
+        channels is not None
+        and set(channels) <= set(names[1:])
+        # A CR ends the header for np.loadtxt, so its body would start there.
+        and "\r" not in header
+        and _plain_numbers(raw, body, len(names))
+    ):
+        usecols = sorted({0, *map(names.index, channels)})
+    else:
+        decode_utf8(raw, path, AnalysisError)  # names the line of a bad byte
+    del raw  # np.loadtxt reads the file itself.
     with warnings.catch_warnings():
         # A file without data rows is reported below.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            data = np.loadtxt(
+                path, delimiter=",", skiprows=1, ndmin=2, usecols=usecols, encoding="utf-8"
+            )
         except ValueError as exc:
             raise AnalysisError(f"{path}: {_first_bad_line(path, names) or exc}") from None
+    if usecols is not None:
+        names = [names[i] for i in usecols]
     if len(data) < 2:
         raise AnalysisError(f"{path}: need at least two data rows")
     if data.shape[1] != len(names):
@@ -242,7 +265,7 @@ def _data_lines(path):
     """Line number and text of each data line of a waveform CSV, counting
     the header as line 1 and skipping the blank and comment lines that
     np.loadtxt skips."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         next(fh)
         for number, line in enumerate(fh, start=2):
             line = line.split("#", 1)[0]
@@ -262,6 +285,61 @@ _NUMBER = re.compile(
     r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)",
     re.IGNORECASE | re.ASCII,
 )
+
+
+# The class of each byte value in the plain-number check: digit 0, "." 1,
+# "e" or "E" 2, sign 3, "," or line feed 4, any other byte 5.
+_CLASSES = (
+    b"\5" * 10 + b"\4" + b"\5" * 32 + b"\3\4\3\1\5" + b"\0" * 10
+    + b"\5" * 11 + b"\2" + b"\5" * 31 + b"\2" + b"\5" * 154
+)
+# The codes 36·a + 6·b + c of the classes (a, b, c) of three adjacent bytes
+# that occur in lines of comma-separated fields of the plain grammar
+# [+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?, a subset of _NUMBER's.
+_TRIGRAMS = bytes([
+    0, 1, 2, 4, 6, 8, 10, 12, 15, 24, 25, 27, 36, 38, 40, 48, 51, 60, 61, 63,
+    72, 76, 90, 108, 109, 110, 112, 114, 144, 145, 146, 148, 150, 162, 163,
+])
+_LOWER_E = bytes.maketrans(b"E", b"e")
+# The body is checked in pieces of about this many bytes, cut at line ends.
+_PIECE = 1 << 18
+
+
+def _plain_numbers(raw: bytes, start: int, n_fields: int) -> bool:
+    """True if every line of ``raw`` from offset ``start`` (just past a
+    line end) holds ``n_fields`` (at least 2) comma-separated fields of
+    the plain grammar above and ends in a line feed: no blank line, space,
+    CR, comment, inf, nan or non-ASCII byte.  np.loadtxt reads each column
+    of such a body the same with or without usecols.
+
+    Each piece of the body passes three tests: every trigram of byte
+    classes is one of ``_TRIGRAMS``; no field has two points, two
+    exponents, or a point after its exponent; and, with all else deleted,
+    each line is n_fields - 1 commas and a line feed.  Together they accept
+    exactly the bodies described (the tests check this against the
+    grammar)."""
+    if not raw.endswith(b"\n"):
+        return False
+    line = b"," * (n_fields - 1) + b"\n"
+    while start < len(raw):
+        stop = raw.rfind(b"\n", start, start + _PIECE) + 1 or raw.find(b"\n", start) + 1
+        # From the line end before the piece, which starts its first trigram.
+        piece = raw[start - 1 : stop]
+        start = stop
+        classes = np.frombuffer(piece.translate(_CLASSES), np.uint8)
+        codes = classes[:-2] * 36
+        codes += classes[1:-1] * 6
+        codes += classes[2:]
+        if codes.tobytes().translate(None, _TRIGRAMS):
+            return False
+        # Each field's points and exponents, in order: "", ".", "e" or ".e".
+        marks = piece.translate(_LOWER_E, b"0123456789+-")
+        if b".." in marks or b"e." in marks or b"ee" in marks:
+            return False
+        separators = marks.translate(None, b".e")
+        if separators != b"\n" + line * ((len(separators) - 1) // len(line)):
+            return False
+    return True
 
 
 def _first_bad_line(path, names: list[str]) -> str | None:
@@ -302,7 +380,7 @@ def _analyse_files(args: argparse.Namespace, paths: list, channels: list[str]) -
     start at least 2 periods after t = 0: (spectrum, IEEE-519 check,
     settling residual or None for one cycle, power report against the
     second column or None)."""
-    tables = [_read_waveform_csv(path) for path in paths]
+    tables = [_read_waveform_csv(path, channels) for path in paths]
     rates = [rate for _, _, rate, _ in tables]
     if max(rates) - min(rates) > 1e-6 * max(rates):
         raise AnalysisError(f"sample rates differ: {rates[0]!r} Hz vs {rates[1]!r} Hz")

@@ -104,18 +104,36 @@ def _parse_int(text: str) -> int:
         ) from None
 
 
+def decode_utf8(raw: bytes, path, error: type[ValueError] = ScenarioError) -> str:
+    """The text of file ``path``, whose bytes are ``raw``; bytes that are
+    not UTF-8 raise ``error`` naming the path and the line, counted as
+    text-mode reading counts them."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = head.count(b"\n") + 1
+        raise error(
+            f"{path}: line {line}: cannot decode byte 0x{raw[exc.start]:02x} "
+            f"as UTF-8: {exc.reason}"
+        ) from None
+
+
 def load_json(path) -> Any:
-    """Read a JSON file.
+    """Read a UTF-8 JSON file.
 
     ``json.JSONDecodeError`` (with line/column) propagates for malformed
-    JSON; an integer literal too long to convert raises
-    :class:`ScenarioError` starting with the path.
+    JSON; bytes that are not UTF-8 and an integer literal too long to
+    convert raise :class:`ScenarioError` starting with the path.
     """
-    with open(path) as fh:
-        try:
-            return json.load(fh, parse_int=_parse_int)
-        except ScenarioError as exc:
-            raise ScenarioError(f"{path}: {exc}") from None
+    with open(path, "rb") as fh:
+        text = decode_utf8(fh.read(), path)
+    # Line ends as text-mode reading gives them: json counts them in errors.
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text, parse_int=_parse_int)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
 
 
 def load_scenario(path) -> Scenario:

@@ -7,18 +7,22 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import harmflow as hf
-from harmflow import network, presets, simulator
-from harmflow.cli import _json_dump, _read_waveform_csv, main
+from harmflow import cli, network, presets, simulator
+from harmflow.cli import _first_bad_line, _json_dump, _plain_numbers, _read_waveform_csv, main
 from harmflow.scenario_io import (
     ScenarioError,
     load_scenario,
@@ -994,6 +998,201 @@ def test_non_finite_analysed_channel_names_line(
     message = f"{channel} value {float(value)!r} is not finite"
     assert capsys.readouterr().err == f"error: {bad}: line 11: {message}\n"
     assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("command", ["analyze", "report", "simulate", "scan"])
+def test_undecodable_input_names_file_and_line(
+    tmp_path, short_waveform, short_scenario_path, ref_bank, capsys, command
+):
+    if command in ("analyze", "report"):
+        path = tmp_path / "bad.csv"
+        header, *rows = short_waveform.read_bytes().split(b"\n")
+        if command == "analyze":
+            # Line 11, in v_dc, which analyze does not read.
+            cells = rows[9].split(b",")
+            cells[1 + CHANNEL_IDS.index("v_dc")] += b"\xff"
+            rows[9] = b",".join(cells)
+            line = 11
+        else:
+            header += b"\xff"
+            line = 1
+        path.write_bytes(b"\n".join([header, *rows]))
+        if command == "analyze":
+            argv = ["analyze", str(path), "--channel", "i_src_a"]
+        else:
+            argv = ["report", str(short_waveform), str(path)]
+    else:
+        if command == "simulate":
+            raw, key = short_scenario_path.read_bytes(), b'"load"'
+        else:
+            raw = json.dumps(hf.design.bank_to_dict(ref_bank), indent=2).encode()
+            key = b'"branches"'
+        line = raw[: raw.index(key)].count(b"\n") + 1
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw.replace(key, key[:3] + b"\xff" + key[3:], 1))
+        argv = [command, str(path)]
+    rc = main(argv + ["-o", str(tmp_path / "out")])
+    assert rc == 2
+    message = "cannot decode byte 0xff as UTF-8: invalid start byte"
+    assert capsys.readouterr().err == f"error: {path}: line {line}: {message}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+# --- waveform CSV: only the analysed columns of a plain file -----------------
+
+
+def _body(path) -> tuple[bytes, int]:
+    """A CSV's bytes and the offset of its first data line."""
+    raw = Path(path).read_bytes()
+    return raw, raw.find(b"\n") + 1
+
+
+@pytest.mark.parametrize("case", ["short", "baseline_bundled", "filtered_bundled"])
+def test_plain_csv_reads_analysed_columns_bit_exact(tmp_path, request, short_waveform, case):
+    if case == "short":
+        path = short_waveform
+    else:
+        path = tmp_path / "run.csv"
+        request.getfixturevalue(f"{case}_run")[1].to_csv(path)
+    assert _plain_numbers(*_body(path), 1 + len(CHANNEL_IDS))
+    full = np.loadtxt(path, delimiter=",", skiprows=1)
+    names, data, _, _ = _read_waveform_csv(path, ["i_dc", "i_src_a", "v_src_a"])
+    assert names == ["v_src_a", "i_src_a", "i_dc"]
+    for name, column in zip(names, data.T):
+        assert column.tobytes() == full[:, 1 + CHANNEL_IDS.index(name)].tobytes(), name
+
+
+def _with_field(rows: list[str], channel: str, value: str) -> list[str]:
+    """``rows`` with ``channel`` set to ``value`` on line 11 (rows[9])."""
+    cells = rows[9].split(",")
+    cells[1 + CHANNEL_IDS.index(channel)] = value
+    return [*rows[:9], ",".join(cells), *rows[10:]]
+
+
+# Copies of a waveform CSV that read as the same analysed columns, and
+# whether each passes the plain-number check (else it is parsed in full).
+_SAME_COLUMNS = {
+    "crlf": (lambda rows: rows, "\r\n", False),
+    "comment": (lambda rows: [*rows[:5], "# comment", *rows[5:]], "\n", False),
+    "blank_line": (lambda rows: [*rows[:5], "", *rows[5:]], "\n", False),
+    "spaces": (lambda rows: [row.replace(",", ", ") for row in rows], "\n", False),
+    "nan_v_dc": (lambda rows: _with_field(rows, "v_dc", "nan"), "\n", False),
+    "point_exponent": (lambda rows: _with_field(rows, "i_filter_b", "1.e5"), "\n", True),
+    "leading_point": (lambda rows: _with_field(rows, "i_filter_b", ".5"), "\n", True),
+    "signed_point": (lambda rows: _with_field(rows, "i_filter_b", "+.5E-3"), "\n", True),
+}
+
+
+def test_csv_variants_give_identical_outputs(tmp_path, short_waveform):
+    # Each copy goes to the same path, so the outputs that name it match;
+    # --channel i_dc (the last column) and --v-channel v_src_a (the first)
+    # check the map from the columns read back to their names.
+    header, *rows = short_waveform.read_text().splitlines()
+    path = tmp_path / "run.csv"
+    argvs = {
+        "summary.json": ["analyze", str(path), "--channel", "i_dc", "--v-channel", "v_src_a"],
+        "report.json": ["report", str(short_waveform), str(path)],
+    }
+
+    def outputs() -> dict:
+        for argv in argvs.values():
+            assert main(argv + ["-o", str(tmp_path / "out")]) == 0
+        return {suffix: (tmp_path / f"out.{suffix}").read_bytes() for suffix in argvs}
+
+    path.write_text("\n".join([header, *rows]) + "\n")
+    expected = outputs()
+    for variant, (edit, end, plain) in _SAME_COLUMNS.items():
+        path.write_bytes(end.join([header, *edit(rows)]).encode() + end.encode())
+        assert _plain_numbers(*_body(path), 1 + len(CHANNEL_IDS)) == plain, variant
+        assert outputs() == expected, variant
+
+
+def test_header_ending_in_cr_checks_the_row_after_it(tmp_path, short_waveform, capsys):
+    # Text-mode reading ends the header at a lone CR, so the next row is
+    # data, and its fields are checked like every other row's.
+    header, *rows = short_waveform.read_text().splitlines()
+    path = tmp_path / "bad.csv"
+    path.write_bytes(f"{header}\r{rows[0].rsplit(',', 1)[0]},abc\n".encode()
+                     + "".join(row + "\n" for row in rows[1:]).encode())
+    assert main(["analyze", str(path), "--channel", "i_src_a", "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 2: i_dc value 'abc' is not a number\n"
+
+
+# The plain grammar the check accepts: _NUMBER without inf and nan.
+_PLAIN_NUMBER = r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+_digits = st.text("0123456789", min_size=1, max_size=3)
+_signs = st.sampled_from(["", "+", "-"])
+_plain_number = st.builds(
+    "{}{}{}".format,
+    _signs,
+    st.one_of(_digits, st.builds("{}.{}".format, st.text("0123456789", max_size=2), _digits),
+              st.builds("{}.".format, _digits)),
+    st.one_of(st.just(""), st.builds("{}{}{}".format, st.sampled_from("eE"), _signs, _digits)),
+)
+
+
+@st.composite
+def _csv_bodies(draw) -> tuple[int, str]:
+    """A number of fields and a body of lines of that many plain numbers,
+    with up to two bytes inserted, deleted or replaced, each from the
+    plain alphabet or a letter, space, CR, "#" or "_"."""
+    n_fields = draw(st.integers(min_value=2, max_value=4))
+    lines = draw(st.lists(st.lists(_plain_number, min_size=n_fields, max_size=n_fields),
+                          min_size=1, max_size=4))
+    body = "".join(",".join(fields) + "\n" for fields in lines)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        at = draw(st.integers(min_value=0, max_value=len(body)))
+        cut = draw(st.integers(min_value=0, max_value=1))
+        new = draw(st.sampled_from(["", *"0123456789.eE+-,\na \r#_"]))
+        body = body[:at] + new + body[at + cut :]
+    return n_fields, body
+
+
+@given(case=_csv_bodies(), piece=st.integers(min_value=1, max_value=40))
+# Only the order of points and exponents tells these from plain numbers.
+@example(case=(2, "1,1e55.3\n"), piece=40)
+@example(case=(2, "1,1.22.3\n"), piece=40)
+@example(case=(2, "1e22e3,1\n"), piece=40)
+@settings(max_examples=100, deadline=None)
+def test_plain_check_accepts_exactly_plain_bodies(tmp_path_factory, case, piece):
+    n_fields, body = case
+    names = ["t_s", *CHANNEL_IDS[: n_fields - 1]]
+    header = ",".join(names) + "\n"
+    accepted = _plain_numbers((header + body).encode(), len(header), n_fields)
+    line = rf"{_PLAIN_NUMBER}(?:,{_PLAIN_NUMBER}){{{n_fields - 1}}}\n"
+    assert accepted == (re.fullmatch(f"(?:{line})+", body) is not None)
+    # Pieces of a line or a few: the cuts change nothing.
+    with mock.patch.object(cli, "_PIECE", piece):
+        assert _plain_numbers((header + body).encode(), len(header), n_fields) == accepted
+    if accepted:
+        # np.loadtxt reads every field, and no line is flagged.
+        path = tmp_path_factory.getbasetemp() / "plain.csv"
+        path.write_text(header + body)
+        full = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert full.shape == (body.count("\n"), n_fields)
+        assert _first_bad_line(path, names) is None
+
+
+def test_plain_check_tables_follow_the_grammar():
+    # Byte classes: digit, point, exponent, sign, separator, any other.
+    classes = {**dict.fromkeys(b"0123456789", 0), ord("."): 1, ord("e"): 2, ord("E"): 2,
+               ord("+"): 3, ord("-"): 3, ord(","): 4, ord("\n"): 4}
+    assert cli._CLASSES == bytes(classes.get(b, 5) for b in range(256))
+    # Every class string of up to 6 bytes that is a plain number, between
+    # separators; a separator's neighbours are any field's last and first.
+    symbol = {0: "1", 1: ".", 2: "e", 3: "+"}
+    fields = [
+        word
+        for size in range(1, 7)
+        for word in itertools.product(range(4), repeat=size)
+        if re.fullmatch(_PLAIN_NUMBER, "".join(symbol[c] for c in word))
+    ]
+    trigrams = set()
+    for field in fields:
+        padded = (4, *field, 4)
+        trigrams.update(zip(padded, padded[1:], padded[2:]))
+    trigrams.update((last[-1], 4, first[0]) for last in fields for first in fields)
+    assert cli._TRIGRAMS == bytes(sorted(36 * a + 6 * b + c for a, b, c in trigrams))
 
 
 @pytest.mark.parametrize("command", ["analyze", "report"])
