@@ -75,6 +75,7 @@ therefore hold exactly the periods it analyses.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import IO, Mapping
@@ -126,7 +127,8 @@ MAX_SWITCH_ITERATIONS = 10
 DIODE_ON_OHM = 1e-3
 DIODE_OFF_OHM = 1e6
 
-# Steps whose channels are formed from the history record at a time.
+# Steps whose channels are formed from the history record at a time, and
+# rows of a waveform CSV formatted at a time.
 _CHUNK = 2048
 
 # Absolute steps (from step 0) whose look-ahead blocks are filled with one
@@ -273,17 +275,175 @@ class WaveformSet:
         """First column ``t_s`` then one column per contract channel.
 
         Every value is written as ``%.17g``: 17 significant digits, which
-        read back as the same double, so the round trip is exact.
+        read back as the same double, so the round trip is exact.  The text
+        is that of ``"%.17g" % v`` byte for byte.  It is formed ``_CHUNK``
+        rows at a time by a vectorised formatter, which leaves each value
+        it cannot prove exact to Python's formatter (see ``_format_g17``).
         """
         out.write("t_s," + ",".join(CHANNEL_IDS) + "\n")
         columns = [self.time()] + [np.asarray(self.channels[c]) for c in CHANNEL_IDS]
-        rows = np.column_stack(columns)
-        row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-        out.write((row * len(rows)) % tuple(rows.ravel().tolist()))
+        seps = np.full((_CHUNK, len(columns)), ord(","), dtype=np.uint8)
+        seps[:, -1] = ord("\n")
+        for lo in range(0, self.n_samples, _CHUNK):
+            rows = np.column_stack([c[lo : lo + _CHUNK] for c in columns])
+            text = _format_g17(rows.ravel(), seps[: len(rows)].ravel())
+            out.write(text.decode("ascii"))
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             self.write_csv(fh)
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split: x = hi + lo, each with at most 26 significant bits,
+    so that the product of two halves is exact."""
+    t = x * 134217729.0  # 2^27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+@functools.cache
+def _g17_tables() -> tuple[np.ndarray, ...]:
+    """The tables of ``_format_g17``, built on its first call.
+
+    Indexed by e + 281 for the decimal exponents e = -281 .. 280:
+    10^(16 - e) as a double-double (its high part also split into 26-bit
+    halves for Dekker's product), the text before the digits ("0." to
+    "0.000" for -4 <= e < 0) and after them ("e-05", "e+17", "e-281"),
+    each NUL-padded to 8 bytes, the slot of the point among the 18 digit
+    and point slots (17 when there is none), and the fewest digits kept
+    (the integer digits in positional notation).  Indexed by a number
+    below 10^4: its 4 digits as text, and its trailing zeros (4 for 0).
+    """
+    e = np.arange(-281, 281)
+    hi, lo = [], []
+    for k in (16 - e).tolist():
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        # An int quotient is correctly rounded, so hi is the nearest
+        # double and lo the nearest to what hi leaves out.
+        hi.append(num / den)
+        n, d = hi[-1].as_integer_ratio()
+        lo.append((num * d - n * den) / (den * d))
+    hi = np.array(hi)
+    small = (e >= -4) & (e < 0)
+    expo = (e < -4) | (e > 16)
+    before = ["0." + "0" * (-x - 1) if s else "" for x, s in zip(e.tolist(), small)]
+    after = [f"e{x:+03d}" if s else "" for x, s in zip(e.tolist(), expo)]
+
+    def padded(texts: list[str]) -> np.ndarray:
+        return np.frombuffer("".join(t.ljust(8, "\0") for t in texts).encode(), np.uint64)
+
+    point = np.where(expo, 1, np.where(small, 17, e + 1)).astype(np.uint8)
+    least = np.where(expo | small, 0, e + 1).astype(np.uint8)
+    c = np.arange(10_000)
+    digits = (c[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    zeros = sum((c % m == 0).astype(np.uint8) for m in (10, 100, 1000, 10_000))
+    tables = (
+        hi, *_split(hi), np.array(lo), padded(before), padded(after),
+        point, least, digits.view(np.uint32).ravel(), zeros,
+    )
+    for t in tables:
+        t.flags.writeable = False  # shared by every call
+    return tables
+
+
+def _format_g17(v: np.ndarray, sep: np.ndarray) -> bytes:
+    """``"%.17g" % x`` for each double x of ``v``, each followed by its
+    separator byte from ``sep``, as one ASCII string.
+
+    With e = floor(log10|x|), |x| 10^(16 - e) is formed as a double-double
+    ``ph + pl``: 10^(16 - e) comes from a table as the sum of two doubles,
+    and Dekker's split product (Numer. Math. 18, 1971) gives ``|x|`` times
+    the high part exactly, so the sum is within 1e-14 of the true product.
+    It is rounded to the 17-digit integer q, whose digits with e fix the
+    text.  As in Grisu3 (Loitsch, PLDI 2010), a value is laid out this way
+    only where that is provably Python's text: |x| between 1e-280 and
+    1e280, so that no intermediate leaves the normal range, a product of
+    at least 1e16 whose fraction is not within 1e-6 of one half (where a
+    tie, rounded half to even, or the error could decide the last digit),
+    and q below 1e17.  Zeros are laid out too.  Every other value, such as
+    a non-finite one, a subnormal, or one that log10 puts in the wrong
+    decade, is written by Python's own formatter.
+    """
+    ten_hi, ten_hh, ten_hl, ten_lo, before, after, point, least, digits, zeros = (
+        _g17_tables()
+    )
+    n = len(v)
+    a = np.abs(v)
+    zero = a == 0.0
+    fast = (a >= 1e-280) & (a < 1e280)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    e += 281
+    # Dekker: with a and the power's high part split in halves, every
+    # partial product is exact.
+    ph = a * ten_hi.take(e)
+    ah, al = _split(a)
+    bh, bl = ten_hh.take(e), ten_hl.take(e)
+    pl = ah * bh - ph
+    pl += ah * bl
+    pl += al * bh
+    pl += al * bl
+    pl += a * ten_lo.take(e)
+    # ph >= 2^53 is an integer, so q = ph + floor(pl) is the floor of the
+    # product, and pl is left with its fraction.
+    floor = np.floor(pl)
+    pl -= floor
+    q = ph.astype(np.int64)
+    q += floor.astype(np.int64)
+    fast &= (np.abs(pl - 0.5) > 1e-6) & (q >= 10**16)
+    q += pl > 0.5
+    fast &= q < 10**17
+    fast |= zero
+    q[zero] = 0
+    e[zero] = 281
+
+    def quotient_remainder(x, m):
+        # Floor division by a constant is much faster than numpy's modulo.
+        top = x // m
+        return top, x - top * m
+
+    # q's 17 digits: the first, then four of 4 digits each.
+    upper, lower = quotient_remainder(q, 10**8)
+    first, upper = quotient_remainder(upper, 10**8)
+    quads = [*quotient_remainder(upper, 10**4), *quotient_remainder(lower, 10**4)]
+    # Trailing zeros of the last 16 digits, chunk by chunk from the left.
+    trailing = zeros.take(quads[0])
+    for quad in quads[1:]:
+        trailing *= quad == 0
+        trailing += zeros.take(quad)
+    p = point.take(e)
+    # Slots kept of the 18: the significant digits, at least the integer
+    # digits, and the point if a digit follows it.
+    kept = np.maximum(17 - trailing, least.take(e))
+    kept += kept > p
+
+    # Column j is the text of value j: sign, "0.000" prefix, 17 digits
+    # with the point, exponent and separator; unused slots are NUL.
+    block = np.empty((30, n), dtype=np.uint8)
+    np.multiply(np.signbit(v), np.uint8(ord("-")), out=block[0])
+    block[1:6] = before.take(e).view(np.uint8).reshape(n, 8).T[:5]
+    # Digit i at row i + 1, between NUL rows; slot s takes digit s before
+    # the point and digit s - 1 after it (uint8 sums wrap, so they are
+    # exact).
+    d = np.zeros((19, n), dtype=np.uint8)
+    np.add(first, ord("0"), out=d[1], casting="unsafe")
+    for i, quad in enumerate(quads):
+        d[2 + 4 * i : 6 + 4 * i] = digits.take(quad).view(np.uint8).reshape(n, 4).T
+    slots = block[6:24]
+    slot = np.arange(18, dtype=np.uint8)[:, None]
+    np.subtract(d[:18], d[1:], out=slots)
+    slots *= slot > p
+    slots += d[1:]
+    slots[p, np.arange(n)] = ord(".")
+    slots *= slot < kept
+    block[24:29] = after.take(e).view(np.uint8).reshape(n, 8).T[:5]
+    block[29] = sep
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = "".join(("%.17g" % x).ljust(29, "\0") for x in v[slow].tolist())
+        block[:29, slow] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 29).T
+    return block.T.tobytes().translate(None, b"\0")
 
 
 def run(scenario: Scenario) -> WaveformSet:

@@ -823,6 +823,22 @@ def test_scan_non_finite_flag_exit_2(
     assert network._last_scan is None
 
 
+def test_scan_magnitude_overflow_exit_2(tmp_path, ref_bank, capsys, monkeypatch):
+    # A finite impedance whose |Z| overflows is not written as inf: the
+    # scan rejects it as not finite and writes nothing.
+    def overflowing(bank, w, source_inductance_h=0.0, y=None):
+        z = np.full(w.shape, 1.5e308 + 1.5e308j)
+        return z, np.ones(w.shape, dtype=complex)
+
+    monkeypatch.setattr(network, "_bank_z", overflowing)
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(json.dumps(hf.design.bank_to_dict(ref_bank)))
+    rc = main(["scan", str(bank_path), "--ls", "0.0016", "-o", str(tmp_path / "x")])
+    assert rc == 2
+    assert "error: impedance at 50.0 Hz is not finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [bank_path]
+
+
 def test_scan_points_above_cap_exit_2(tmp_path, ref_bank, capsys, monkeypatch):
     # Rejected before the grid is allocated.
     def no_grid(*args, **kwargs):

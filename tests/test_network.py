@@ -80,6 +80,28 @@ def test_st_impedance_rejects_nonpositive_frequency():
         hf.branch_impedance(f5, 1e-320)
 
 
+def test_impedance_whose_magnitude_overflows_is_not_finite(ref_bank, monkeypatch):
+    # R and wL each below DBL_MAX, |Z| above it: 1 Hz passes, 1000 Hz not.
+    huge = hf.SingleTunedFilter(
+        order=2.0, capacitance_f=1.0, inductance_h=2.4e304, resistance_ohm=1.5e308
+    )
+    z = hf.branch_impedance(huge, 1.0)
+    assert math.isfinite(abs(z))
+    with pytest.raises(NetworkError, match=r"^impedance at 1000\.0 Hz is not finite$"):
+        hf.branch_impedance(huge, np.array([1.0, 1000.0]))
+    # A scan fails the same way, naming the first such frequency.
+    def overflowing(bank, w, source_inductance_h=0.0, y=None):
+        z = np.full(w.shape, 2.0 + 1.0j)
+        z[3:] = 1.5e308 - 1.5e308j
+        return z, np.ones(w.shape, dtype=complex)
+
+    monkeypatch.setattr(network, "_bank_z", overflowing)
+    monkeypatch.setattr(network, "_last_scan", None)
+    with pytest.raises(NetworkError, match=r"^impedance at 53\.0 Hz is not finite \(source"):
+        hf.scan(ref_bank, 0.0016, 50.0, 60.0, 11)
+    assert network._last_scan is None
+
+
 def test_st_impedance_matches_elementwise_formula():
     f5 = _st()
     freqs = np.array([60.0, 250.0, 700.0])

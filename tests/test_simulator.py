@@ -8,9 +8,13 @@ import math
 import random
 import tracemalloc
 import warnings
+from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scipy.linalg.lapack import dgetrf, dgetrs
 
@@ -884,3 +888,140 @@ def test_waveform_csv_layout():
     assert float(row[0]) == pytest.approx(2e-4, rel=1e-12)
     # full round-trip precision
     assert float(row[1]) == waves.channels["v_src_a"][2]
+
+
+def _g17_oracle(waves) -> str:
+    """The waveform CSV as one ``%`` expression over every value."""
+    columns = [waves.time()] + [np.asarray(waves.channels[c]) for c in CHANNEL_IDS]
+    rows = np.column_stack(columns)
+    row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    header = "t_s," + ",".join(CHANNEL_IDS) + "\n"
+    return header + (row * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def _assert_g17_csv(waves):
+    buf = io.StringIO()
+    waves.write_csv(buf)
+    got, want = buf.getvalue(), _g17_oracle(waves)
+    if got != want:
+        # The first line that differs, not a diff of megabytes of text.
+        lines = zip_longest(got.splitlines(keepends=True), want.splitlines(keepends=True))
+        number, (line, expected) = next((i, p) for i, p in enumerate(lines, 1) if p[0] != p[1])
+        pytest.fail(f"line {number}: {line!r} != {expected!r}")
+
+
+def _waves_of(values):
+    """Every value in the channel columns, repeated to fill whole rows."""
+    values = np.asarray(values, dtype=float)
+    n = max(2, -(-len(values) // len(CHANNEL_IDS)))
+    grid = np.resize(values, (len(CHANNEL_IDS), n))
+    return hf.WaveformSet(1e5, dict(zip(CHANNEL_IDS, grid)))
+
+
+@pytest.mark.parametrize("case", ["baseline", "filtered"])
+def test_waveform_csv_matches_g17_on_bundled_runs(case, request):
+    _, waves, _ = request.getfixturevalue(f"{case}_run")
+    keep = 5 * analyzer.samples_per_period(waves.sample_rate_hz, 50.0)
+    last = hf.WaveformSet(
+        waves.sample_rate_hz,
+        {c: waves.channels[c][-keep:] for c in CHANNEL_IDS},
+        first_step=waves.first_step + waves.n_samples - keep,
+    )
+    assert last.n_samples > simulator._CHUNK
+    _assert_g17_csv(last)
+
+
+def test_waveform_csv_matches_g17_at_powers_of_ten():
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    values = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    _assert_g17_csv(_waves_of(np.concatenate([values, -values])))
+
+
+def test_waveform_csv_matches_g17_at_notation_switches():
+    # %.17g writes 1e-5 with an exponent and 1e-4 without, 1e16 without
+    # and 1e17 with; twenty doubles each side of each switch.
+    values = []
+    for switch in (1e-5, 1e-4, 1e16, 1e17):
+        below = above = switch
+        for _ in range(20):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            values += [below, above]
+        values.append(switch)
+    _assert_g17_csv(_waves_of(values + [-v for v in values]))
+
+
+def test_waveform_csv_matches_g17_where_rounding_carries():
+    # Doubles just below a power of ten whose 17 digits round up to it,
+    # and values whose last digits are a run of nines.
+    carries = []
+    for k in range(-323, 309):
+        x = float(f"1e{k}")
+        for v in (x, np.nextafter(x, 0.0)):
+            if Fraction(v) < Fraction(10) ** k and Fraction("%.17g" % v) == Fraction(10) ** k:
+                carries.append(v)
+    assert len(carries) >= 10
+    nines = [0.3, 2.0 / 3.0, 0.7, 1.9999999999999998, 99999999999999.98, 9.9999999999999982e-5]
+    _assert_g17_csv(_waves_of(carries + nines + [-v for v in carries]))
+
+
+@pytest.mark.parametrize("step", [-np.inf, np.inf])
+def test_waveform_csv_matches_g17_when_log10_errs(step, monkeypatch):
+    # The decade is taken from log10 but not trusted: with log10 two ulps
+    # off, values next to a power of ten land a decade too high or too low
+    # (a product at or above 1e17, or below 1e16) and still print exactly.
+    true_log10 = np.log10
+    monkeypatch.setattr(
+        np, "log10", lambda x: np.nextafter(np.nextafter(true_log10(x), step), step)
+    )
+    tens = np.array([float(f"1e{k}") for k in range(-279, 280)])
+    values = [tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)]
+    _assert_g17_csv(_waves_of(np.concatenate(values)))
+
+
+def test_waveform_csv_matches_g17_on_exact_ties():
+    # x = m / 2^(k+1) with m odd has 18 significant digits, the last a 5,
+    # when it lies in the decade 10^(16-k): %.17g rounds it half to even.
+    rng = np.random.default_rng(24)
+    ties = [1000000000000000.25, 1000000000000000.75, 2000000000000000.25]
+    for k in range(1, 23):
+        for m in rng.integers(1, 2**53, 400).tolist():
+            x = (m | 1) / 2 ** (k + 1)
+            if 10.0 ** (16 - k) <= x < 10.0 ** (17 - k):
+                ties.append(x)
+    parities = set()
+    for x in ties:
+        scaled = Fraction(x) * Fraction(10) ** (16 - math.floor(math.log10(x)))
+        assert scaled - math.floor(scaled) == Fraction(1, 2)
+        parities.add(math.floor(scaled) % 2)
+    # Ties that round down to an even digit and ties that round up to one.
+    assert parities == {0, 1} and len(ties) > 500
+    _assert_g17_csv(_waves_of(ties + [-x for x in ties]))
+
+
+def test_waveform_csv_matches_g17_on_special_values():
+    tiny = 2.2250738585072014e-308
+    values = [
+        0.0, -0.0, 5e-324, 1e-320, np.nextafter(tiny, 0.0), tiny,
+        np.finfo(float).max, np.nan, np.inf, -np.inf, 1e-280, 1e280,
+    ]
+    values += [-v for v in values]
+    values += np.random.default_rng(3).random(40).tolist()
+    _assert_g17_csv(_waves_of(values))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    pool=st.lists(st.floats(), min_size=1, max_size=64),
+    n_rows=st.sampled_from([1, 2, simulator._CHUNK - 1, simulator._CHUNK + 1, 2 * simulator._CHUNK + 3]),
+)
+def test_waveform_csv_matches_g17_on_any_floats(pool, n_rows):
+    values = np.resize(np.array(pool), (len(CHANNEL_IDS) + 1, n_rows))
+    if n_rows == 1:
+        # A waveform set holds at least 2 rows; one row is checked on the
+        # formatter itself.
+        seps = np.full(len(values), ord(","), dtype=np.uint8)
+        seps[-1] = ord("\n")
+        row = ",".join(["%.17g"] * len(values)) + "\n"
+        assert simulator._format_g17(values[:, 0], seps) == (row % tuple(values[:, 0])).encode()
+        return
+    _assert_g17_csv(hf.WaveformSet(1e5, dict(zip(CHANNEL_IDS, values[1:]))))
