@@ -127,9 +127,14 @@ MAX_SWITCH_ITERATIONS = 10
 DIODE_ON_OHM = 1e-3
 DIODE_OFF_OHM = 1e6
 
-# Steps whose channels are formed from the history record at a time, and
-# rows of a waveform CSV formatted at a time.
+# Steps whose channels are formed from the history record at a time.
 _CHUNK = 2048
+
+# Rows of a waveform CSV formatted at a time.  The formatter holds about
+# 280 bytes of temporaries a value: 5.2 MB for 1024 rows of 18 columns,
+# below the 9.8 MB the bundled filtered run traces, so the solver and not
+# the writer sets the peak memory of `simulate`.
+_CSV_ROWS = 1024
 
 # Absolute steps (from step 0) whose look-ahead blocks are filled with one
 # product per diode state: about 40 rows a product on the 1.2 s filtered run.
@@ -276,16 +281,18 @@ class WaveformSet:
 
         Every value is written as ``%.17g``: 17 significant digits, which
         read back as the same double, so the round trip is exact.  The text
-        is that of ``"%.17g" % v`` byte for byte.  It is formed ``_CHUNK``
-        rows at a time by a vectorised formatter, which leaves each value
-        it cannot prove exact to Python's formatter (see ``_format_g17``).
+        is that of ``"%.17g" % v`` byte for byte.  It is formed ``_CSV_ROWS``
+        (1024) rows at a time by a vectorised formatter, which leaves each
+        value it cannot prove exact to Python's formatter (see
+        ``_format_g17``).  The block size sets the writer's working set, and
+        does not change the text.
         """
         out.write("t_s," + ",".join(CHANNEL_IDS) + "\n")
         columns = [self.time()] + [np.asarray(self.channels[c]) for c in CHANNEL_IDS]
-        seps = np.full((_CHUNK, len(columns)), ord(","), dtype=np.uint8)
+        seps = np.full((_CSV_ROWS, len(columns)), ord(","), dtype=np.uint8)
         seps[:, -1] = ord("\n")
-        for lo in range(0, self.n_samples, _CHUNK):
-            rows = np.column_stack([c[lo : lo + _CHUNK] for c in columns])
+        for lo in range(0, self.n_samples, _CSV_ROWS):
+            rows = np.column_stack([c[lo : lo + _CSV_ROWS] for c in columns])
             text = _format_g17(rows.ravel(), seps[: len(rows)].ravel())
             out.write(text.decode("ascii"))
 

@@ -927,8 +927,38 @@ def test_waveform_csv_matches_g17_on_bundled_runs(case, request):
         {c: waves.channels[c][-keep:] for c in CHANNEL_IDS},
         first_step=waves.first_step + waves.n_samples - keep,
     )
-    assert last.n_samples > simulator._CHUNK
+    assert last.n_samples > simulator._CSV_ROWS
     _assert_g17_csv(last)
+
+
+@pytest.mark.parametrize("rows", [1, 7, simulator._CSV_ROWS])
+def test_waveform_csv_text_does_not_depend_on_row_block(rows, filtered_bundled_run, monkeypatch):
+    # 101 rows: blocks of 1 and 7 rows, a short last block, and one block.
+    _, waves, _ = filtered_bundled_run
+    first = waves.first_step + waves.n_samples - 101
+    last = hf.WaveformSet(
+        waves.sample_rate_hz, {c: waves.channels[c][-101:] for c in CHANNEL_IDS}, first_step=first
+    )
+    monkeypatch.setattr(simulator, "_CSV_ROWS", rows)
+    _assert_g17_csv(last)
+
+
+def test_waveform_csv_writer_peak_is_below_the_run(tmp_path):
+    # The writer formats a block of rows at a time, so its temporaries
+    # (5.3 MB traced) stay below the bundled filtered run's own (9.8 MB,
+    # 5.9 MB of them look-ahead tables) and the run sets `simulate`'s peak.
+    scenario = presets.filtered_scenario()
+    tracemalloc.start()
+    try:
+        waves = hf.run(scenario)
+        held, run_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        waves.to_csv(tmp_path / "filtered.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    csv_peak = peak - held  # not counting the record the run left
+    assert csv_peak < run_peak, (csv_peak, run_peak)
 
 
 def test_waveform_csv_matches_g17_at_powers_of_ten():
@@ -1012,7 +1042,9 @@ def test_waveform_csv_matches_g17_on_special_values():
 @settings(max_examples=30, deadline=None)
 @given(
     pool=st.lists(st.floats(), min_size=1, max_size=64),
-    n_rows=st.sampled_from([1, 2, simulator._CHUNK - 1, simulator._CHUNK + 1, 2 * simulator._CHUNK + 3]),
+    n_rows=st.sampled_from(
+        [1, 2, simulator._CSV_ROWS - 1, simulator._CSV_ROWS + 1, 2 * simulator._CSV_ROWS + 3]
+    ),
 )
 def test_waveform_csv_matches_g17_on_any_floats(pool, n_rows):
     values = np.resize(np.array(pool), (len(CHANNEL_IDS) + 1, n_rows))
