@@ -30,6 +30,7 @@ import numpy as np
 
 from . import svg
 from .analyzer import (
+    DEFAULT_MAX_ORDER,
     SETTLING_RESIDUAL_LIMIT,
     AnalysisError,
     ieee519_check,
@@ -38,7 +39,7 @@ from .analyzer import (
     settling_residual,
     spectrum,
 )
-from .design import SystemBasis, bank_from_dict, bank_to_dict, design_bank
+from .design import SIX_PULSE_ORDERS, SystemBasis, bank_from_dict, bank_to_dict, design_bank
 from .network import find_resonances, scan
 from .scenario_io import decode_utf8, load_json, load_scenario
 from .simulator import CHANNEL_IDS, SolverError, run
@@ -75,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--orders",
         type=_float_list,
-        default="5,7,11,13",
+        default=",".join(map(str, SIX_PULSE_ORDERS)),
         help="comma list of tuned harmonic orders",
     )
     p.add_argument(
@@ -140,7 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
     # analyze and report take the same analysis window.
     for p in (analyze, report):
         p.add_argument("--f1", type=float, default=50.0, help="fundamental [Hz]")
-        p.add_argument("--max-order", type=int, default=50, help="highest harmonic order")
+        p.add_argument(
+            "--max-order", type=int, default=DEFAULT_MAX_ORDER, help="highest harmonic order"
+        )
         p.add_argument(
             "--cycles", type=int, default=5, help="steady-state window length [cycles]"
         )
@@ -198,14 +201,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_waveform_csv(path, channels=None) -> tuple[list[str], np.ndarray, float, float]:
+def _read_waveform_csv(path, channels) -> tuple[list[str], np.ndarray, float, float]:
     """Return (channel names, data matrix, sample rate, first ``t_s``) of a
     waveform CSV, whose ``t_s`` must be finite and evenly spaced.
 
-    The matrix holds every channel, or only ``channels`` when each of them
-    is in the header and every field of the file is a plain number (see
-    :func:`_plain_numbers`); the names label its columns.  Any other file
-    is parsed in full, so that each field is checked."""
+    The matrix holds only ``channels`` when each is in the header and every
+    field of the file is a plain number (see :func:`_plain_numbers`), else
+    every channel; the names label its columns.  Any other file is parsed
+    in full, so that each field is checked."""
     raw = Path(path).read_bytes()
     body = raw.find(b"\n") + 1 or len(raw)
     header = decode_utf8(raw[:body], path, AnalysisError)
@@ -218,8 +221,7 @@ def _read_waveform_csv(path, channels=None) -> tuple[list[str], np.ndarray, floa
         raise AnalysisError(f"{path}: the header names column {repeated[0]!r} twice")
     usecols = None
     if (
-        channels is not None
-        and set(channels) <= set(names[1:])
+        set(channels) <= set(names[1:])
         # A CR ends the header for np.loadtxt, so its body would start there.
         and "\r" not in header
         and _plain_numbers(raw, body, len(names))

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import replace
 from pathlib import Path
 
-from .design import FilterBank, SystemBasis
 from .scenario_io import load_scenario
-from .simulator import RectifierLoad, Scenario, SolverConfig
+from .simulator import Scenario, SolverConfig
 
 SCENARIOS = Path(__file__).resolve().parents[2] / "scenarios"
 
@@ -34,15 +33,3 @@ def filtered_scenario(solver: SolverConfig | None = None) -> Scenario:
     """Rectifier with the full five-branch bank at the PCC; ``solver``
     replaces the bundled settings."""
     return _bundled("filtered", solver)
-
-
-def bundled_basis() -> SystemBasis:
-    return filtered_scenario().basis
-
-
-def bundled_load() -> RectifierLoad:
-    return filtered_scenario().load
-
-
-def bundled_bank() -> FilterBank:
-    return filtered_scenario().bank

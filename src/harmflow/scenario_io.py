@@ -1,4 +1,4 @@
-"""Strict JSON loading and saving of simulation scenarios.
+"""Strict JSON loading of simulation scenarios, and their document form.
 
 A scenario document has top-level keys ``basis``, ``load``, ``solver`` and
 an optional ``bank`` (the filter-bank serialization of
@@ -140,9 +140,3 @@ def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file (see :func:`load_json`);
     validation failures raise :class:`ScenarioError`."""
     return scenario_from_dict(load_json(path))
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2)
-        fh.write("\n")

@@ -26,6 +26,8 @@ and element state is a fixed linear form of two consecutive history
 vectors (Dommel, IEEE Trans. PAS 88(4), 1969).  The solver records the
 history alone and forms the channels after the step loop, for example
 ``v_pcc = e - Ls dz/dt``, ``i_src = q`` and ``i_dc = v_dc/R + C dv_dc/dt``.
+The order of the terms has one owner, :func:`_layout`, whose table every
+reader of ``z`` takes its columns and element values from.
 
 The step is one set of linear forms over ``[x; z; s]``: the unknowns, the
 history and the source phase ``s_k = (sin w1 t_k, cos w1 t_k)``, advanced
@@ -471,32 +473,49 @@ def _stamp(g, d: np.ndarray) -> np.ndarray:
     return d.T @ (np.reshape(g, (-1, 1)) * d)
 
 
-def _branch_values(scenario: Scenario, kind: str) -> tuple[np.ndarray, ...]:
-    """R, L and C of the bank's ``kind`` branches ("single_tuned" or
-    "high_pass"), one entry per branch-phase, branch-major."""
-    branches = getattr(scenario.bank, kind) if scenario.bank else ()
-    return tuple(
-        np.repeat([getattr(b, name) for b in branches], 3)
-        for name in ("resistance_ohm", "inductance_h", "capacitance_f")
+@dataclass(frozen=True)
+class _Layout:
+    """A scenario's history layout, built by :func:`_layout`: each term's L
+    or C in ``z`` order, the columns of each element kind (``caps`` holds
+    the filter capacitors, single-tuned then high-pass), and the filter
+    resistances per branch-phase, branch-major."""
+
+    masses: np.ndarray
+    ls: slice
+    fe: slice
+    dc: int
+    st_l: slice
+    st_c: slice
+    hp_c: slice
+    hp_l: slice
+    caps: slice
+    st_r: np.ndarray
+    hp_r: np.ndarray
+
+
+def _layout(scenario: Scenario) -> _Layout:
+    """The order of the history terms, stated here alone: Ls and Lfe per
+    phase, Cdc, then per filter branch-phase the single-tuned L and C and
+    the high-pass C and L."""
+    basis, load, bank = scenario.basis, scenario.load, scenario.bank
+    (st_r, st_l, st_c), (hp_r, hp_l, hp_c) = (
+        [
+            np.repeat([getattr(b, name) for b in (getattr(bank, kind) if bank else ())], 3)
+            for name in ("resistance_ohm", "inductance_h", "capacitance_f")
+        ]
+        for kind in ("single_tuned", "high_pass")
     )
-
-
-def _masses(scenario: Scenario) -> np.ndarray:
-    """Each history term's L or C, in ``z`` order: Ls and Lfe per phase, Cdc,
-    then per filter branch-phase the single-tuned L, C and high-pass C, L."""
-    _, st_l, st_c = _branch_values(scenario, "single_tuned")
-    _, hp_l, hp_c = _branch_values(scenario, "high_pass")
-    basis, load = scenario.basis, scenario.load
-    return np.concatenate([
-        np.full(3, basis.source_inductance_h),
-        np.full(3, load.front_end_inductance_h),
-        [load.load_capacitance_f],
-        st_l, st_c, hp_c, hp_l,
-    ])
-
-
-# History columns of Ls, Lfe and Cdc; the filter terms start at _Z_ST.
-_Z_LS, _Z_FE, _Z_DC, _Z_ST = slice(0, 3), slice(3, 6), 6, 7
+    runs = {
+        "ls": np.full(3, basis.source_inductance_h),
+        "fe": np.full(3, load.front_end_inductance_h),
+        "dc": [load.load_capacitance_f],
+        "st_l": st_l, "st_c": st_c, "hp_c": hp_c, "hp_l": hp_l,
+    }
+    ends = np.cumsum([len(m) for m in runs.values()]).tolist()
+    cols = dict(zip(runs, map(slice, [0, *ends], ends)))
+    cols["dc"] = cols["dc"].start  # a single term
+    caps = slice(cols["st_c"].start, cols["hp_c"].stop)
+    return _Layout(np.concatenate(list(runs.values())), caps=caps, st_r=st_r, hp_r=hp_r, **cols)
 
 
 def _finite(a: np.ndarray, axis: int | None = None):
@@ -540,11 +559,8 @@ class _TransientSolver:
         self.g_on = 1.0 / DIODE_ON_OHM
         self.g_off = 1.0 / DIODE_OFF_OHM
         self.g_rl = 1.0 / scenario.load.load_resistance_ohm
-        self.masses = _masses(scenario)
-        self.n_z = len(self.masses)
-        # The filter capacitors, between the single-tuned and high-pass Ls.
-        n3st, n3hp = (len(_branch_values(scenario, k)[0]) for k in ("single_tuned", "high_pass"))
-        self._caps = slice(_Z_ST + n3st, self.n_z - n3hp)
+        self.layout = _layout(scenario)
+        self.n_z = len(self.layout.masses)
 
         basis = scenario.basis
         w1 = TWO_PI * basis.fundamental_hz
@@ -573,12 +589,11 @@ class _TransientSolver:
         nx, nz, dt = _NUM_UNKNOWNS, self.n_z, self.dt
         unit = np.eye(nx + nz + 2)
         x, z, s = unit[:nx], unit[nx : nx + nz], unit[nx + nz :]
-        st_r, st_l, st_c = _branch_values(scenario, "single_tuned")
-        hp_r, hp_l, hp_c = _branch_values(scenario, "high_pass")
-        z_ls, z_fe, z_dc = z[_Z_LS], z[_Z_FE], z[_Z_DC]
-        st_zl, st_zc, hp_zc, hp_zl = np.split(
-            z[_Z_ST:], np.cumsum([len(st_r), len(st_r), len(hp_r)])
-        )
+        lay = self.layout
+        m, st_r, hp_r = lay.masses, lay.st_r, lay.hp_r
+        st_l, st_c, hp_c, hp_l = m[lay.st_l], m[lay.st_c], m[lay.hp_c], m[lay.hp_l]
+        z_ls, z_fe, z_dc = z[lay.ls], z[lay.fe], z[lay.dc]
+        st_zl, st_zc, hp_zc, hp_zl = z[lay.st_l], z[lay.st_c], z[lay.hp_c], z[lay.hp_l]
 
         e = v_src @ s
         c, sn = math.cos(step_angle), math.sin(step_angle)
@@ -607,12 +622,12 @@ class _TransientSolver:
         # Source branches: e - vp = 2Ls/dt (i_src - z_ls).
         kcl[_NUM_NODES:] = vp + 2.0 * scenario.basis.source_inductance_h / dt * (i_src - z_ls) - e
 
-        states = np.vstack([
-            i_src, i_fe, v_dc,
-            st_i, st_rc[:, None] * st_i + st_zc,
-            hp_rc[:, None] * hp_i + hp_zc,
-            (hp_gl * hp_rp)[:, None] * (hp_i - hp_zl) + hp_zl,
-        ])
+        # Each history term's element state, as a form over [x; z; s].
+        states = np.empty_like(z)
+        states[lay.ls], states[lay.fe], states[lay.dc] = i_src, i_fe, v_dc
+        states[lay.st_l], states[lay.st_c] = st_i, st_rc[:, None] * st_i + st_zc
+        states[lay.hp_c] = hp_rc[:, None] * hp_i + hp_zc
+        states[lay.hp_l] = (hp_gl * hp_rp)[:, None] * (hp_i - hp_zl) + hp_zl
         out = np.vstack([
             vbt - x[_P], x[_N] - vbt,  # diode voltages
             2.0 * states - z,
@@ -829,15 +844,15 @@ class _TransientSolver:
         rows ``z`` and the next, by :func:`_states` and :func:`_flows`.  With
         ``z`` in column-major order each term's rows are contiguous, and so
         is every operand."""
-        m, dt = self.masses, self.dt
-        v_dc = _states(z, _Z_DC)
-        np.subtract(e, _flows(z, _Z_LS, m, dt).T, out=out[0:3])
-        out[3:6] = _states(z, _Z_LS).T
-        out[6:9] = _states(z, _Z_FE).T
+        lay, m, dt = self.layout, self.layout.masses, self.dt
+        v_dc = _states(z, lay.dc)
+        np.subtract(e, _flows(z, lay.ls, m, dt).T, out=out[0:3])
+        out[3:6] = _states(z, lay.ls).T
+        out[6:9] = _states(z, lay.fe).T
         # Each filter branch's current flows through its capacitor.
-        out[9:12] = _flows(z, self._caps, m, dt).T.reshape(-1, 3, len(v_dc)).sum(axis=0)
+        out[9:12] = _flows(z, lay.caps, m, dt).T.reshape(-1, 3, len(v_dc)).sum(axis=0)
         out[12] = v_dc
-        out[13] = self.g_rl * v_dc + _flows(z, _Z_DC, m, dt)
+        out[13] = self.g_rl * v_dc + _flows(z, lay.dc, m, dt)
 
 
 def steady_state_window(w: WaveformSet, basis: SystemBasis, n_cycles: int) -> range:
@@ -883,7 +898,8 @@ def energy_audit(w: WaveformSet, scenario: Scenario, window: range) -> EnergyAud
     must be a step-1 range of at least 2 samples (AnalysisError otherwise).
     The relative imbalance is the defect normalized by the largest term.
     """
-    m = _masses(scenario)
+    lay = _layout(scenario)
+    m = lay.masses
     if w.history is None or w.history.shape[1] != len(m):
         raise ValueError(
             f"energy_audit needs the run's history of {len(m)} terms, got "
@@ -895,8 +911,6 @@ def energy_audit(w: WaveformSet, scenario: Scenario, window: range) -> EnergyAud
     z = w.history[window.start : window.stop + 1]
     dt = w.dt_s
     ch = w.channels
-    st_r = _branch_values(scenario, "single_tuned")[0]
-    hp_r = _branch_values(scenario, "high_pass")[0]
 
     def phases(name: str) -> np.ndarray:
         return np.column_stack([ch[f"{name}_{p}"][sl] for p in "abc"])
@@ -905,14 +919,13 @@ def energy_audit(w: WaveformSet, scenario: Scenario, window: range) -> EnergyAud
     e_source = float(np.trapezoid(np.sum(phases("v_src") * phases("i_src"), axis=1), dx=dt))
     e_load = float(np.trapezoid(v_dc**2 / scenario.load.load_resistance_ohm, dx=dt))
     # The bridge terminals sit one front-end inductor drop below the PCC.
-    v_bt = phases("v_pcc") - _flows(z, _Z_FE, m, dt)
+    v_bt = phases("v_pcc") - _flows(z, lay.fe, m, dt)
     p_bridge = np.sum(v_bt * i_bridge, axis=1) - v_dc * ch["i_dc"][sl]
     e_bridge = float(np.trapezoid(p_bridge, dx=dt))
     # A single-tuned resistor carries its inductor's current, a high-pass
     # one its inductor's voltage.
-    st_l = slice(_Z_ST, _Z_ST + len(st_r))
-    hp_l = slice(len(m) - len(hp_r), len(m))
-    p_filter = _states(z, st_l) ** 2 @ st_r + _flows(z, hp_l, m, dt) ** 2 @ (1.0 / hp_r)
+    st_r, hp_r = lay.st_r, lay.hp_r
+    p_filter = _states(z, lay.st_l) ** 2 @ st_r + _flows(z, lay.hp_l, m, dt) ** 2 @ (1.0 / hp_r)
     e_filter = float(np.trapezoid(p_filter, dx=dt))
     e_diss = e_load + e_bridge + e_filter
 

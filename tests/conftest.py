@@ -13,12 +13,12 @@ from harmflow import presets
 
 @pytest.fixture(scope="session")
 def basis() -> hf.SystemBasis:
-    return presets.bundled_basis()
+    return presets.filtered_scenario().basis
 
 
 @pytest.fixture(scope="session")
 def ref_bank() -> hf.FilterBank:
-    return presets.bundled_bank()
+    return presets.filtered_scenario().bank
 
 
 def _timed_run(scenario: hf.Scenario) -> tuple[hf.Scenario, hf.WaveformSet, float]:

@@ -75,7 +75,7 @@ def _fundamental_complex_power(scenario, waves):
 
 
 def test_tuned_inductor_reference_values():
-    basis = presets.bundled_basis()
+    basis = presets.filtered_scenario().basis
     printed = REF_L
     computed = {h: hf.tune_inductor(REF_C, h, basis) for h in printed}
     # The reference table truncates its four-decimal entries (0.0075506
@@ -115,13 +115,13 @@ def test_bundled_bank_matches_printed_values():
     # q ~105..108 lies above the usual 20..100 recommendation.
     with pytest.warns(QualityFactorWarning):
         designed = hf.design_bank_six_pulse(
-            presets.bundled_basis(),
+            presets.filtered_scenario().basis,
             REF_C,
             tuned_q,
             _high_pass_corner_hz(),
             _high_pass_quality_factor(),
         )
-    ok = bank_to_dict(presets.bundled_bank()) == bank_to_dict(designed)
+    ok = bank_to_dict(presets.filtered_scenario().bank) == bank_to_dict(designed)
     _criterion(
         "bundled bank is the design of the printed table",
         ok,
@@ -263,7 +263,7 @@ def test_property_tuned_impedance_is_resistive(ref_bank):
 
 
 def test_property_capacitor_var_round_trip():
-    basis = presets.bundled_basis()
+    basis = presets.filtered_scenario().basis
     worst = 0.0
     for c in np.geomspace(1e-9, 1e-2, 40):
         back = hf.capacitor_from_reactive_power(

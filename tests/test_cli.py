@@ -26,11 +26,14 @@ from harmflow.cli import _first_bad_line, _json_dump, _plain_numbers, _read_wave
 from harmflow.scenario_io import (
     ScenarioError,
     load_scenario,
-    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
 )
 from harmflow.simulator import CHANNEL_IDS
+
+
+def _save_scenario(scenario: hf.Scenario, path) -> None:
+    path.write_text(json.dumps(scenario_to_dict(scenario)))
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +41,7 @@ def short_scenario_path(tmp_path_factory):
     """A fast scenario (0.2 s, coarse step) for CLI round trips."""
     path = tmp_path_factory.mktemp("cli") / "short.json"
     solver = hf.SolverConfig(dt_s=5e-5, duration_s=0.2)
-    save_scenario(presets.filtered_scenario(solver), path)
+    _save_scenario(presets.filtered_scenario(solver), path)
     return path
 
 
@@ -389,7 +392,7 @@ def test_simulate_integer_too_large_for_double_exit_2(tmp_path, capsys, section,
     assert not wrote
 
 
-_BANK_R = str(presets.bundled_bank().branches[1].resistance_ohm)
+_BANK_R = str(presets.filtered_scenario().bank.branches[1].resistance_ohm)
 
 
 @pytest.mark.parametrize("value", [_BANK_R, "abc", True], ids=["numeric_string", "string", "true"])
@@ -424,7 +427,7 @@ def test_integer_literal_too_long_names_file(tmp_path, capsys, command):
         doc = scenario_to_dict(presets.baseline_scenario())
         doc["basis"]["source_vrms"] = 123.25
     else:
-        doc = hf.design.bank_to_dict(presets.bundled_bank())
+        doc = hf.design.bank_to_dict(presets.filtered_scenario().bank)
         doc["branches"][1]["r_ohms"] = 123.25
     path = tmp_path / "in.json"
     # json.dumps refuses such an integer, so a placeholder is replaced.
@@ -603,7 +606,7 @@ def test_analyze_unknown_channel_lists_available(tmp_path, short_waveform, capsy
 
 def _assert_csv_round_trip(waves: hf.WaveformSet, path) -> None:
     waves.to_csv(path)
-    names, data, sample_rate, t_start = _read_waveform_csv(path)
+    names, data, sample_rate, t_start = _read_waveform_csv(path, CHANNEL_IDS)
     assert names == list(CHANNEL_IDS)
     times = np.loadtxt(path, delimiter=",", skiprows=1, usecols=0)
     assert np.array_equal(times, waves.time())
@@ -655,7 +658,7 @@ def test_scan_outputs(tmp_path, ref_bank):
 
 
 def test_scan_single_high_pass_flattens(tmp_path):
-    hp = hf.design_high_pass(presets.bundled_basis(), 858.37, 11.09e-6, 2.9704)
+    hp = hf.design_high_pass(presets.filtered_scenario().basis, 858.37, 11.09e-6, 2.9704)
     bank = hf.FilterBank(fundamental_hz=50.0, branches=(hp,))
     bank_path = tmp_path / "hp.json"
     bank_path.write_text(json.dumps(hf.design.bank_to_dict(bank)))
@@ -730,7 +733,7 @@ def test_bad_branch_value_exit_2(tmp_path, capsys, index, key, value):
     rc, err, wrote = _simulate_with(tmp_path, capsys, section, key, value)
     assert rc == 2 and f"{section}: " in err and "must be positive and finite" in err, err
     assert not wrote
-    doc = hf.design.bank_to_dict(presets.bundled_bank())
+    doc = hf.design.bank_to_dict(presets.filtered_scenario().bank)
     doc["branches"][index][key] = value
     bank_path = tmp_path / "bank.json"
     bank_path.write_text(json.dumps(doc))
@@ -755,7 +758,7 @@ def test_bad_branch_value_exit_2(tmp_path, capsys, index, key, value):
 def test_bad_branch_value_names_json_key(tmp_path, capsys, index, key, value):
     rule = "must be >= 2 and finite" if key == "order" else "must be positive and finite"
     message = f"bank.branches[{index}]: {key} {rule}, got {float(value)!r}"
-    doc = hf.design.bank_to_dict(presets.bundled_bank())
+    doc = hf.design.bank_to_dict(presets.filtered_scenario().bank)
     doc["branches"][index][key] = value
     with pytest.raises(hf.design.DesignError) as info:
         hf.design.bank_from_dict(doc)
@@ -767,8 +770,8 @@ def test_bad_branch_value_names_json_key(tmp_path, capsys, index, key, value):
 @pytest.mark.parametrize("command", ["scan", "simulate"])
 def test_bank_file_with_stored_quality_exit_2(tmp_path, capsys, command):
     # Bank files once stored q (and a high-pass corner_hz) beside R, L and C.
-    doc = hf.design.bank_to_dict(presets.bundled_bank())
-    doc["branches"][0]["q"] = presets.bundled_bank().branches[0].quality_factor
+    doc = hf.design.bank_to_dict(presets.filtered_scenario().bank)
+    doc["branches"][0]["q"] = presets.filtered_scenario().bank.branches[0].quality_factor
     if command == "scan":
         path = tmp_path / "bank.json"
     else:
@@ -888,7 +891,7 @@ def test_one_cycle_window_has_no_settling_residual(tmp_path, short_waveform):
 def test_report_mismatched_sample_rates_exit_2(tmp_path, short_waveform, capsys):
     other_scenario = presets.baseline_scenario(hf.SolverConfig(dt_s=1e-4, duration_s=0.2))
     other_path = tmp_path / "coarse.json"
-    save_scenario(other_scenario, other_path)
+    _save_scenario(other_scenario, other_path)
     coarse_csv = tmp_path / "coarse.csv"
     assert main(["simulate", str(other_path), "-o", str(coarse_csv)]) == 0
     rc = main(
@@ -1237,14 +1240,14 @@ def test_samples_too_large_to_square_exit_2(tmp_path, capsys, command, peak):
 def test_scenario_round_trip(tmp_path):
     scenario = presets.filtered_scenario()
     path = tmp_path / "scenario.json"
-    save_scenario(scenario, path)
+    _save_scenario(scenario, path)
     assert load_scenario(path) == scenario
 
 
 def test_scenario_without_record_cycles_records_whole_run(tmp_path):
     scenario = presets.filtered_scenario(hf.SolverConfig())
     path = tmp_path / "scenario.json"
-    save_scenario(scenario, path)
+    _save_scenario(scenario, path)
     assert "record_cycles" not in json.loads(path.read_text())["solver"]
     assert load_scenario(path) == scenario
     assert scenario.solver.record_cycles is None

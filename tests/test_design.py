@@ -213,7 +213,7 @@ def test_design_high_pass_warns_out_of_range():
 
 
 def test_bank_reproduces_reference_rows():
-    bank = presets.bundled_bank()
+    bank = presets.filtered_scenario().bank
     assert [b.order for b in bank.single_tuned] == [5, 7, 11, 13]
     for branch in bank.single_tuned:
         h = int(branch.order)

@@ -8,6 +8,7 @@ import math
 import random
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -89,8 +90,8 @@ def test_load_validation():
 def test_scenario_requires_ten_periods():
     with pytest.raises(ValueError, match="10 fundamental periods"):
         hf.Scenario(
-            basis=presets.bundled_basis(),
-            load=presets.bundled_load(),
+            basis=presets.filtered_scenario().basis,
+            load=presets.filtered_scenario().load,
             solver=hf.SolverConfig(duration_s=0.1),
         )
 
@@ -110,8 +111,8 @@ def test_zero_source_run_is_silent():
     basis = hf.SystemBasis(fundamental_hz=50.0, source_vrms=0.0, source_inductance_h=0.0016)
     scenario = hf.Scenario(
         basis=basis,
-        load=presets.bundled_load(),
-        bank=presets.bundled_bank(),
+        load=presets.filtered_scenario().load,
+        bank=presets.filtered_scenario().bank,
         solver=hf.SolverConfig(dt_s=1e-4, duration_s=0.2),
     )
     waves = hf.run(scenario)
@@ -291,7 +292,7 @@ def test_energy_audit_zero_source_all_terms_vanish():
     basis = hf.SystemBasis(fundamental_hz=50.0, source_vrms=0.0, source_inductance_h=0.0016)
     scenario = hf.Scenario(
         basis=basis,
-        load=presets.bundled_load(),
+        load=presets.filtered_scenario().load,
         solver=hf.SolverConfig(dt_s=1e-4, duration_s=0.2),
     )
     waves = hf.run(scenario)
@@ -386,17 +387,18 @@ def _channels_of_history(scenario, waves):
     """The channels after ``v_src_*``, one column each, from the element
     laws applied to the whole history at once, rows as steps."""
     solver = _TransientSolver(scenario)
-    z, m, dt = waves.history, solver.masses, solver.dt
+    lay, dt = solver.layout, solver.dt
+    z, m = waves.history, lay.masses
     states, flows = simulator._states, simulator._flows
-    v_dc = states(z, simulator._Z_DC)
+    v_dc = states(z, lay.dc)
     v_src = np.column_stack([waves.channels[f"v_src_{p}"] for p in "abc"])
     return np.column_stack([
-        v_src - flows(z, simulator._Z_LS, m, dt),
-        states(z, simulator._Z_LS),
-        states(z, simulator._Z_FE),
-        flows(z, solver._caps, m, dt).reshape(len(v_dc), -1, 3).sum(axis=1),
+        v_src - flows(z, lay.ls, m, dt),
+        states(z, lay.ls),
+        states(z, lay.fe),
+        flows(z, lay.caps, m, dt).reshape(len(v_dc), -1, 3).sum(axis=1),
         v_dc,
-        solver.g_rl * v_dc + flows(z, simulator._Z_DC, m, dt),
+        solver.g_rl * v_dc + flows(z, lay.dc, m, dt),
     ])
 
 
@@ -673,7 +675,7 @@ def _off_grid_candidate(seed):
     spp = rng.uniform(300.0, 700.0)
     return hf.Scenario(
         basis=basis,
-        load=presets.bundled_load(),
+        load=presets.filtered_scenario().load,
         bank=bank,
         solver=hf.SolverConfig(dt_s=0.02 / spp, duration_s=0.24),
     )
@@ -693,6 +695,14 @@ def _zero_source_inductance():
         scenario.bank,
         scenario.solver,
     )
+
+
+def _bundled_branches(kind):
+    """The bundled filtered scenario with only its ``kind`` branches: a bank
+    of one kind leaves the other kind's history columns empty."""
+    scenario = presets.filtered_scenario(hf.SolverConfig(duration_s=0.24))
+    bank = scenario.bank
+    return replace(scenario, bank=hf.FilterBank(bank.fundamental_hz, getattr(bank, kind)))
 
 
 def _cap2_flagged():
@@ -718,11 +728,13 @@ def _cap2_flagged():
         # conductance: ill-conditioned in any double-precision solve.
         lambda: _off_grid_candidate(4),
         _zero_source_inductance,
+        lambda: _bundled_branches("single_tuned"),
+        lambda: _bundled_branches("high_pass"),
     ],
     ids=[
         "baseline", "filtered", "candidate3", "candidate8",
         "short_last_block", "cap2_flagged", "chattering9", "candidate4",
-        "zero_ls",
+        "zero_ls", "tuned_only", "high_pass_only",
     ],
 )
 def test_step_maps_match_per_step_lu_reference(make, monkeypatch):
@@ -866,7 +878,7 @@ def test_window_rejects_overlong_request(baseline_run):
 def test_window_rejects_incommensurate_grid():
     channels = {"x": np.zeros(1000)}
     waves = hf.WaveformSet(sample_rate_hz=100025.0, channels=channels)
-    basis = presets.bundled_basis()
+    basis = presets.filtered_scenario().basis
     with pytest.raises(AnalysisError, match="T1/k"):
         hf.steady_state_window(waves, basis, 2)
 
