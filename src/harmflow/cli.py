@@ -201,50 +201,53 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_waveform_csv(path, channels) -> tuple[list[str], np.ndarray, float, float]:
-    """Return (channel names, data matrix, sample rate, first ``t_s``) of a
-    waveform CSV, whose ``t_s`` must be finite and evenly spaced.
+def _read_waveform_csv(path, channels) -> tuple[list[np.ndarray], float, float]:
+    """Return (the ``channels`` columns, sample rate, first ``t_s``) of a
+    waveform CSV.  The columns come in the order of ``channels``, each
+    finite throughout; ``t_s`` must be finite and evenly spaced.
 
-    The matrix holds only ``channels`` when each is in the header and every
-    field of the file is a plain number (see :func:`_plain_numbers`), else
-    every channel; the names label its columns.  Any other file is parsed
-    in full, so that each field is checked."""
+    Each channel is checked against the header before the body is read.  A
+    body of plain numbers only (see :func:`_plain_numbers`) is converted
+    for ``t_s`` and ``channels`` alone; any other is parsed in full, so
+    that each field is checked."""
     raw = Path(path).read_bytes()
     body = raw.find(b"\n") + 1 or len(raw)
     header = decode_utf8(raw[:body], path, AnalysisError)
     # A header ends at the first line break, as text-mode reading splits.
     names = header.split("\r", 1)[0].strip().split(",")
-    if not names or names[0] != "t_s":
+    if names[0] != "t_s":
         raise AnalysisError(f"{path}: expected a waveform CSV with a t_s column")
     repeated = [name for i, name in enumerate(names) if name in names[:i]]
     if repeated:
         raise AnalysisError(f"{path}: the header names column {repeated[0]!r} twice")
-    usecols = None
-    if (
-        set(channels) <= set(names[1:])
-        # A CR ends the header for np.loadtxt, so its body would start there.
-        and "\r" not in header
-        and _plain_numbers(raw, body, len(names))
-    ):
-        usecols = sorted({0, *map(names.index, channels)})
-    else:
+    for channel in channels:
+        if channel not in names[1:]:
+            available = ", ".join(names[1:])
+            raise AnalysisError(
+                f"unknown channel {channel!r} in {path}; available: {available}"
+            )
+    wanted = [names.index(channel) for channel in channels]
+    # A CR ends the header for np.loadtxt, so its body would start there.
+    plain = "\r" not in header and _plain_numbers(raw, body, len(names))
+    if not plain:
         decode_utf8(raw, path, AnalysisError)  # names the line of a bad byte
     del raw  # np.loadtxt reads the file itself.
+    usecols = sorted({0, *wanted}) if plain else range(len(names))
     with warnings.catch_warnings():
         # A file without data rows is reported below.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
             data = np.loadtxt(
-                path, delimiter=",", skiprows=1, ndmin=2, usecols=usecols, encoding="utf-8"
+                path, delimiter=",", skiprows=1, ndmin=2,
+                usecols=usecols if plain else None, encoding="utf-8",
             )
         except ValueError as exc:
             raise AnalysisError(f"{path}: {_first_bad_line(path, names) or exc}") from None
-    if usecols is not None:
-        names = [names[i] for i in usecols]
     if len(data) < 2:
         raise AnalysisError(f"{path}: need at least two data rows")
-    if data.shape[1] != len(names):
-        raise AnalysisError(f"{path}: header and data column counts differ")
+    if data.shape[1] != len(usecols):
+        # Every row has the same count, and it is not the header's.
+        raise AnalysisError(f"{path}: {_first_bad_line(path, names)}")
     t = data[:, 0]
     steps = np.diff(t)
     if not (np.isfinite(t).all() and (steps > 0.0).all()):
@@ -259,8 +262,16 @@ def _read_waveform_csv(path, channels) -> tuple[list[str], np.ndarray, float, fl
             f"{float(steps[row - 1])!r} differs from the mean step "
             f"{float(mean_step)!r} by more than 1e-6 of it"
         )
+    columns = [data[:, usecols.index(i)] for i in wanted]
+    for channel, column in zip(channels, columns):
+        if not np.isfinite(column).all():
+            row = int(np.argmin(np.isfinite(column)))
+            raise AnalysisError(
+                f"{path}: line {_line_number(path, row)}: {channel} value "
+                f"{float(column[row])!r} is not finite"
+            )
     sample_rate = float((len(t) - 1) / (t[-1] - t[0]))
-    return names[1:], data[:, 1:], sample_rate, float(t[0])
+    return columns, sample_rate, float(t[0])
 
 
 def _data_lines(path):
@@ -358,40 +369,19 @@ def _first_bad_line(path, names: list[str]) -> str | None:
     return None
 
 
-def _channel_column(names: list[str], data: np.ndarray, channel: str, path) -> np.ndarray:
-    """The column of an analysed channel, which must be finite throughout."""
-    if channel not in names:
-        available = ", ".join(names)
-        raise AnalysisError(
-            f"unknown channel {channel!r} in {path}; available: {available}"
-        )
-    column = data[:, names.index(channel)]
-    if not np.isfinite(column).all():
-        row = int(np.argmin(np.isfinite(column)))
-        raise AnalysisError(
-            f"{path}: line {_line_number(path, row)}: {channel} value "
-            f"{float(column[row])!r} is not finite"
-        )
-    return column
-
-
 def _analyse_files(args: argparse.Namespace, paths: list, channels: list[str]) -> list[tuple]:
-    """Read and validate every input first: each waveform CSV, the match of
-    their sample rates and each file's ``channels`` columns.  Then analyse
-    the last ``args.cycles`` periods of each file's first column, which must
-    start at least 2 periods after t = 0: (spectrum, IEEE-519 check,
-    settling residual or None for one cycle, power report against the
-    second column or None)."""
-    tables = [_read_waveform_csv(path, channels) for path in paths]
-    rates = [rate for _, _, rate, _ in tables]
+    """Read and validate every input first: each waveform CSV's
+    ``channels`` columns, then the match of their sample rates.  Then
+    analyse the last ``args.cycles`` periods of each file's first column,
+    which must start at least 2 periods after t = 0: (spectrum, IEEE-519
+    check, settling residual or None for one cycle, power report against
+    the second column or None)."""
+    inputs = [_read_waveform_csv(path, channels) for path in paths]
+    rates = [rate for _, rate, _ in inputs]
     if max(rates) - min(rates) > 1e-6 * max(rates):
         raise AnalysisError(f"sample rates differ: {rates[0]!r} Hz vs {rates[1]!r} Hz")
-    inputs = [
-        (rate, t_start, [_channel_column(names, data, channel, path) for channel in channels])
-        for path, (names, data, rate, t_start) in zip(paths, tables)
-    ]
     results = []
-    for rate, t_start, columns in inputs:
+    for columns, rate, t_start in inputs:
         window = last_cycles_window(len(columns[0]), rate, args.f1, args.cycles, t_start)
         i, *v = (column[window.start : window.stop] for column in columns)
         spec = spectrum(i, rate, args.f1, args.max_order)

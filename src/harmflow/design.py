@@ -156,7 +156,9 @@ FilterBranch = SingleTunedFilter | HighPassFilter
 class FilterBank:
     """Ordered collection of shunt branches sharing one bus.
 
-    A single-tuned branch's order must be the harmonic nearest its L-C
+    A bank holds at least one branch, each a :class:`SingleTunedFilter` or
+    a :class:`HighPassFilter`; an unfiltered case has no bank at all.  A
+    single-tuned branch's order must be the harmonic nearest its L-C
     resonance: ``tuned_hz / fundamental_hz`` lies at most half a harmonic
     from it, so a branch tuned to 4.7 may be order 5.  Single-tuned orders
     must be strictly increasing and at most one high-pass branch is
@@ -170,7 +172,16 @@ class FilterBank:
         # The order rule divides by it.
         _require_positive(fundamental_hz=self.fundamental_hz)
         object.__setattr__(self, "branches", tuple(self.branches))
+        if not self.branches:
+            raise DesignError(
+                "branches must hold at least one branch (an unfiltered run has no bank)"
+            )
         for i, b in enumerate(self.branches):
+            if not isinstance(b, FilterBranch):
+                raise DesignError(
+                    f"branches[{i}] must be a SingleTunedFilter or a HighPassFilter, "
+                    f"got {type(b).__name__}"
+                )
             if isinstance(b, SingleTunedFilter):
                 h = b.tuned_hz / self.fundamental_hz
                 if not abs(h - b.order) <= 0.5:
@@ -417,11 +428,6 @@ def bank_from_dict(doc, where: str = "bank") -> FilterBank:
     json_object(doc, where, ("fundamental_hz", "branches"))
     if not isinstance(doc["branches"], list):
         raise DesignError(f"{where}.branches must be a JSON array")
-    if not doc["branches"]:
-        raise DesignError(
-            f"{where}.branches must hold at least one branch "
-            "(omit bank for an unfiltered run)"
-        )
     branches = [
         _branch_from_dict(b, f"{where}.branches[{i}]")
         for i, b in enumerate(doc["branches"])

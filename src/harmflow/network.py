@@ -34,7 +34,7 @@ from typing import IO
 
 import numpy as np
 
-from .design import FilterBank, FilterBranch, HighPassFilter, SingleTunedFilter
+from .design import FilterBank, FilterBranch, SingleTunedFilter
 
 TWO_PI = 2.0 * np.pi
 
@@ -94,15 +94,13 @@ def _branch_z(branch, w: np.ndarray, inv_w: np.ndarray, out: np.ndarray) -> np.n
     if isinstance(branch, SingleTunedFilter):
         out.real = branch.resistance_ohm
         out.imag = w * branch.inductance_h - 1.0 / (w * branch.capacitance_f)
-    elif isinstance(branch, HighPassFilter):
+    else:
         # R || jwL is the reciprocal of its admittance 1/R - j/(wL); the
         # capacitor adds -j/(wC).
         out.real = 1.0 / branch.resistance_ohm
         out.imag = inv_w / -branch.inductance_h
         np.divide(1.0, out, out=out)
         out.imag -= inv_w / branch.capacitance_f
-    else:
-        raise NetworkError(f"unknown branch type {type(branch).__name__}")
     return out
 
 
@@ -117,8 +115,6 @@ def _bank_z(
     1/(jwLs).  A given ``y`` is only read; without one the sum is formed
     into a new array.  Evaluated ``_CHUNK`` frequencies at a time, so a sum
     is inverted while it is still in cache."""
-    if not bank.branches:
-        raise NetworkError("bank has no branches")
     form_y = y is None
     if form_y:
         y = np.empty(w.shape, dtype=complex)

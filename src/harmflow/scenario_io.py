@@ -19,7 +19,6 @@ from dataclasses import asdict, fields
 from typing import Any, Mapping
 
 from .design import (
-    DesignError,
     SystemBasis,
     bank_from_dict,
     bank_to_dict,
@@ -64,20 +63,8 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
             # Each message starts with the field name.
             raise ScenarioError(f"{name}.{exc}") from None
 
-    bank = None
-    if doc.get("bank") is not None:
-        try:
-            bank = bank_from_dict(doc["bank"], where="bank")
-        except DesignError as exc:
-            raise ScenarioError(str(exc)) from None
-        basis = sections["basis"]
-        if bank.fundamental_hz != basis.fundamental_hz:
-            raise ScenarioError(
-                f"bank.fundamental_hz ({bank.fundamental_hz!r}) must equal "
-                f"basis.fundamental_hz ({basis.fundamental_hz!r})"
-            )
-
     try:
+        bank = None if doc.get("bank") is None else bank_from_dict(doc["bank"], where="bank")
         return Scenario(bank=bank, **sections)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None

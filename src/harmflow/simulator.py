@@ -194,7 +194,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete simulation case: source, rectifier load, optional bank."""
+    """Complete simulation case: source, rectifier load, optional bank.
+
+    A bank must be designed for the basis's fundamental."""
 
     basis: SystemBasis
     load: RectifierLoad
@@ -202,6 +204,11 @@ class Scenario:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self) -> None:
+        if self.bank is not None and self.bank.fundamental_hz != self.basis.fundamental_hz:
+            raise ValueError(
+                f"bank.fundamental_hz ({self.bank.fundamental_hz!r}) must equal "
+                f"basis.fundamental_hz ({self.basis.fundamental_hz!r})"
+            )
         min_duration = 10.0 * self.basis.period_s
         if self.solver.duration_s < min_duration:
             raise ValueError(

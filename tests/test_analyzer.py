@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import harmflow as hf
+from harmflow import svg
 from harmflow.analyzer import AnalysisError
 
 TWO_PI = 2.0 * math.pi
@@ -199,6 +200,18 @@ def test_hand_built_spectrum_rejects_non_finite(field, value):
         hf.HarmonicSpectrum(fundamental_hz=50.0, **fields)
 
 
+def test_hand_built_spectrum_rejects_length_mismatch():
+    with pytest.raises(AnalysisError, match="magnitudes and phases must match in length"):
+        hf.HarmonicSpectrum(50.0, np.array([2.0, 0.6]), np.zeros(3), rms_total=3.0, dc=0.0)
+
+
+def test_all_zero_spectrum_draws_empty_bars():
+    spec = hf.HarmonicSpectrum(50.0, np.zeros(3), np.zeros(3), rms_total=0.0, dc=0.0)
+    text = svg.spectrum_bar_svg(spec)
+    assert text.startswith("<svg") and text.endswith("</svg>\n")
+    assert "nan" not in text and text.count('height="0.00"') == 3
+
+
 def test_parseval_check_cannot_overflow():
     # Squaring 1e200 overflows a double; the check still accepts or rejects.
     big = dict(fundamental_hz=50.0, phases_rad=np.zeros(1), dc=1e200)
@@ -304,6 +317,14 @@ def test_power_report_rejects_zero_apparent_power():
     x = np.zeros(100)
     with pytest.raises(AnalysisError):
         hf.power_report(x, x, 100.0 * 50.0, 50.0)
+
+
+def test_power_report_rejects_missing_fundamental():
+    # A DC voltage has an exactly zero fundamental, but not zero RMS.
+    spp = 100
+    i = np.sin(TWO_PI * np.arange(2 * spp) / spp)
+    with pytest.raises(AnalysisError, match="fundamental component missing"):
+        hf.power_report(np.ones(2 * spp), i, spp * 50.0, 50.0)
 
 
 def test_power_report_rejects_length_mismatch():

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -136,6 +137,12 @@ def test_design_invalid_values_exit_2(capsys):
     )
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_design_empty_orders_exit_2(capsys):
+    argv = ["design", "--c", "11.09e-6", "--orders", "", "--st-q", "50"]
+    assert main(argv + ["--hp-corner", "858", "--hp-q", "3"]) == 2
+    assert capsys.readouterr().err == "error: at least one tuned order is required\n"
 
 
 @pytest.mark.parametrize("flag", ["--hp-corner", "--f1"])
@@ -411,7 +418,7 @@ def test_simulate_non_number_exit_2(tmp_path, capsys, value):
         ("bank", "branches", "x", "bank.branches must be a JSON array"),
         ("bank.branches", 0, 5, "bank.branches[0] must be a JSON object"),
         ("bank.branches", 0, [], "bank.branches[0] must be a JSON object"),
-        ("bank", "branches", [], "bank.branches must hold at least one branch"),
+        ("bank", "branches", [], "error: bank: branches must hold at least one branch"),
     ],
 )
 def test_simulate_malformed_branches_exit_2(tmp_path, capsys, section, key, value, message):
@@ -604,14 +611,38 @@ def test_analyze_unknown_channel_lists_available(tmp_path, short_waveform, capsy
     assert "i_src_a" in err and "v_dc" in err
 
 
+@pytest.mark.parametrize(
+    "flag, message", [("--cycles", "n_cycles must be >= 1"), ("--max-order", "max_order must be >= 1")]
+)
+def test_analyze_rejects_zero_window_flags(tmp_path, short_waveform, capsys, flag, message):
+    argv = ["analyze", str(short_waveform), "--channel", "i_src_a", flag, "0"]
+    assert main(argv + ["-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}, got 0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unknown_channel_is_reported_before_the_body_and_the_rates(
+    tmp_path, short_waveform, capsys
+):
+    # Each file's channels are checked as soon as its header is read: this
+    # copy's short row and its halved sample rate are not reached.
+    header, *rows = short_waveform.read_text().splitlines()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([header.replace("i_src_a", "i_src_x"), "1,2", *rows[::2]]) + "\n")
+    available = ", ".join(CHANNEL_IDS).replace("i_src_a", "i_src_x")
+    message = f"error: unknown channel 'i_src_a' in {bad}; available: {available}\n"
+    for argv in (["analyze", str(bad)], ["report", str(short_waveform), str(bad)]):
+        assert main(argv + ["--channel", "i_src_a", "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == message
+
+
 def _assert_csv_round_trip(waves: hf.WaveformSet, path) -> None:
     waves.to_csv(path)
-    names, data, sample_rate, t_start = _read_waveform_csv(path, CHANNEL_IDS)
-    assert names == list(CHANNEL_IDS)
+    columns, sample_rate, t_start = _read_waveform_csv(path, CHANNEL_IDS)
     times = np.loadtxt(path, delimiter=",", skiprows=1, usecols=0)
     assert np.array_equal(times, waves.time())
-    for i, channel in enumerate(CHANNEL_IDS):
-        assert np.array_equal(data[:, i], waves.channels[channel]), channel
+    for channel, column in zip(CHANNEL_IDS, columns, strict=True):
+        assert np.array_equal(column, waves.channels[channel]), channel
     assert sample_rate == pytest.approx(waves.sample_rate_hz, rel=1e-9)
     assert t_start == times[0]
 
@@ -789,7 +820,7 @@ def test_bank_file_with_stored_quality_exit_2(tmp_path, capsys, command):
     [
         (5, "bank.branches must be a JSON array"),
         ([5], "bank.branches[0] must be a JSON object"),
-        ([], "bank.branches must hold at least one branch"),
+        ([], "error: bank: branches must hold at least one branch"),
     ],
 )
 def test_scan_malformed_branches_exit_2(tmp_path, capsys, branches, message):
@@ -933,8 +964,8 @@ def test_zero_fundamental_flag_exit_2(tmp_path, short_waveform, capsys, command)
 @pytest.mark.parametrize(
     "defect",
     [
-        "ragged", "non_numeric", "underscore", "constant_t", "nan_t", "decreasing_t",
-        "header_only", "uneven_t", "repeated_column",
+        "ragged", "short_rows", "non_numeric", "underscore", "constant_t", "nan_t",
+        "decreasing_t", "header_only", "uneven_t", "repeated_column", "no_t_s",
     ],
 )
 def test_malformed_waveform_csv_names_file(tmp_path, short_waveform, capsys, command, defect):
@@ -944,6 +975,11 @@ def test_malformed_waveform_csv_names_file(tmp_path, short_waveform, capsys, com
     if defect == "ragged":
         del rows[9][-1]
         message = "line 11 has 17 fields, expected 18"
+    elif defect == "short_rows":
+        # np.loadtxt reads rows that agree with each other, not the header.
+        for cells in rows:
+            del cells[-1]
+        message = "line 2 has 17 fields, expected 18"
     elif defect == "non_numeric":
         # v_dc is read by neither command below, yet must still be numeric.
         rows[9][1 + CHANNEL_IDS.index("v_dc")] = "abc"
@@ -972,6 +1008,9 @@ def test_malformed_waveform_csv_names_file(tmp_path, short_waveform, capsys, com
         names[1 + CHANNEL_IDS.index("v_dc")] = "i_src_a"
         header = ",".join(names)
         message = "the header names column 'i_src_a' twice"
+    elif defect == "no_t_s":
+        header = header.replace("t_s", "time", 1)
+        message = "expected a waveform CSV with a t_s column"
     else:
         if defect == "constant_t":
             for cells in rows:
@@ -1075,9 +1114,9 @@ def test_plain_csv_reads_analysed_columns_bit_exact(tmp_path, request, short_wav
         request.getfixturevalue(f"{case}_run")[1].to_csv(path)
     assert _plain_numbers(*_body(path), 1 + len(CHANNEL_IDS))
     full = np.loadtxt(path, delimiter=",", skiprows=1)
-    names, data, _, _ = _read_waveform_csv(path, ["i_dc", "i_src_a", "v_src_a"])
-    assert names == ["v_src_a", "i_src_a", "i_dc"]
-    for name, column in zip(names, data.T):
+    names = ["i_dc", "i_src_a", "v_src_a"]
+    columns, _, _ = _read_waveform_csv(path, names)
+    for name, column in zip(names, columns, strict=True):
         assert column.tobytes() == full[:, 1 + CHANNEL_IDS.index(name)].tobytes(), name
 
 
@@ -1124,6 +1163,24 @@ def test_csv_variants_give_identical_outputs(tmp_path, short_waveform):
         path.write_bytes(end.join([header, *edit(rows)]).encode() + end.encode())
         assert _plain_numbers(*_body(path), 1 + len(CHANNEL_IDS)) == plain, variant
         assert outputs() == expected, variant
+
+
+def test_csv_without_final_line_feed_gives_identical_outputs(tmp_path, short_waveform):
+    # The plain-number check wants a line feed after every line, so the
+    # copy without one is parsed in full.
+    raw = short_waveform.read_bytes()
+    path = tmp_path / "run.csv"
+    outputs = []
+    for text in (raw, raw[:-1]):
+        path.write_bytes(text)
+        assert _plain_numbers(*_body(path), 1 + len(CHANNEL_IDS)) == text.endswith(b"\n")
+        out = tmp_path / ("lf" if text is raw else "no-lf")
+        argv = ["analyze", str(path), "--channel", "i_src_a", "--v-channel", "v_src_a"]
+        assert main(argv + ["-o", str(out)]) == 0
+        assert main(["report", str(short_waveform), str(path), "-o", str(out)]) == 0
+        written = tmp_path.glob(f"{out.name}.*")
+        outputs.append({p.name.split(".", 1)[1]: p.read_bytes() for p in written})
+    assert len(outputs[0]) == 5 and outputs[0] == outputs[1]
 
 
 def test_header_ending_in_cr_checks_the_row_after_it(tmp_path, short_waveform, capsys):
@@ -1308,8 +1365,13 @@ def test_scenario_rejects_bank_fundamental_mismatch(ref_bank):
     # The 250 Hz branch is the harmonic nearest 4 of 60 Hz, so the bank
     # itself is valid.
     doc["bank"]["branches"] = [{**doc["bank"]["branches"][0], "order": 4}]
-    with pytest.raises(ScenarioError, match="fundamental_hz"):
+    message = r"^bank\.fundamental_hz \(60\.0\) must equal basis\.fundamental_hz \(50\.0\)$"
+    with pytest.raises(ScenarioError, match=message):
         scenario_from_dict(doc)
+    # The scenario owns the rule: one built in code fails with the same message.
+    bank = hf.design.bank_from_dict(doc["bank"])
+    with pytest.raises(ValueError, match=message):
+        replace(presets.filtered_scenario(), bank=bank)
 
 
 def _nodes(node, path=()):

@@ -82,6 +82,12 @@ def test_capacitor_sizing_rejects_nonpositive_var():
         hf.capacitor_from_reactive_power(0.0, BASIS)
 
 
+def test_capacitor_sizing_rejects_zero_volt_basis():
+    dead = hf.SystemBasis(fundamental_hz=50.0, source_vrms=0.0, source_inductance_h=0.0)
+    with pytest.raises(DesignError, match="zero-volt basis"):
+        hf.capacitor_from_reactive_power(100.0, dead)
+
+
 @given(c=positive_caps)
 def test_capacitor_var_round_trip(c):
     back = hf.capacitor_from_reactive_power(
@@ -238,6 +244,20 @@ def test_bank_orders_strictly_increasing(ref_bank):
     tuned = [b.order for b in ref_bank.single_tuned]
     assert tuned == sorted(tuned)
     assert len(set(tuned)) == len(tuned)
+
+
+def test_bank_needs_a_branch():
+    with pytest.raises(DesignError, match=r"^branches must hold at least one branch "):
+        hf.FilterBank(50.0, ())
+
+
+@pytest.mark.parametrize("other", [None, 5.0, "high_pass", {"kind": "high_pass"}])
+def test_bank_holds_only_filter_branches(other):
+    hp = hf.design_high_pass(BASIS, 858.3, REF_C, 2.97)
+    name = type(other).__name__
+    with pytest.raises(DesignError, match=rf"^branches\[1\] must be a SingleTunedFilter "
+                       rf"or a HighPassFilter, got {name}$"):
+        hf.FilterBank(50.0, (hp, other))
 
 
 def test_bank_rejects_duplicate_orders():

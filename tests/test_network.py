@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import harmflow as hf
 from harmflow import network
-from harmflow.design import QualityFactorWarning, bank_from_dict, bank_to_dict
+from harmflow.design import DesignError, QualityFactorWarning, bank_from_dict, bank_to_dict
 from harmflow.network import _CHUNK, NetworkError, find_resonances
 
 TWO_PI = 2.0 * math.pi
@@ -196,9 +196,9 @@ def test_bank_impedance_finite_over_extreme_frequencies(ref_bank):
 
 
 def test_bank_impedance_rejects_empty_bank():
-    empty = hf.FilterBank(fundamental_hz=50.0, branches=())
-    with pytest.raises(NetworkError):
-        hf.bank_impedance(empty, 100.0)
+    # The bank itself rejects it, so no scan or impedance call sees one.
+    with pytest.raises(DesignError, match="at least one branch"):
+        hf.bank_impedance(hf.FilterBank(fundamental_hz=50.0, branches=()), 100.0)
 
 
 # --- scanning -----------------------------------------------------------------

@@ -96,6 +96,23 @@ def test_scenario_requires_ten_periods():
         )
 
 
+@pytest.mark.parametrize(
+    "rate, lengths, history_rows, message",
+    [
+        (0.0, (3, 3), None, "sample_rate_hz must be positive"),
+        (math.nan, (3, 3), None, "sample_rate_hz must be positive"),
+        (1.0, (3, 2), None, "all channels must share one length >= 2"),
+        (1.0, (1, 1), None, "all channels must share one length >= 2"),
+        (1.0, (3, 3), 3, "history must hold one row more than the channels"),
+    ],
+)
+def test_waveform_set_validation(rate, lengths, history_rows, message):
+    channels = {name: np.zeros(n) for name, n in zip(("a", "b"), lengths)}
+    history = None if history_rows is None else np.zeros((history_rows, 2))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        hf.WaveformSet(rate, channels, history=history)
+
+
 @pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan, np.float64(math.inf)])
 def test_samples_per_period_rejects_bad_sample_rate(rate):
     # A numpy scalar is printed as a plain float.
