@@ -32,11 +32,9 @@ from .network import (
     find_resonances,
     scan,
 )
+from .scenario_io import RectifierLoad, Scenario, SolverConfig
 from .simulator import (
     EnergyAudit,
-    RectifierLoad,
-    Scenario,
-    SolverConfig,
     WaveformSet,
     energy_audit,
     run,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,20 +82,17 @@ class HarmonicSpectrum:
             raise AnalysisError(f"order {order} not in spectrum")
         return float(self.magnitudes[idx])
 
-    def write_csv(self, out: IO[str]) -> None:
+    def to_csv(self, path) -> None:
         """Header ``order,frequency_hz,magnitude_rms,phase_rad``; the DC
         component appears as order 0."""
-        out.write("order,frequency_hz,magnitude_rms,phase_rad\n")
-        out.write(f"0,0.0,{abs(float(self.dc))!r},0.0\n")
-        for h, m, p in zip(self.orders, self.magnitudes, self.phases_rad):
-            out.write(
-                f"{int(h)},{float(h * self.fundamental_hz)!r},"
-                f"{float(m)!r},{float(p)!r}\n"
-            )
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            self.write_csv(fh)
+        with open(path, "w") as out:
+            out.write("order,frequency_hz,magnitude_rms,phase_rad\n")
+            out.write(f"0,0.0,{abs(float(self.dc))!r},0.0\n")
+            for h, m, p in zip(self.orders, self.magnitudes, self.phases_rad):
+                out.write(
+                    f"{int(h)},{float(h * self.fundamental_hz)!r},"
+                    f"{float(m)!r},{float(p)!r}\n"
+                )
 
 
 @dataclass(frozen=True)

@@ -17,16 +17,11 @@ solver failures.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import re
 import sys
 import time
-import warnings
 from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from . import svg
 from .analyzer import (
@@ -41,7 +36,7 @@ from .analyzer import (
 )
 from .design import SIX_PULSE_ORDERS, SystemBasis, bank_from_dict, bank_to_dict, design_bank
 from .network import find_resonances, scan
-from .scenario_io import decode_utf8, load_json, load_scenario
+from .scenario_io import load_json, load_scenario, read_waveform_csv
 from .simulator import CHANNEL_IDS, SolverError, run
 
 
@@ -201,174 +196,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_waveform_csv(path, channels) -> tuple[list[np.ndarray], float, float]:
-    """Return (the ``channels`` columns, sample rate, first ``t_s``) of a
-    waveform CSV.  The columns come in the order of ``channels``, each
-    finite throughout; ``t_s`` must be finite and evenly spaced.
-
-    Each channel is checked against the header before the body is read.  A
-    body of plain numbers only (see :func:`_plain_numbers`) is converted
-    for ``t_s`` and ``channels`` alone; any other is parsed in full, so
-    that each field is checked."""
-    raw = Path(path).read_bytes()
-    body = raw.find(b"\n") + 1 or len(raw)
-    header = decode_utf8(raw[:body], path, AnalysisError)
-    # A header ends at the first line break, as text-mode reading splits.
-    names = header.split("\r", 1)[0].strip().split(",")
-    if names[0] != "t_s":
-        raise AnalysisError(f"{path}: expected a waveform CSV with a t_s column")
-    repeated = [name for i, name in enumerate(names) if name in names[:i]]
-    if repeated:
-        raise AnalysisError(f"{path}: the header names column {repeated[0]!r} twice")
-    for channel in channels:
-        if channel not in names[1:]:
-            available = ", ".join(names[1:])
-            raise AnalysisError(
-                f"unknown channel {channel!r} in {path}; available: {available}"
-            )
-    wanted = [names.index(channel) for channel in channels]
-    # A CR ends the header for np.loadtxt, so its body would start there.
-    plain = "\r" not in header and _plain_numbers(raw, body, len(names))
-    if not plain:
-        decode_utf8(raw, path, AnalysisError)  # names the line of a bad byte
-    del raw  # np.loadtxt reads the file itself.
-    usecols = sorted({0, *wanted}) if plain else range(len(names))
-    with warnings.catch_warnings():
-        # A file without data rows is reported below.
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            data = np.loadtxt(
-                path, delimiter=",", skiprows=1, ndmin=2,
-                usecols=usecols if plain else None, encoding="utf-8",
-            )
-        except ValueError as exc:
-            raise AnalysisError(f"{path}: {_first_bad_line(path, names) or exc}") from None
-    if len(data) < 2:
-        raise AnalysisError(f"{path}: need at least two data rows")
-    if data.shape[1] != len(usecols):
-        # Every row has the same count, and it is not the header's.
-        raise AnalysisError(f"{path}: {_first_bad_line(path, names)}")
-    t = data[:, 0]
-    steps = np.diff(t)
-    if not (np.isfinite(t).all() and (steps > 0.0).all()):
-        raise AnalysisError(f"{path}: t_s must be finite and strictly increasing")
-    # The sample rate is that of the mean step, so each step must match it.
-    mean_step = (t[-1] - t[0]) / (len(t) - 1)
-    uneven = np.abs(steps - mean_step) > 1e-6 * mean_step
-    if uneven.any():
-        row = int(np.argmax(uneven)) + 1
-        raise AnalysisError(
-            f"{path}: line {_line_number(path, row)}: t_s step "
-            f"{float(steps[row - 1])!r} differs from the mean step "
-            f"{float(mean_step)!r} by more than 1e-6 of it"
-        )
-    columns = [data[:, usecols.index(i)] for i in wanted]
-    for channel, column in zip(channels, columns):
-        if not np.isfinite(column).all():
-            row = int(np.argmin(np.isfinite(column)))
-            raise AnalysisError(
-                f"{path}: line {_line_number(path, row)}: {channel} value "
-                f"{float(column[row])!r} is not finite"
-            )
-    sample_rate = float((len(t) - 1) / (t[-1] - t[0]))
-    return columns, sample_rate, float(t[0])
-
-
-def _data_lines(path):
-    """Line number and text of each data line of a waveform CSV, counting
-    the header as line 1 and skipping the blank and comment lines that
-    np.loadtxt skips."""
-    with open(path, encoding="utf-8") as fh:
-        next(fh)
-        for number, line in enumerate(fh, start=2):
-            line = line.split("#", 1)[0]
-            if line.strip():
-                yield number, line
-
-
-def _line_number(path, row: int) -> int:
-    """Line number of data row ``row`` (from 0) of a waveform CSV."""
-    return next(itertools.islice(_data_lines(path), row, None))[0]
-
-
-# A field np.loadtxt reads as a float: decimal or exponent notation in
-# ASCII digits, inf, infinity or nan.  float() also takes underscores and
-# non-ASCII digits.
-_NUMBER = re.compile(
-    r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)",
-    re.IGNORECASE | re.ASCII,
-)
-
-
-# The class of each byte value in the plain-number check: digit 0, "." 1,
-# "e" or "E" 2, sign 3, "," or line feed 4, any other byte 5.
-_CLASSES = (
-    b"\5" * 10 + b"\4" + b"\5" * 32 + b"\3\4\3\1\5" + b"\0" * 10
-    + b"\5" * 11 + b"\2" + b"\5" * 31 + b"\2" + b"\5" * 154
-)
-# The codes 36·a + 6·b + c of the classes (a, b, c) of three adjacent bytes
-# that occur in lines of comma-separated fields of the plain grammar
-# [+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?, a subset of _NUMBER's.
-_TRIGRAMS = bytes([
-    0, 1, 2, 4, 6, 8, 10, 12, 15, 24, 25, 27, 36, 38, 40, 48, 51, 60, 61, 63,
-    72, 76, 90, 108, 109, 110, 112, 114, 144, 145, 146, 148, 150, 162, 163,
-])
-_LOWER_E = bytes.maketrans(b"E", b"e")
-# The body is checked in pieces of about this many bytes, cut at line ends.
-_PIECE = 1 << 18
-
-
-def _plain_numbers(raw: bytes, start: int, n_fields: int) -> bool:
-    """True if every line of ``raw`` from offset ``start`` (just past a
-    line end) holds ``n_fields`` (at least 2) comma-separated fields of
-    the plain grammar above and ends in a line feed: no blank line, space,
-    CR, comment, inf, nan or non-ASCII byte.  np.loadtxt reads each column
-    of such a body the same with or without usecols.
-
-    Each piece of the body passes three tests: every trigram of byte
-    classes is one of ``_TRIGRAMS``; no field has two points, two
-    exponents, or a point after its exponent; and, with all else deleted,
-    each line is n_fields - 1 commas and a line feed.  Together they accept
-    exactly the bodies described (the tests check this against the
-    grammar)."""
-    if not raw.endswith(b"\n"):
-        return False
-    line = b"," * (n_fields - 1) + b"\n"
-    while start < len(raw):
-        stop = raw.rfind(b"\n", start, start + _PIECE) + 1 or raw.find(b"\n", start) + 1
-        # From the line end before the piece, which starts its first trigram.
-        piece = raw[start - 1 : stop]
-        start = stop
-        classes = np.frombuffer(piece.translate(_CLASSES), np.uint8)
-        codes = classes[:-2] * 36
-        codes += classes[1:-1] * 6
-        codes += classes[2:]
-        if codes.tobytes().translate(None, _TRIGRAMS):
-            return False
-        # Each field's points and exponents, in order: "", ".", "e" or ".e".
-        marks = piece.translate(_LOWER_E, b"0123456789+-")
-        if b".." in marks or b"e." in marks or b"ee" in marks:
-            return False
-        separators = marks.translate(None, b".e")
-        if separators != b"\n" + line * ((len(separators) - 1) // len(line)):
-            return False
-    return True
-
-
-def _first_bad_line(path, names: list[str]) -> str | None:
-    """Describe the first line of a waveform CSV whose field count differs
-    from the header's or which holds a field that is not a number; None if
-    there is no such line."""
-    for number, line in _data_lines(path):
-        fields = line.split(",")
-        if len(fields) != len(names):
-            return f"line {number} has {len(fields)} fields, expected {len(names)}"
-        for name, value in zip(names, fields):
-            if not _NUMBER.fullmatch(value.strip()):
-                return f"line {number}: {name} value {value.strip()!r} is not a number"
-    return None
-
-
 def _analyse_files(args: argparse.Namespace, paths: list, channels: list[str]) -> list[tuple]:
     """Read and validate every input first: each waveform CSV's
     ``channels`` columns, then the match of their sample rates.  Then
@@ -376,7 +203,7 @@ def _analyse_files(args: argparse.Namespace, paths: list, channels: list[str]) -
     which must start at least 2 periods after t = 0: (spectrum, IEEE-519
     check, settling residual or None for one cycle, power report against
     the second column or None)."""
-    inputs = [_read_waveform_csv(path, channels) for path in paths]
+    inputs = [read_waveform_csv(path, channels) for path in paths]
     rates = [rate for _, rate, _ in inputs]
     if max(rates) - min(rates) > 1e-6 * max(rates):
         raise AnalysisError(f"sample rates differ: {rates[0]!r} Hz vs {rates[1]!r} Hz")

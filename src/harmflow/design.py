@@ -27,6 +27,7 @@ derive from them, so the bank JSON holds no ``q`` or ``corner_hz``.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
@@ -308,7 +309,7 @@ def design_bank(
     orders = tuple(orders)
     if not orders:
         raise DesignError("at least one tuned order is required")
-    if isinstance(st_q, (int, float)):
+    if isinstance(st_q, numbers.Real):
         qs = (float(st_q),) * len(orders)
     else:
         qs = tuple(float(v) for v in st_q)
@@ -424,16 +425,16 @@ def _branch_from_dict(doc, where: str) -> FilterBranch:
         raise DesignError(f"{where}: {key} {rule}") from None
 
 
-def bank_from_dict(doc, where: str = "bank") -> FilterBank:
-    json_object(doc, where, ("fundamental_hz", "branches"))
+def bank_from_dict(doc) -> FilterBank:
+    json_object(doc, "bank", ("fundamental_hz", "branches"))
     if not isinstance(doc["branches"], list):
-        raise DesignError(f"{where}.branches must be a JSON array")
+        raise DesignError("bank.branches must be a JSON array")
     branches = [
-        _branch_from_dict(b, f"{where}.branches[{i}]")
+        _branch_from_dict(b, f"bank.branches[{i}]")
         for i, b in enumerate(doc["branches"])
     ]
-    fundamental_hz = float(json_number(doc["fundamental_hz"], f"{where}.fundamental_hz"))
+    fundamental_hz = float(json_number(doc["fundamental_hz"], "bank.fundamental_hz"))
     try:
         return FilterBank(fundamental_hz=fundamental_hz, branches=tuple(branches))
     except DesignError as exc:
-        raise DesignError(f"{where}: {exc}") from None
+        raise DesignError(f"bank: {exc}") from None

@@ -30,7 +30,6 @@ Grid density is the caller's accuracy knob; no interpolation is applied.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
@@ -187,7 +186,7 @@ class ImpedanceCurve:
         README scan's 951 points), but costs about a tenth as much."""
         return np.abs(self.impedances)
 
-    def write_csv(self, out: IO[str]) -> None:
+    def to_csv(self, path) -> None:
         """Header ``frequency_hz,re_ohms,im_ohms,abs_ohms``; decimal notation,
         full double precision.  |Z| is ``np.hypot(re, im)``, which gives
         each value as Python's ``abs`` does; a scan's never overflows, a
@@ -197,12 +196,9 @@ class ImpedanceCurve:
             mags = np.hypot(z.real, z.imag)
         columns = (self.frequencies_hz, z.real, z.imag, mags)
         rows = zip(*(map(_decimal, c.tolist()) for c in columns))
-        out.write("frequency_hz,re_ohms,im_ohms,abs_ohms\n")
-        out.writelines(f"{f},{re},{im},{mag}\n" for f, re, im, mag in rows)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            self.write_csv(fh)
+        with open(path, "w") as out:
+            out.write("frequency_hz,re_ohms,im_ohms,abs_ohms\n")
+            out.writelines(f"{f},{re},{im},{mag}\n" for f, re, im, mag in rows)
 
 
 @dataclass(frozen=True)

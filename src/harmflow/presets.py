@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import replace
 from pathlib import Path
 
-from .scenario_io import load_scenario
-from .simulator import Scenario, SolverConfig
+from .scenario_io import Scenario, SolverConfig, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[2] / "scenarios"
 

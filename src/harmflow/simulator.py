@@ -77,15 +77,15 @@ therefore hold exactly the periods it analyses.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import asdict, dataclass, field
-from typing import IO, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
-from .analyzer import AnalysisError, last_cycles_window, samples_per_period
-from .design import FilterBank, SystemBasis, _require_positive
+from .analyzer import AnalysisError, last_cycles_window
+from .design import SystemBasis
+from .scenario_io import Scenario, write_waveform_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -105,12 +105,6 @@ _BT = (3, 4, 5)
 _P, _N = 6, 7
 _NUM_NODES = 8
 _NUM_UNKNOWNS = 11
-
-# Most samples one run may record, checked before anything is allocated:
-# 12 MB per column at 8 bytes a sample, 0.67 GB at the bundled bank's 56
-# (37 history terms and 2 source-phase terms of ``w``, 17 channels).  The
-# longest bundled study, the 1.2 s settled run, records 120k samples.
-MAX_SAMPLES = 1_500_000
 
 # Look-ahead blocks: most steps one block takes (B) and the consecutive
 # first-try passes of the sign test that open one (G).  Chosen by
@@ -132,12 +126,6 @@ DIODE_OFF_OHM = 1e6
 # Steps whose channels are formed from the history record at a time.
 _CHUNK = 2048
 
-# Rows of a waveform CSV formatted at a time.  The formatter holds about
-# 280 bytes of temporaries a value: 5.2 MB for 1024 rows of 18 columns,
-# below the 9.8 MB the bundled filtered run traces, so the solver and not
-# the writer sets the peak memory of `simulate`.
-_CSV_ROWS = 1024
-
 # Absolute steps (from step 0) whose look-ahead blocks are filled with one
 # product per diode state: about 40 rows a product on the 1.2 s filtered run.
 _WINDOW = 16384
@@ -146,94 +134,6 @@ _WINDOW = 16384
 class SolverError(RuntimeError):
     """Raised when the transient solve cannot proceed (an exactly singular
     system matrix, or a non-finite solution)."""
-
-
-@dataclass(frozen=True)
-class RectifierLoad:
-    """Six-pulse bridge load: per-phase front-end inductance into the bridge,
-    parallel R-C on the DC bus."""
-
-    front_end_inductance_h: float = 0.023
-    load_resistance_ohm: float = 78.0
-    load_capacitance_f: float = 50e-6
-
-    def __post_init__(self) -> None:
-        _require_positive(**asdict(self))
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Fixed-step solver settings.
-
-    Defaults resolve a 50 Hz system with 2000 samples per cycle and leave
-    ample settling time before the analysis window.
-    """
-
-    dt_s: float = 1e-5
-    duration_s: float = 0.5
-    # Whole fundamental periods kept at the end of the run; None keeps all.
-    record_cycles: int | None = None
-
-    def __post_init__(self) -> None:
-        _require_positive(dt_s=self.dt_s, duration_s=self.duration_s)
-        samples = self.duration_s / self.dt_s
-        # The solver records round(samples) samples; round(1.5) is 2.
-        if not 1.5 <= samples < MAX_SAMPLES + 0.5:
-            raise ValueError(
-                f"duration_s / dt_s must be finite and round to at least 2 and "
-                f"at most {MAX_SAMPLES} samples, got {samples!r}"
-            )
-        cycles = self.record_cycles
-        if cycles is not None and not (type(cycles) is int and cycles >= 1):
-            raise ValueError(f"record_cycles must be a positive integer, got {cycles!r}")
-
-    @property
-    def n_samples(self) -> int:
-        return int(round(self.duration_s / self.dt_s))
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Complete simulation case: source, rectifier load, optional bank.
-
-    A bank must be designed for the basis's fundamental."""
-
-    basis: SystemBasis
-    load: RectifierLoad
-    bank: FilterBank | None = None
-    solver: SolverConfig = field(default_factory=SolverConfig)
-
-    def __post_init__(self) -> None:
-        if self.bank is not None and self.bank.fundamental_hz != self.basis.fundamental_hz:
-            raise ValueError(
-                f"bank.fundamental_hz ({self.bank.fundamental_hz!r}) must equal "
-                f"basis.fundamental_hz ({self.basis.fundamental_hz!r})"
-            )
-        min_duration = 10.0 * self.basis.period_s
-        if self.solver.duration_s < min_duration:
-            raise ValueError(
-                f"duration_s must cover at least 10 fundamental periods "
-                f"({min_duration!r} s), got {self.solver.duration_s!r}"
-            )
-        self.first_recorded_step()
-
-    def first_recorded_step(self) -> int:
-        """Step at which the record starts: 0, or the first step of the
-        last ``solver.record_cycles`` whole fundamental periods."""
-        cycles = self.solver.record_cycles
-        if cycles is None:
-            return 0
-        try:
-            spp = samples_per_period(1.0 / self.solver.dt_s, self.basis.fundamental_hz)
-        except AnalysisError as exc:
-            raise ValueError(f"solver.record_cycles: {exc}") from None
-        n = self.solver.n_samples
-        if cycles * spp > n:
-            raise ValueError(
-                f"solver.record_cycles must be at most the {n // spp} whole "
-                f"periods the run holds, got {cycles!r}"
-            )
-        return n - cycles * spp
 
 
 @dataclass(frozen=True)
@@ -285,181 +185,10 @@ class WaveformSet:
     def time(self) -> np.ndarray:
         return np.arange(self.first_step, self.first_step + self.n_samples) * self.dt_s
 
-    def write_csv(self, out: IO[str]) -> None:
-        """First column ``t_s`` then one column per contract channel.
-
-        Every value is written as ``%.17g``: 17 significant digits, which
-        read back as the same double, so the round trip is exact.  The text
-        is that of ``"%.17g" % v`` byte for byte.  It is formed ``_CSV_ROWS``
-        (1024) rows at a time by a vectorised formatter, which leaves each
-        value it cannot prove exact to Python's formatter (see
-        ``_format_g17``).  The block size sets the writer's working set, and
-        does not change the text.
-        """
-        out.write("t_s," + ",".join(CHANNEL_IDS) + "\n")
-        columns = [self.time()] + [np.asarray(self.channels[c]) for c in CHANNEL_IDS]
-        seps = np.full((_CSV_ROWS, len(columns)), ord(","), dtype=np.uint8)
-        seps[:, -1] = ord("\n")
-        for lo in range(0, self.n_samples, _CSV_ROWS):
-            rows = np.column_stack([c[lo : lo + _CSV_ROWS] for c in columns])
-            text = _format_g17(rows.ravel(), seps[: len(rows)].ravel())
-            out.write(text.decode("ascii"))
-
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            self.write_csv(fh)
-
-
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dekker's split: x = hi + lo, each with at most 26 significant bits,
-    so that the product of two halves is exact."""
-    t = x * 134217729.0  # 2^27 + 1
-    hi = t - (t - x)
-    return hi, x - hi
-
-
-@functools.cache
-def _g17_tables() -> tuple[np.ndarray, ...]:
-    """The tables of ``_format_g17``, built on its first call.
-
-    Indexed by e + 281 for the decimal exponents e = -281 .. 280:
-    10^(16 - e) as a double-double (its high part also split into 26-bit
-    halves for Dekker's product), the text before the digits ("0." to
-    "0.000" for -4 <= e < 0) and after them ("e-05", "e+17", "e-281"),
-    each NUL-padded to 8 bytes, the slot of the point among the 18 digit
-    and point slots (17 when there is none), and the fewest digits kept
-    (the integer digits in positional notation).  Indexed by a number
-    below 10^4: its 4 digits as text, and its trailing zeros (4 for 0).
-    """
-    e = np.arange(-281, 281)
-    hi, lo = [], []
-    for k in (16 - e).tolist():
-        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-        # An int quotient is correctly rounded, so hi is the nearest
-        # double and lo the nearest to what hi leaves out.
-        hi.append(num / den)
-        n, d = hi[-1].as_integer_ratio()
-        lo.append((num * d - n * den) / (den * d))
-    hi = np.array(hi)
-    small = (e >= -4) & (e < 0)
-    expo = (e < -4) | (e > 16)
-    before = ["0." + "0" * (-x - 1) if s else "" for x, s in zip(e.tolist(), small)]
-    after = [f"e{x:+03d}" if s else "" for x, s in zip(e.tolist(), expo)]
-
-    def padded(texts: list[str]) -> np.ndarray:
-        return np.frombuffer("".join(t.ljust(8, "\0") for t in texts).encode(), np.uint64)
-
-    point = np.where(expo, 1, np.where(small, 17, e + 1)).astype(np.uint8)
-    least = np.where(expo | small, 0, e + 1).astype(np.uint8)
-    c = np.arange(10_000)
-    digits = (c[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
-    zeros = sum((c % m == 0).astype(np.uint8) for m in (10, 100, 1000, 10_000))
-    tables = (
-        hi, *_split(hi), np.array(lo), padded(before), padded(after),
-        point, least, digits.view(np.uint32).ravel(), zeros,
-    )
-    for t in tables:
-        t.flags.writeable = False  # shared by every call
-    return tables
-
-
-def _format_g17(v: np.ndarray, sep: np.ndarray) -> bytes:
-    """``"%.17g" % x`` for each double x of ``v``, each followed by its
-    separator byte from ``sep``, as one ASCII string.
-
-    With e = floor(log10|x|), |x| 10^(16 - e) is formed as a double-double
-    ``ph + pl``: 10^(16 - e) comes from a table as the sum of two doubles,
-    and Dekker's split product (Numer. Math. 18, 1971) gives ``|x|`` times
-    the high part exactly, so the sum is within 1e-14 of the true product.
-    It is rounded to the 17-digit integer q, whose digits with e fix the
-    text.  As in Grisu3 (Loitsch, PLDI 2010), a value is laid out this way
-    only where that is provably Python's text: |x| between 1e-280 and
-    1e280, so that no intermediate leaves the normal range, a product of
-    at least 1e16 whose fraction is not within 1e-6 of one half (where a
-    tie, rounded half to even, or the error could decide the last digit),
-    and q below 1e17.  Zeros are laid out too.  Every other value, such as
-    a non-finite one, a subnormal, or one that log10 puts in the wrong
-    decade, is written by Python's own formatter.
-    """
-    ten_hi, ten_hh, ten_hl, ten_lo, before, after, point, least, digits, zeros = (
-        _g17_tables()
-    )
-    n = len(v)
-    a = np.abs(v)
-    zero = a == 0.0
-    fast = (a >= 1e-280) & (a < 1e280)
-    a[~fast] = 1.0
-    e = np.floor(np.log10(a)).astype(np.intp)
-    e += 281
-    # Dekker: with a and the power's high part split in halves, every
-    # partial product is exact.
-    ph = a * ten_hi.take(e)
-    ah, al = _split(a)
-    bh, bl = ten_hh.take(e), ten_hl.take(e)
-    pl = ah * bh - ph
-    pl += ah * bl
-    pl += al * bh
-    pl += al * bl
-    pl += a * ten_lo.take(e)
-    # ph >= 2^53 is an integer, so q = ph + floor(pl) is the floor of the
-    # product, and pl is left with its fraction.
-    floor = np.floor(pl)
-    pl -= floor
-    q = ph.astype(np.int64)
-    q += floor.astype(np.int64)
-    fast &= (np.abs(pl - 0.5) > 1e-6) & (q >= 10**16)
-    q += pl > 0.5
-    fast &= q < 10**17
-    fast |= zero
-    q[zero] = 0
-    e[zero] = 281
-
-    def quotient_remainder(x, m):
-        # Floor division by a constant is much faster than numpy's modulo.
-        top = x // m
-        return top, x - top * m
-
-    # q's 17 digits: the first, then four of 4 digits each.
-    upper, lower = quotient_remainder(q, 10**8)
-    first, upper = quotient_remainder(upper, 10**8)
-    quads = [*quotient_remainder(upper, 10**4), *quotient_remainder(lower, 10**4)]
-    # Trailing zeros of the last 16 digits, chunk by chunk from the left.
-    trailing = zeros.take(quads[0])
-    for quad in quads[1:]:
-        trailing *= quad == 0
-        trailing += zeros.take(quad)
-    p = point.take(e)
-    # Slots kept of the 18: the significant digits, at least the integer
-    # digits, and the point if a digit follows it.
-    kept = np.maximum(17 - trailing, least.take(e))
-    kept += kept > p
-
-    # Column j is the text of value j: sign, "0.000" prefix, 17 digits
-    # with the point, exponent and separator; unused slots are NUL.
-    block = np.empty((30, n), dtype=np.uint8)
-    np.multiply(np.signbit(v), np.uint8(ord("-")), out=block[0])
-    block[1:6] = before.take(e).view(np.uint8).reshape(n, 8).T[:5]
-    # Digit i at row i + 1, between NUL rows; slot s takes digit s before
-    # the point and digit s - 1 after it (uint8 sums wrap, so they are
-    # exact).
-    d = np.zeros((19, n), dtype=np.uint8)
-    np.add(first, ord("0"), out=d[1], casting="unsafe")
-    for i, quad in enumerate(quads):
-        d[2 + 4 * i : 6 + 4 * i] = digits.take(quad).view(np.uint8).reshape(n, 4).T
-    slots = block[6:24]
-    slot = np.arange(18, dtype=np.uint8)[:, None]
-    np.subtract(d[:18], d[1:], out=slots)
-    slots *= slot > p
-    slots += d[1:]
-    slots[p, np.arange(n)] = ord(".")
-    slots *= slot < kept
-    block[24:29] = after.take(e).view(np.uint8).reshape(n, 8).T[:5]
-    block[29] = sep
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        text = "".join(("%.17g" % x).ljust(29, "\0") for x in v[slow].tolist())
-        block[:29, slow] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 29).T
-    return block.T.tobytes().translate(None, b"\0")
+        """The waveform CSV: ``t_s``, then one column per contract channel."""
+        columns = [self.time(), *(self.channels[c] for c in CHANNEL_IDS)]
+        write_waveform_csv(path, ["t_s", *CHANNEL_IDS], columns)
 
 
 def run(scenario: Scenario) -> WaveformSet:

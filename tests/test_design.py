@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -311,6 +312,13 @@ def test_bank_rejects_two_high_pass():
 def test_design_bank_checks_quality_count():
     with pytest.raises(DesignError):
         hf.design_bank(BASIS, (5, 7), REF_C, (50.0,), 858.3, 2.97)
+
+
+@pytest.mark.parametrize("q", [np.float32(50), np.int64(50)])
+def test_design_bank_takes_a_numpy_scalar_quality(q):
+    # A numpy scalar is one q for every tuned branch, as a float is.
+    expected = hf.design_bank(BASIS, (5, 7), 1e-5, 50.0, 800.0, 2.0)
+    assert hf.design_bank(BASIS, (5, 7), 1e-5, q, 800.0, 2.0) == expected
 
 
 # --- domain type validation ------------------------------------------------

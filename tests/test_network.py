@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import re
@@ -559,11 +558,10 @@ def test_curve_validation():
             hf.ImpedanceCurve(np.array(freqs), np.ones(len(freqs), dtype=complex))
 
 
-def test_curve_csv_decimal_notation(ref_bank):
+def test_curve_csv_decimal_notation(ref_bank, tmp_path):
     curve = hf.scan(ref_bank, 0.0, 50.0, 1000.0, 5)
-    buf = io.StringIO()
-    curve.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
+    curve.to_csv(tmp_path / "curve.csv")
+    lines = (tmp_path / "curve.csv").read_text().strip().splitlines()
     assert lines[0] == "frequency_hz,re_ohms,im_ohms,abs_ohms"
     assert len(lines) == 6
     token = re.compile(r"^-?\d+\.?\d*$")
@@ -587,17 +585,16 @@ def _reference_csv(curve):
     return "".join(rows)
 
 
-def _csv(curve):
-    buf = io.StringIO()
-    curve.write_csv(buf)
-    return buf.getvalue()
+def _csv(curve, path):
+    curve.to_csv(path)
+    return path.read_bytes().decode("ascii")
 
 
-def test_curve_csv_matches_positional_formatter(ref_bank):
+def test_curve_csv_matches_positional_formatter(ref_bank, tmp_path):
     # The README scan, then values on both sides of repr's switch to
     # exponent form (1e-4 and 1e16), subnormals, extremes and signed zeros.
     readme = hf.scan(ref_bank, 0.0016, 50.0, 1000.0, 951)
-    assert _csv(readme) == _reference_csv(readme)
+    assert _csv(readme, tmp_path / "readme.csv") == _reference_csv(readme)
     edge = [
         5e-324, 1e-300, 2.2250738585072014e-308, 1e-5, 9.99999e-5, 1e-4, 0.1, 1.0,
         9.999e15, 9999999999999998.0, 1e16, 1e300, 1.7976931348623157e308, -0.0, 0.0,
@@ -609,4 +606,4 @@ def test_curve_csv_matches_positional_formatter(ref_bank):
     im = np.concatenate([edge[::-1], edge, random[1]])
     freqs = np.cumsum(10.0 ** rng.uniform(-6.0, 6.0, size=len(re)))
     curve = hf.ImpedanceCurve(freqs, re + 1j * im)
-    assert _csv(curve) == _reference_csv(curve)
+    assert _csv(curve, tmp_path / "edge.csv") == _reference_csv(curve)

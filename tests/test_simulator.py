@@ -3,7 +3,6 @@ arithmetic, and failure modes."""
 
 from __future__ import annotations
 
-import io
 import math
 import random
 import tracemalloc
@@ -20,14 +19,14 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 import harmflow as hf
-from harmflow import analyzer, presets, simulator
+from harmflow import analyzer, presets, scenario_io, simulator
 from harmflow.analyzer import AnalysisError, last_cycles_window
 from harmflow.design import QualityFactorWarning
+from harmflow.scenario_io import MAX_SAMPLES
 from harmflow.simulator import (
     CHANNEL_IDS,
     LOOKAHEAD_GATE,
     LOOKAHEAD_STEPS,
-    MAX_SAMPLES,
     SolverError,
     _TransientSolver,
 )
@@ -903,12 +902,11 @@ def test_window_rejects_incommensurate_grid():
 # --- CSV export --------------------------------------------------------------------------
 
 
-def test_waveform_csv_layout():
+def test_waveform_csv_layout(tmp_path):
     solver = hf.SolverConfig(dt_s=1e-4, duration_s=0.2)
     waves = hf.run(presets.baseline_scenario(solver))
-    buf = io.StringIO()
-    waves.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
+    waves.to_csv(tmp_path / "run.csv")
+    lines = (tmp_path / "run.csv").read_text().strip().splitlines()
     header = lines[0].split(",")
     assert header == ["t_s", *CHANNEL_IDS]
     assert len(lines) == 1 + waves.n_samples
@@ -928,10 +926,10 @@ def _g17_oracle(waves) -> str:
     return header + (row * len(rows)) % tuple(rows.ravel().tolist())
 
 
-def _assert_g17_csv(waves):
-    buf = io.StringIO()
-    waves.write_csv(buf)
-    got, want = buf.getvalue(), _g17_oracle(waves)
+def _assert_g17_csv(waves, directory):
+    path = directory / "run.csv"
+    waves.to_csv(path)
+    got, want = path.read_bytes().decode("ascii"), _g17_oracle(waves)
     if got != want:
         # The first line that differs, not a diff of megabytes of text.
         lines = zip_longest(got.splitlines(keepends=True), want.splitlines(keepends=True))
@@ -948,7 +946,7 @@ def _waves_of(values):
 
 
 @pytest.mark.parametrize("case", ["baseline", "filtered"])
-def test_waveform_csv_matches_g17_on_bundled_runs(case, request):
+def test_waveform_csv_matches_g17_on_bundled_runs(case, request, tmp_path):
     _, waves, _ = request.getfixturevalue(f"{case}_run")
     keep = 5 * analyzer.samples_per_period(waves.sample_rate_hz, 50.0)
     last = hf.WaveformSet(
@@ -956,20 +954,22 @@ def test_waveform_csv_matches_g17_on_bundled_runs(case, request):
         {c: waves.channels[c][-keep:] for c in CHANNEL_IDS},
         first_step=waves.first_step + waves.n_samples - keep,
     )
-    assert last.n_samples > simulator._CSV_ROWS
-    _assert_g17_csv(last)
+    assert last.n_samples > scenario_io._CSV_ROWS
+    _assert_g17_csv(last, tmp_path)
 
 
-@pytest.mark.parametrize("rows", [1, 7, simulator._CSV_ROWS])
-def test_waveform_csv_text_does_not_depend_on_row_block(rows, filtered_bundled_run, monkeypatch):
+@pytest.mark.parametrize("rows", [1, 7, scenario_io._CSV_ROWS])
+def test_waveform_csv_text_does_not_depend_on_row_block(
+    rows, filtered_bundled_run, monkeypatch, tmp_path
+):
     # 101 rows: blocks of 1 and 7 rows, a short last block, and one block.
     _, waves, _ = filtered_bundled_run
     first = waves.first_step + waves.n_samples - 101
     last = hf.WaveformSet(
         waves.sample_rate_hz, {c: waves.channels[c][-101:] for c in CHANNEL_IDS}, first_step=first
     )
-    monkeypatch.setattr(simulator, "_CSV_ROWS", rows)
-    _assert_g17_csv(last)
+    monkeypatch.setattr(scenario_io, "_CSV_ROWS", rows)
+    _assert_g17_csv(last, tmp_path)
 
 
 def test_waveform_csv_writer_peak_is_below_the_run(tmp_path):
@@ -990,13 +990,13 @@ def test_waveform_csv_writer_peak_is_below_the_run(tmp_path):
     assert csv_peak < run_peak, (csv_peak, run_peak)
 
 
-def test_waveform_csv_matches_g17_at_powers_of_ten():
+def test_waveform_csv_matches_g17_at_powers_of_ten(tmp_path):
     tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
     values = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
-    _assert_g17_csv(_waves_of(np.concatenate([values, -values])))
+    _assert_g17_csv(_waves_of(np.concatenate([values, -values])), tmp_path)
 
 
-def test_waveform_csv_matches_g17_at_notation_switches():
+def test_waveform_csv_matches_g17_at_notation_switches(tmp_path):
     # %.17g writes 1e-5 with an exponent and 1e-4 without, 1e16 without
     # and 1e17 with; twenty doubles each side of each switch.
     values = []
@@ -1006,10 +1006,10 @@ def test_waveform_csv_matches_g17_at_notation_switches():
             below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
             values += [below, above]
         values.append(switch)
-    _assert_g17_csv(_waves_of(values + [-v for v in values]))
+    _assert_g17_csv(_waves_of(values + [-v for v in values]), tmp_path)
 
 
-def test_waveform_csv_matches_g17_where_rounding_carries():
+def test_waveform_csv_matches_g17_where_rounding_carries(tmp_path):
     # Doubles just below a power of ten whose 17 digits round up to it,
     # and values whose last digits are a run of nines.
     carries = []
@@ -1020,11 +1020,11 @@ def test_waveform_csv_matches_g17_where_rounding_carries():
                 carries.append(v)
     assert len(carries) >= 10
     nines = [0.3, 2.0 / 3.0, 0.7, 1.9999999999999998, 99999999999999.98, 9.9999999999999982e-5]
-    _assert_g17_csv(_waves_of(carries + nines + [-v for v in carries]))
+    _assert_g17_csv(_waves_of(carries + nines + [-v for v in carries]), tmp_path)
 
 
 @pytest.mark.parametrize("step", [-np.inf, np.inf])
-def test_waveform_csv_matches_g17_when_log10_errs(step, monkeypatch):
+def test_waveform_csv_matches_g17_when_log10_errs(step, monkeypatch, tmp_path):
     # The decade is taken from log10 but not trusted: with log10 two ulps
     # off, values next to a power of ten land a decade too high or too low
     # (a product at or above 1e17, or below 1e16) and still print exactly.
@@ -1034,10 +1034,10 @@ def test_waveform_csv_matches_g17_when_log10_errs(step, monkeypatch):
     )
     tens = np.array([float(f"1e{k}") for k in range(-279, 280)])
     values = [tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)]
-    _assert_g17_csv(_waves_of(np.concatenate(values)))
+    _assert_g17_csv(_waves_of(np.concatenate(values)), tmp_path)
 
 
-def test_waveform_csv_matches_g17_on_exact_ties():
+def test_waveform_csv_matches_g17_on_exact_ties(tmp_path):
     # x = m / 2^(k+1) with m odd has 18 significant digits, the last a 5,
     # when it lies in the decade 10^(16-k): %.17g rounds it half to even.
     rng = np.random.default_rng(24)
@@ -1054,10 +1054,10 @@ def test_waveform_csv_matches_g17_on_exact_ties():
         parities.add(math.floor(scaled) % 2)
     # Ties that round down to an even digit and ties that round up to one.
     assert parities == {0, 1} and len(ties) > 500
-    _assert_g17_csv(_waves_of(ties + [-x for x in ties]))
+    _assert_g17_csv(_waves_of(ties + [-x for x in ties]), tmp_path)
 
 
-def test_waveform_csv_matches_g17_on_special_values():
+def test_waveform_csv_matches_g17_on_special_values(tmp_path):
     tiny = 2.2250738585072014e-308
     values = [
         0.0, -0.0, 5e-324, 1e-320, np.nextafter(tiny, 0.0), tiny,
@@ -1065,17 +1065,17 @@ def test_waveform_csv_matches_g17_on_special_values():
     ]
     values += [-v for v in values]
     values += np.random.default_rng(3).random(40).tolist()
-    _assert_g17_csv(_waves_of(values))
+    _assert_g17_csv(_waves_of(values), tmp_path)
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     pool=st.lists(st.floats(), min_size=1, max_size=64),
     n_rows=st.sampled_from(
-        [1, 2, simulator._CSV_ROWS - 1, simulator._CSV_ROWS + 1, 2 * simulator._CSV_ROWS + 3]
+        [1, 2, scenario_io._CSV_ROWS - 1, scenario_io._CSV_ROWS + 1, 2 * scenario_io._CSV_ROWS + 3]
     ),
 )
-def test_waveform_csv_matches_g17_on_any_floats(pool, n_rows):
+def test_waveform_csv_matches_g17_on_any_floats(tmp_path_factory, pool, n_rows):
     values = np.resize(np.array(pool), (len(CHANNEL_IDS) + 1, n_rows))
     if n_rows == 1:
         # A waveform set holds at least 2 rows; one row is checked on the
@@ -1083,6 +1083,7 @@ def test_waveform_csv_matches_g17_on_any_floats(pool, n_rows):
         seps = np.full(len(values), ord(","), dtype=np.uint8)
         seps[-1] = ord("\n")
         row = ",".join(["%.17g"] * len(values)) + "\n"
-        assert simulator._format_g17(values[:, 0], seps) == (row % tuple(values[:, 0])).encode()
+        assert scenario_io._format_g17(values[:, 0], seps) == (row % tuple(values[:, 0])).encode()
         return
-    _assert_g17_csv(hf.WaveformSet(1e5, dict(zip(CHANNEL_IDS, values[1:]))))
+    waves = hf.WaveformSet(1e5, dict(zip(CHANNEL_IDS, values[1:])))
+    _assert_g17_csv(waves, tmp_path_factory.getbasetemp())
