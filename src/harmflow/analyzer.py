@@ -13,14 +13,16 @@ orders (1..N) and THD derive from them.
 
 This module owns the window contract (:func:`samples_per_period`,
 :func:`last_cycles_window`): sample rate and fundamental must be positive
-and finite, a steady-state window must fit its record and start at least
-2 whole periods after t = 0, and every violation raises
+and finite, a window's cycle count and highest order must be integers, a
+steady-state window must fit its record and start at least 2 whole
+periods after t = 0, and every violation raises
 :class:`AnalysisError`.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -161,6 +163,8 @@ def last_cycles_window(
     periods after t = 0 so it excludes the start-up transient.  For a
     record from t = 0 that means ``n_cycles + 2`` recorded periods.
     """
+    if not isinstance(n_cycles, numbers.Integral):
+        raise AnalysisError(f"n_cycles must be an integer, got {n_cycles!r}")
     if n_cycles < 1:
         raise AnalysisError(f"n_cycles must be >= 1, got {n_cycles!r}")
     spp = samples_per_period(sample_rate_hz, fundamental_hz)
@@ -190,6 +194,8 @@ def _window_periods(
     if n_samples < 2:
         raise AnalysisError("window must contain at least 2 samples")
     _check_rates(sample_rate_hz, fundamental_hz)
+    if not isinstance(max_order, numbers.Integral):
+        raise AnalysisError(f"max_order must be an integer, got {max_order!r}")
     if max_order < 1:
         raise AnalysisError(f"max_order must be >= 1, got {max_order}")
     periods_f = n_samples * fundamental_hz / sample_rate_hz

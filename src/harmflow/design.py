@@ -306,6 +306,10 @@ def design_bank(
     ``st_q`` may be a single quality factor shared by every tuned branch or
     one value per order.
     """
+    # A string is a sequence too, of characters.
+    for name, value in (("orders", orders), ("st_q", st_q)):
+        if isinstance(value, (str, bytes, bytearray)):
+            raise DesignError(f"{name} must hold numbers, not a string, got {value!r}")
     orders = tuple(orders)
     if not orders:
         raise DesignError("at least one tuned order is required")
@@ -341,47 +345,41 @@ def design_bank_six_pulse(
 # ---------------------------------------------------------------------------
 
 
-# JSON key of each branch field, in file order; a branch kind writes the
-# keys of its own fields.
-_BRANCH_KEYS = {
-    "order": "order",
-    "c_farads": "capacitance_f",
-    "l_henries": "inductance_h",
-    "r_ohms": "resistance_ohm",
-}
+# A JSON object's keys are its dataclass's field names, except that the
+# element values keep their unit keys.
+_UNIT_KEYS = {"capacitance_f": "c_farads", "inductance_h": "l_henries", "resistance_ohm": "r_ohms"}
 _BRANCH_KINDS = {"single_tuned": SingleTunedFilter, "high_pass": HighPassFilter}
 
 
-def _branch_keys(cls: type) -> dict[str, str]:
-    names = {f.name for f in fields(cls)}
-    return {key: name for key, name in _BRANCH_KEYS.items() if name in names}
+def _json_keys(cls: type) -> dict[str, str]:
+    """The JSON key of each field of dataclass ``cls``, in field order."""
+    return {f.name: _UNIT_KEYS.get(f.name, f.name) for f in fields(cls)}
+
+
+def to_json(obj) -> dict:
+    """The JSON object of the flat dataclass ``obj``: each field that is
+    not None, under its key."""
+    values = ((key, getattr(obj, name)) for name, key in _json_keys(type(obj)).items())
+    return {key: value for key, value in values if value is not None}
 
 
 def bank_to_dict(bank: FilterBank) -> dict:
     kinds = {cls: kind for kind, cls in _BRANCH_KINDS.items()}
-    branches = [
-        {
-            "kind": kinds[type(b)],
-            **{key: getattr(b, name) for key, name in _branch_keys(type(b)).items()},
-        }
-        for b in bank.branches
-    ]
+    branches = [{"kind": kinds[type(b)], **to_json(b)} for b in bank.branches]
     return {"fundamental_hz": bank.fundamental_hz, "branches": branches}
 
 
-def json_number(value, path: str, error: type[ValueError] = DesignError):
-    """``value`` unchanged if it is a JSON number (an int or float, not a
-    bool) that fits a double; otherwise ``error`` naming the field
-    ``path``."""
+def json_number(value, path: str, error: type[ValueError] = DesignError) -> float:
+    """``value`` as a double if it is a JSON number (an int or float, not
+    a bool) that fits one; otherwise ``error`` naming the field ``path``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise error(f"{path} must be a number, got {value!r}")
     try:
-        float(value)
+        return float(value)
     except OverflowError:
         raise error(
             f"{path} must be finite, got an integer too large for a double"
         ) from None
-    return value
 
 
 def json_object(
@@ -405,24 +403,38 @@ def json_object(
     return value
 
 
+def from_json(doc, path: str, cls: type, error: type[ValueError], extra: Sequence[str] = ()):
+    """The flat dataclass ``cls`` read from the JSON object ``doc`` named
+    ``path``, which holds the caller's keys ``extra``, each field's key and
+    no other; a field that defaults to None may be omitted.  Every value is
+    read as a double.  A value that is not a number, or that ``cls``
+    rejects, raises ``error`` as ``<path>.<key> <rule>``."""
+    keys = _json_keys(cls)
+    optional = [keys[f.name] for f in fields(cls) if f.default is None]
+    required = [key for key in keys.values() if key not in optional]
+    json_object(doc, path, (*extra, *required), error, optional)
+    values = {
+        name: json_number(doc[key], f"{path}.{key}", error)
+        for name, key in keys.items()
+        if key in doc
+    }
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        # A constructor's message starts with the field's name.
+        name, _, rule = str(exc).partition(" ")
+        raise error(f"{path}.{keys.get(name, name)} {rule}") from None
+
+
 def _branch_from_dict(doc, where: str) -> FilterBranch:
-    kind = json_object(doc, where, ("kind",), optional=_BRANCH_KEYS)["kind"]
+    # An unknown key is named before the kind is read.
+    keys = [key for cls in _BRANCH_KINDS.values() for key in _json_keys(cls).values()]
+    kind = json_object(doc, where, ("kind",), optional=keys)["kind"]
     # An unhashable kind (an array or object) is no key of the table.
     cls = _BRANCH_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise DesignError(f"{where}.kind must be 'single_tuned' or 'high_pass', got {kind!r}")
-    keys = _branch_keys(cls)
-    json_object(doc, where, ("kind", *keys))
-    values = {
-        name: float(json_number(doc[key], f"{where}.{key}")) for key, name in keys.items()
-    }
-    try:
-        return cls(**values)
-    except DesignError as exc:
-        # A branch type's message starts with its field; name the key instead.
-        name, _, rule = str(exc).partition(" ")
-        key = {n: k for k, n in keys.items()}.get(name, name)
-        raise DesignError(f"{where}: {key} {rule}") from None
+    return from_json(doc, where, cls, DesignError, extra=("kind",))
 
 
 def bank_from_dict(doc) -> FilterBank:
@@ -433,7 +445,7 @@ def bank_from_dict(doc) -> FilterBank:
         _branch_from_dict(b, f"bank.branches[{i}]")
         for i, b in enumerate(doc["branches"])
     ]
-    fundamental_hz = float(json_number(doc["fundamental_hz"], "bank.fundamental_hz"))
+    fundamental_hz = json_number(doc["fundamental_hz"], "bank.fundamental_hz")
     try:
         return FilterBank(fundamental_hz=fundamental_hz, branches=tuple(branches))
     except DesignError as exc:

@@ -6,10 +6,11 @@ an optional ``bank`` (the filter-bank serialization of
 :func:`harmflow.design.bank_to_dict`).  The dataclass fields are the
 schema: each section's keys are the fields of :class:`SystemBasis`,
 :class:`RectifierLoad` and :class:`SolverConfig`, in order, and a section
-is written with ``dataclasses.asdict``.  A field that defaults to None
+is read with :func:`harmflow.design.from_json` and written with
+:func:`harmflow.design.to_json`.  A field that defaults to None
 (``solver.record_cycles``) may be omitted and is not written when None.
-Unknown keys are rejected by name and every value is validated at load
-time with a field-path error message.
+Unknown keys are rejected by name, every value is read as a double and
+validated at load time with a field-path error message.
 
 A waveform CSV is a header of column names, ``t_s`` first, then one line
 of comma-separated ``%.17g`` values per sample.
@@ -20,12 +21,13 @@ the named columns back, bit for bit.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import json
 import re
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -33,8 +35,8 @@ import numpy as np
 
 from .analyzer import AnalysisError, samples_per_period
 from .design import (
-    FilterBank, SystemBasis, _require_positive, bank_from_dict, bank_to_dict, json_number,
-    json_object,
+    FilterBank, SystemBasis, _require_positive, bank_from_dict, bank_to_dict, from_json,
+    json_object, to_json,
 )
 
 
@@ -69,6 +71,7 @@ class SolverConfig:
     dt_s: float = 1e-5
     duration_s: float = 0.5
     # Whole fundamental periods kept at the end of the run; None keeps all.
+    # An integral float, as every JSON number is read, is taken as its int.
     record_cycles: int | None = None
 
     def __post_init__(self) -> None:
@@ -81,6 +84,9 @@ class SolverConfig:
                 f"at most {MAX_SAMPLES} samples, got {samples!r}"
             )
         cycles = self.record_cycles
+        if isinstance(cycles, float) and cycles.is_integer():
+            cycles = int(cycles)
+            object.__setattr__(self, "record_cycles", cycles)
         if cycles is not None and not (type(cycles) is int and cycles >= 1):
             raise ValueError(f"record_cycles must be a positive integer, got {cycles!r}")
 
@@ -143,31 +149,9 @@ _SECTIONS = {"basis": SystemBasis, "load": RectifierLoad, "solver": SolverConfig
 
 def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
     json_object(doc, "scenario", tuple(_SECTIONS), ScenarioError, optional=["bank"])
-    values = {}
-    for name, cls in _SECTIONS.items():
-        # A field that defaults to None may be omitted.
-        keys = [f.name for f in fields(cls) if f.default is not None]
-        optional = [f.name for f in fields(cls) if f.default is None]
-        section = json_object(doc[name], name, keys, ScenarioError, optional=optional)
-        values[name] = {
-            key: json_number(value, f"{name}.{key}", ScenarioError)
-            for key, value in section.items()
-        }
-    # A count may be written as a float with an integer value.
-    cycles = values["solver"].get("record_cycles")
-    if isinstance(cycles, float):
-        if not cycles.is_integer():
-            raise ScenarioError(f"solver.record_cycles must be a finite integer, got {cycles!r}")
-        values["solver"]["record_cycles"] = int(cycles)
-
-    sections = {}
-    for name, cls in _SECTIONS.items():
-        try:
-            sections[name] = cls(**values[name])
-        except ValueError as exc:
-            # Each message starts with the field name.
-            raise ScenarioError(f"{name}.{exc}") from None
-
+    sections = {
+        name: from_json(doc[name], name, cls, ScenarioError) for name, cls in _SECTIONS.items()
+    }
     try:
         bank = None if doc.get("bank") is None else bank_from_dict(doc["bank"])
         return Scenario(bank=bank, **sections)
@@ -176,10 +160,7 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    doc = {
-        name: {k: v for k, v in asdict(getattr(scenario, name)).items() if v is not None}
-        for name in _SECTIONS
-    }
+    doc = {name: to_json(getattr(scenario, name)) for name in _SECTIONS}
     if scenario.bank is not None:
         doc["bank"] = bank_to_dict(scenario.bank)
     return doc
@@ -423,7 +404,7 @@ def read_waveform_csv(path, channels) -> tuple[list[np.ndarray], float, float]:
     The body is checked whole before any of it is converted: a body of
     plain numbers only by :func:`_plain_numbers`, any other line by line
     by :func:`_first_bad_line`.  Then ``t_s`` and ``channels`` alone are
-    converted."""
+    converted, from the bytes that were checked."""
     raw = Path(path).read_bytes()
     body = raw.find(b"\n") + 1 or len(raw)
     header = decode_utf8(raw[:body], path, AnalysisError)
@@ -446,14 +427,14 @@ def read_waveform_csv(path, channels) -> tuple[list[np.ndarray], float, float]:
         bad = _first_bad_line(decode_utf8(raw, path, AnalysisError), names)
         if bad is not None:
             raise AnalysisError(f"{path}: {bad}")
-    del raw  # np.loadtxt reads the file itself.
     usecols = sorted({0, *wanted})
+    # A text stream splits lines as reading the path does; a bare BytesIO
+    # would read a file of lone CRs as one line.
+    stream = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
     with warnings.catch_warnings():
         # A file without data rows is reported below.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        data = np.loadtxt(
-            path, delimiter=",", skiprows=1, ndmin=2, usecols=usecols, encoding="utf-8"
-        )
+        data = np.loadtxt(stream, delimiter=",", skiprows=1, ndmin=2, usecols=usecols)
     if len(data) < 2:
         raise AnalysisError(f"{path}: need at least two data rows")
     t = data[:, 0]
@@ -466,7 +447,7 @@ def read_waveform_csv(path, channels) -> tuple[list[np.ndarray], float, float]:
     if uneven.any():
         row = int(np.argmax(uneven)) + 1
         raise AnalysisError(
-            f"{path}: line {_line_number(path, row)}: t_s step "
+            f"{path}: line {_line_number(raw, row)}: t_s step "
             f"{float(steps[row - 1])!r} differs from the mean step "
             f"{float(mean_step)!r} by more than 1e-6 of it"
         )
@@ -475,7 +456,7 @@ def read_waveform_csv(path, channels) -> tuple[list[np.ndarray], float, float]:
         if not np.isfinite(column).all():
             row = int(np.argmin(np.isfinite(column)))
             raise AnalysisError(
-                f"{path}: line {_line_number(path, row)}: {channel} value "
+                f"{path}: line {_line_number(raw, row)}: {channel} value "
                 f"{float(column[row])!r} is not finite"
             )
     sample_rate = float((len(t) - 1) / (t[-1] - t[0]))
@@ -494,10 +475,10 @@ def _data_lines(text: str):
             yield number, line
 
 
-def _line_number(path, row: int) -> int:
-    """Line number of data row ``row`` (from 0) of a waveform CSV."""
-    text = Path(path).read_text(encoding="utf-8")
-    return next(itertools.islice(_data_lines(text), row, None))[0]
+def _line_number(raw: bytes, row: int) -> int:
+    """Line number of data row ``row`` (from 0) of a waveform CSV's bytes
+    ``raw``."""
+    return next(itertools.islice(_data_lines(raw.decode("utf-8")), row, None))[0]
 
 
 # A field np.loadtxt reads as a float: decimal or exponent notation in

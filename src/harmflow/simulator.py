@@ -145,12 +145,12 @@ class WaveformSet:
     DC bus voltage.  ``history`` is the solver's record: row r is the
     history vector ``z`` entering step ``first_step + r``, one term per
     inductor and capacitor; every channel and element state of step k is a
-    fixed form of its rows k and k+1.  :func:`energy_audit` reads it; a
-    waveform set read from CSV has none.  ``diode_states`` counts the
-    distinct diode state words the run visited, ``switch_iterations`` the
-    fixed-point solves over all steps, ``switch_events`` the steps whose
-    state word differs from the previous step's and ``block_steps`` the
-    steps taken in look-ahead blocks (each counted as one solve).
+    fixed form of its rows k and k+1.  :func:`energy_audit` reads it.
+    ``diode_states`` counts the distinct diode state words the run
+    visited, ``switch_iterations`` the fixed-point solves over all steps,
+    ``switch_events`` the steps whose state word differs from the previous
+    step's and ``block_steps`` the steps taken in look-ahead blocks (each
+    counted as one solve).
     ``first_step`` is the step of the first sample: nonzero when the solver
     recorded only the last periods of the run.
     """

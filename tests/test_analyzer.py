@@ -242,6 +242,9 @@ def test_spectrum_rejects_orders_beyond_nyquist_guard():
     with pytest.raises(AnalysisError, match="Nyquist"):
         hf.spectrum(x, spp * 50.0, 50.0, 21)
     hf.spectrum(x, spp * 50.0, 50.0, 20)  # exactly at the guard is allowed
+    for order in (2.5, 20.0):
+        with pytest.raises(AnalysisError, match=f"^max_order must be an integer, got {order}$"):
+            hf.spectrum(x, spp * 50.0, 50.0, order)
 
 
 def test_spectrum_rejects_empty_window():

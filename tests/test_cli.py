@@ -454,9 +454,9 @@ def test_integer_literal_too_long_names_file(tmp_path, capsys, command):
     [
         (0, "must be a positive integer, got 0"),
         (-1, "must be a positive integer, got -1"),
-        (2.5, "must be a finite integer, got 2.5"),
-        (math.nan, "must be a finite integer, got nan"),
-        (math.inf, "must be a finite integer, got inf"),
+        (2.5, "must be a positive integer, got 2.5"),
+        (math.nan, "must be a positive integer, got nan"),
+        (math.inf, "must be a positive integer, got inf"),
         # 0.2 s at dt 1e-4 holds 10 whole periods.
         (11, "must be at most the 10 whole periods the run holds, got 11"),
     ],
@@ -765,7 +765,7 @@ def test_scan_non_number_exit_2(tmp_path, ref_bank, capsys):
 def test_bad_branch_value_exit_2(tmp_path, capsys, index, key, value):
     section = f"bank.branches[{index}]"
     rc, err, wrote = _simulate_with(tmp_path, capsys, section, key, value)
-    assert rc == 2 and f"{section}: " in err and "must be positive and finite" in err, err
+    assert rc == 2 and f"{section}.{key} must be positive and finite" in err, err
     assert not wrote
     doc = hf.design.bank_to_dict(presets.filtered_scenario().bank)
     doc["branches"][index][key] = value
@@ -773,7 +773,7 @@ def test_bad_branch_value_exit_2(tmp_path, capsys, index, key, value):
     bank_path.write_text(json.dumps(doc))
     rc = main(["scan", str(bank_path), "-o", str(tmp_path / "bank")])
     err = capsys.readouterr().err
-    assert rc == 2 and f"{section}: " in err and "must be positive and finite" in err, err
+    assert rc == 2 and f"{section}.{key} must be positive and finite" in err, err
     assert not list(tmp_path.glob("bank.*.*"))
 
 
@@ -791,7 +791,7 @@ def test_bad_branch_value_exit_2(tmp_path, capsys, index, key, value):
 )
 def test_bad_branch_value_names_json_key(tmp_path, capsys, index, key, value):
     rule = "must be >= 2 and finite" if key == "order" else "must be positive and finite"
-    message = f"bank.branches[{index}]: {key} {rule}, got {float(value)!r}"
+    message = f"bank.branches[{index}].{key} {rule}, got {float(value)!r}"
     doc = hf.design.bank_to_dict(presets.filtered_scenario().bank)
     doc["branches"][index][key] = value
     with pytest.raises(hf.design.DesignError) as info:
@@ -1192,6 +1192,28 @@ def test_csv_without_final_line_feed_gives_identical_outputs(tmp_path, short_wav
     assert len(outputs[0]) == 5 and outputs[0] == outputs[1]
 
 
+def test_csv_reader_converts_the_bytes_it_checked(tmp_path, short_waveform, monkeypatch):
+    # The file is replaced once its bytes are read: the columns returned
+    # are those of the checked bytes, not of the file's new text.
+    path = tmp_path / "run.csv"
+    path.write_bytes(short_waveform.read_bytes())
+    expected, _, _ = read_waveform_csv(path, CHANNEL_IDS)
+    header, *rows = short_waveform.read_text().splitlines()
+    other = [",".join([row.split(",", 1)[0], *["7"] * len(CHANNEL_IDS)]) for row in rows]
+    read_bytes = Path.read_bytes
+
+    def read_then_replace(self):
+        raw = read_bytes(self)
+        self.write_text("\n".join([header, *other]) + "\n")
+        return raw
+
+    monkeypatch.setattr(Path, "read_bytes", read_then_replace)
+    columns, _, _ = read_waveform_csv(path, CHANNEL_IDS)
+    assert path.read_text().endswith(",7\n")
+    for channel, column, want in zip(CHANNEL_IDS, columns, expected, strict=True):
+        assert column.tobytes() == want.tobytes(), channel
+
+
 def test_header_ending_in_cr_checks_the_row_after_it(tmp_path, short_waveform, capsys):
     # Text-mode reading ends the header at a lone CR, so the next row is
     # data, and its fields are checked like every other row's.
@@ -1422,7 +1444,7 @@ def test_simulate_extreme_values_fuzz(tmp_path, capsys):
         if isinstance(value, (int, float)) and not isinstance(value, bool)
     ]
     assert len(fields) == 3 + 3 + 3 + 1 + 4 * 4 + 3  # basis, load, solver, bank
-    extremes = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, 1e-300, 10**400)
+    extremes = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, 1e-300, 10**20, 10**400)
     ill_typed = (None, 5, "x", [], {}, [5], {"a": 1}, True, _DELETED)
     cases = [(field, value) for field in fields for value in extremes]
     cases += [(path, value) for path, _ in nodes for value in ill_typed]

@@ -321,6 +321,16 @@ def test_design_bank_takes_a_numpy_scalar_quality(q):
     assert hf.design_bank(BASIS, (5, 7), 1e-5, q, 800.0, 2.0) == expected
 
 
+@pytest.mark.parametrize(
+    "orders, q, name",
+    [((5,), "5", "st_q"), ((5, 7), "50", "st_q"), ((5,), b"5", "st_q"), ("57", 50.0, "orders")],
+)
+def test_design_bank_rejects_a_string(orders, q, name):
+    # A string would be read one character at a time.
+    with pytest.raises(DesignError, match=f"^{name} must hold numbers, not a string"):
+        hf.design_bank(BASIS, orders, 1e-5, q, 800.0, 2.0)
+
+
 # --- domain type validation ------------------------------------------------
 
 

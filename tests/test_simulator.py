@@ -54,6 +54,12 @@ def test_record_cycles_must_be_positive_integer(cycles):
         hf.SolverConfig(record_cycles=cycles)
 
 
+def test_record_cycles_takes_an_integral_float_as_its_int():
+    # Every JSON number is read as a double.
+    cycles = hf.SolverConfig(record_cycles=5.0).record_cycles
+    assert type(cycles) is int and cycles == 5
+
+
 def test_record_cycles_must_fit_run_and_grid():
     # 0.5 s at 2000 samples per period holds 25 whole periods.
     presets.baseline_scenario(hf.SolverConfig(record_cycles=25))
@@ -883,6 +889,17 @@ def test_window_must_start_two_periods_after_t0(n_samples, t_start_s):
 def test_window_must_fit_record_whatever_its_start(t_start_s):
     with pytest.raises(AnalysisError, match="spans 5 periods; the last 6 do not fit"):
         last_cycles_window(10_000, 1e5, 50.0, 6, t_start_s)
+
+
+@pytest.mark.parametrize("n_cycles", [2.5, 5.0, math.nan])
+def test_window_rejects_a_non_integer_count(n_cycles):
+    waves = hf.WaveformSet(sample_rate_hz=1e5, channels={"x": np.zeros(10_000)})
+    basis = presets.filtered_scenario().basis
+    message = f"^n_cycles must be an integer, got {n_cycles!r}$"
+    with pytest.raises(AnalysisError, match=message):
+        last_cycles_window(10_000, 1e5, 50.0, n_cycles)
+    with pytest.raises(AnalysisError, match=message):
+        hf.steady_state_window(waves, basis, n_cycles)
 
 
 def test_window_rejects_overlong_request(baseline_run):
