@@ -8,7 +8,10 @@ a resonance JSON), and ``report`` (side-by-side comparison of two runs).
 
 ``analyze`` and ``report`` share one analysis path: every input is read and
 validated before any file is analysed, and an unsettled window gets a note
-on stderr once the outputs are written.
+on stderr once the outputs are written.  ``analyze`` records in its summary
+the digests of the CSV it analysed and of the spectrum CSV it wrote, and
+the code that did it; ``report`` takes a side from those outputs instead
+of analysing its CSV again when they match (see :func:`_reused`).
 
 Exit codes: 0 on success, 2 for input or validation errors, 3 for numerical
 solver failures.
@@ -17,7 +20,9 @@ solver failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -28,6 +33,7 @@ from .analyzer import (
     DEFAULT_MAX_ORDER,
     SETTLING_RESIDUAL_LIMIT,
     AnalysisError,
+    HarmonicSpectrum,
     ieee519_check,
     last_cycles_window,
     power_report,
@@ -51,6 +57,23 @@ def _float_list(text: str) -> list[float]:
 
 def _json_dump(doc: dict, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+
+
+def _sha256(data: bytes) -> str:
+    import hashlib  # about 3.5 ms to import, so only where a digest is taken
+
+    return hashlib.sha256(data).hexdigest()
+
+
+@functools.cache
+def _code_identity() -> dict:
+    """harmflow's version and a digest of its module files, by name: the
+    version alone does not change when the code does."""
+    from . import __version__
+
+    files = sorted(Path(__file__).parent.glob("*.py"))
+    modules = json.dumps({p.name: _sha256(p.read_bytes()) for p in files})
+    return {"harmflow_version": __version__, "harmflow_sha256": _sha256(modules.encode())}
 
 
 def _output_base(prefix, source) -> str:
@@ -121,7 +144,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_scan)
 
-    report = sub.add_parser("report", help="compare a baseline and a filtered run")
+    report = sub.add_parser(
+        "report",
+        help="compare a baseline and a filtered run",
+        description=(
+            "Compare a baseline and a filtered run.  Each CSV is taken from "
+            "analyze's outputs at its default prefix (the CSV path without its "
+            "extension) when they record its bytes, the same --channel, --f1, "
+            "--max-order and --cycles and this harmflow, and the spectrum CSV "
+            "is unedited; else it is read and analysed, to the same outputs."
+        ),
+    )
     report.add_argument("baseline", help="baseline waveform CSV")
     report.add_argument("filtered", help="filtered waveform CSV")
     report.add_argument("--channel", default="i_src_a")
@@ -196,29 +229,98 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _analyse_files(args: argparse.Namespace, paths: list, channels: list[str]) -> list[tuple]:
+def _window_analysis(
+    args: argparse.Namespace, columns: list, rate: float, t_start: float
+) -> tuple:
+    """(spectrum, IEEE-519 check, settling residual or None for one cycle,
+    power report against the second column or None) of the last
+    ``args.cycles`` periods of ``columns``, which must start at least 2
+    periods after t = 0."""
+    window = last_cycles_window(len(columns[0]), rate, args.f1, args.cycles, t_start)
+    i, *v = (column[window.start : window.stop] for column in columns)
+    spec = spectrum(i, rate, args.f1, args.max_order)
+    return (
+        spec,
+        ieee519_check(spec),
+        settling_residual(i, rate, args.f1) if args.cycles >= 2 else None,
+        power_report(v[0], i, rate, args.f1) if v else None,
+    )
+
+
+def _reused(args: argparse.Namespace, path, raw: bytes) -> tuple | None:
+    """(sample rate, the :func:`_window_analysis` of ``args.channel``
+    without power) of the waveform CSV ``path``, whose bytes are ``raw``,
+    taken from ``analyze``'s outputs at its default prefix; None unless
+    its summary records ``raw``, the window options of ``args`` and this
+    harmflow, and its spectrum CSV is the one it wrote.  The spectrum is
+    rebuilt from that CSV, whose values are written with ``repr`` and so
+    read back exactly; its order-0 row holds |dc|, so dc and the RMS come
+    from the summary.  A sibling file that is missing, unreadable or
+    malformed gives None."""
+    base = _output_base(None, path)
+    try:
+        summary = json.loads(Path(base + ".summary.json").read_bytes())
+        table = Path(base + ".spectrum.csv").read_bytes()
+    except (OSError, ValueError):
+        return None
+    window = {
+        "channel": args.channel,
+        "fundamental_hz": args.f1,
+        "max_order": args.max_order,
+        "cycles": args.cycles,
+    }
+    if not isinstance(summary, dict) or any(summary.get(k) != v for k, v in window.items()):
+        return None
+    source = {"csv_sha256": _sha256(raw), "spectrum_sha256": _sha256(table), **_code_identity()}
+    if summary.get("source") != source:
+        return None
+
+    def finite(value) -> bool:
+        return type(value) is float and math.isfinite(value)
+
+    rate, residual = summary.get("sample_rate_hz"), summary.get("settling_residual")
+    if not (finite(rate) and rate > 0.0):
+        return None
+    if not (residual is None if args.cycles < 2 else finite(residual)):
+        return None
+    try:
+        rows = [line.split(",") for line in table.decode("ascii").splitlines()[2:]]
+        spec = HarmonicSpectrum(
+            fundamental_hz=args.f1,
+            magnitudes=[float(row[2]) for row in rows],
+            phases_rad=[float(row[3]) for row in rows],
+            rms_total=summary.get("rms"),
+            dc=summary.get("dc"),
+        )
+        return rate, (spec, ieee519_check(spec), residual, None)
+    except (ValueError, TypeError, IndexError):
+        return None
+
+
+def _analyse_files(
+    args: argparse.Namespace, paths: list, channels: list[str], reuse: bool = False
+) -> list[tuple]:
     """Read and validate every input first: each waveform CSV's
     ``channels`` columns, then the match of their sample rates.  Then
-    analyse the last ``args.cycles`` periods of each file's first column,
-    which must start at least 2 periods after t = 0: (spectrum, IEEE-519
-    check, settling residual or None for one cycle, power report against
-    the second column or None)."""
-    inputs = [read_waveform_csv(path, channels) for path in paths]
+    analyse each file (see :func:`_window_analysis`).  With ``reuse``, a
+    file that ``analyze`` has analysed alike is not read but taken from
+    its outputs (see :func:`_reused`).  Returns per file (the analysis,
+    sample rate, the CSV's bytes)."""
+    inputs = []
+    for path in paths:
+        raw = Path(path).read_bytes()
+        reused = _reused(args, path, raw) if reuse else None
+        if reused is None:
+            columns, rate, t_start = read_waveform_csv(path, channels, raw)
+            analyse = functools.partial(_window_analysis, args, columns, rate, t_start)
+        else:
+            rate, analysis = reused
+            analyse = functools.partial(tuple, analysis)  # returns analysis itself
+        inputs.append((raw, rate, analyse))
     rates = [rate for _, rate, _ in inputs]
     if max(rates) - min(rates) > 1e-6 * max(rates):
         raise AnalysisError(f"sample rates differ: {rates[0]!r} Hz vs {rates[1]!r} Hz")
-    results = []
-    for columns, rate, t_start in inputs:
-        window = last_cycles_window(len(columns[0]), rate, args.f1, args.cycles, t_start)
-        i, *v = (column[window.start : window.stop] for column in columns)
-        spec = spectrum(i, rate, args.f1, args.max_order)
-        results.append((
-            spec,
-            ieee519_check(spec),
-            settling_residual(i, rate, args.f1) if args.cycles >= 2 else None,
-            power_report(v[0], i, rate, args.f1) if v else None,
-        ))
-    return results
+    return [(analyse(), rate, raw) for raw, rate, analyse in inputs]
 
 
 def _note_unsettled(channel: str, path, residual: float | None) -> None:
@@ -233,12 +335,13 @@ def _note_unsettled(channel: str, path, residual: float | None) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     channels = [args.channel] + ([args.v_channel] if args.v_channel is not None else [])
-    [(spec, check, residual, pf)] = _analyse_files(args, [args.waveform], channels)
+    [((spec, check, residual, pf), rate, raw)] = _analyse_files(args, [args.waveform], channels)
     summary = {
         "channel": args.channel,
         "fundamental_hz": args.f1,
         "max_order": args.max_order,
         "cycles": args.cycles,
+        "sample_rate_hz": rate,
         "thd": spec.thd,
         "rms": spec.rms_total,
         "dc": spec.dc,
@@ -253,6 +356,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     Path(out + ".spectrum.svg").write_text(
         svg.spectrum_bar_svg(spec, title=f"{args.channel} spectrum")
     )
+    # What report needs to take this analysis in place of its own.
+    summary["source"] = {
+        "csv_sha256": _sha256(raw),
+        "spectrum_sha256": _sha256(Path(out + ".spectrum.csv").read_bytes()),
+        **_code_identity(),
+    }
     _json_dump(summary, out + ".summary.json")
     _note_unsettled(args.channel, args.waveform, residual)
     return 0
@@ -280,7 +389,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     paths = {"baseline": args.baseline, "filtered": args.filtered}
-    results = _analyse_files(args, list(paths.values()), [args.channel])
+    files = _analyse_files(args, list(paths.values()), [args.channel], reuse=True)
+    results = [analysis for analysis, _, _ in files]
     report = {
         "channel": args.channel,
         "fundamental_hz": args.f1,

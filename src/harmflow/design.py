@@ -313,16 +313,20 @@ def design_bank(
     orders = tuple(orders)
     if not orders:
         raise DesignError("at least one tuned order is required")
-    if isinstance(st_q, numbers.Real):
-        qs = (float(st_q),) * len(orders)
-    else:
-        qs = tuple(float(v) for v in st_q)
-        if len(qs) != len(orders):
-            raise DesignError(
-                f"expected {len(orders)} quality factors, got {len(qs)}"
-            )
+    qs = (st_q,) * len(orders) if isinstance(st_q, numbers.Real) else tuple(st_q)
+    if len(qs) != len(orders):
+        raise DesignError(f"expected {len(orders)} quality factors, got {len(qs)}")
+    for name, value in (
+        *((f"orders[{i}]", h) for i, h in enumerate(orders)),
+        ("c_per_branch", c_per_branch),
+        *((f"st_q[{i}]", q) for i, q in enumerate(qs)),
+        ("hp_corner_hz", hp_corner_hz),
+        ("hp_q", hp_q),
+    ):
+        if not isinstance(value, numbers.Real):
+            raise DesignError(f"{name} must be a real number, got {value!r}")
     branches: list[FilterBranch] = [
-        design_single_tuned(basis, h, c_per_branch, q) for h, q in zip(orders, qs)
+        design_single_tuned(basis, h, c_per_branch, float(q)) for h, q in zip(orders, qs)
     ]
     branches.append(design_high_pass(basis, hp_corner_hz, c_per_branch, hp_q))
     return FilterBank(fundamental_hz=basis.fundamental_hz, branches=tuple(branches))

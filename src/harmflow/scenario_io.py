@@ -395,17 +395,22 @@ def _format_g17(v: np.ndarray, sep: np.ndarray) -> bytes:
     return block.T.tobytes().translate(None, b"\0")
 
 
-def read_waveform_csv(path, channels) -> tuple[list[np.ndarray], float, float]:
+def read_waveform_csv(
+    path, channels, raw: bytes | None = None
+) -> tuple[list[np.ndarray], float, float]:
     """Return (the ``channels`` columns, sample rate, first ``t_s``) of a
     waveform CSV.  The columns come in the order of ``channels``, each
-    finite throughout; ``t_s`` must be finite and evenly spaced.
+    finite throughout; ``t_s`` must be finite and evenly spaced.  ``raw``
+    is the file's bytes if the caller has read them; else they are read
+    from ``path``, which every message names.
 
     Each channel is checked against the header before the body is read.
     The body is checked whole before any of it is converted: a body of
     plain numbers only by :func:`_plain_numbers`, any other line by line
     by :func:`_first_bad_line`.  Then ``t_s`` and ``channels`` alone are
     converted, from the bytes that were checked."""
-    raw = Path(path).read_bytes()
+    if raw is None:
+        raw = Path(path).read_bytes()
     body = raw.find(b"\n") + 1 or len(raw)
     header = decode_utf8(raw[:body], path, AnalysisError)
     # A header ends at the first line break, as text-mode reading splits.

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import harmflow as hf
-from harmflow import network, presets, scenario_io, simulator
+from harmflow import cli, network, presets, scenario_io, simulator
 from harmflow.cli import _json_dump, main
 from harmflow.scenario_io import (
     ScenarioError,
@@ -937,6 +937,202 @@ def test_report_mismatched_sample_rates_exit_2(tmp_path, short_waveform, capsys)
     assert "np.float64" not in err
 
 
+# --- report: reuse of analyze's outputs ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def short_baseline_waveform(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli_baseline") / "short.json"
+    _save_scenario(presets.baseline_scenario(hf.SolverConfig(dt_s=5e-5, duration_s=0.2)), path)
+    out = path.with_name("run.csv")
+    assert main(["simulate", str(path), "-o", str(out)]) == 0
+    return out
+
+
+@pytest.fixture
+def analysed_pair(tmp_path, short_baseline_waveform, short_waveform):
+    """``baseline.csv`` and ``filtered.csv`` in ``tmp_path``, copies of the
+    short runs, each analysed by ``analyze`` to its default prefix."""
+    for case, source in (("baseline", short_baseline_waveform), ("filtered", short_waveform)):
+        csv = tmp_path / f"{case}.csv"
+        csv.write_bytes(source.read_bytes())
+        assert main(["analyze", str(csv), "--channel", "i_src_a", "--v-channel", "v_src_a"]) == 0
+    return tmp_path
+
+
+def _report(directory, capsys, *flags) -> tuple:
+    """Exit code, outputs and stderr of ``report`` of ``directory``'s
+    ``baseline.csv`` and ``filtered.csv``."""
+    capsys.readouterr()
+    csvs = [str(directory / f"{case}.csv") for case in ("baseline", "filtered")]
+    rc = main(["report", *csvs, *flags, "-o", str(directory / "comparison")])
+    written = [directory / f"comparison.{suffix}" for suffix in ("report.json", "overlay.svg")]
+    outputs = [path.read_bytes() for path in written] if rc == 0 else []
+    return rc, outputs, capsys.readouterr().err
+
+
+def _fresh_report(directory, capsys, *flags) -> tuple:
+    """:func:`_report` with every CSV read and analysed."""
+    with mock.patch.object(cli, "_reused", return_value=None):
+        return _report(directory, capsys, *flags)
+
+
+def _reads(monkeypatch) -> list[str]:
+    """The names of the waveform CSVs that the CLI reads from now on."""
+    names = []
+
+    def reader(path, *args):
+        names.append(Path(path).name)
+        return read_waveform_csv(path, *args)
+
+    monkeypatch.setattr(cli, "read_waveform_csv", reader)
+    return names
+
+
+def test_report_takes_analyze_outputs_without_reading_the_csvs(
+    analysed_pair, capsys, monkeypatch
+):
+    def unread(*args):
+        raise AssertionError("a CSV was read")
+
+    with mock.patch.object(cli, "read_waveform_csv", unread):
+        reused = _report(analysed_pair, capsys)
+    assert reused[0] == 0
+    # The notes name the CSVs, as when they are read.
+    assert str(analysed_pair / "filtered.csv") in reused[2]
+    # Without the summaries beside them, both CSVs are read again.
+    aside = analysed_pair / "aside"
+    aside.mkdir()
+    for summary in analysed_pair.glob("*.summary.json"):
+        summary.rename(aside / summary.name)
+    reads = _reads(monkeypatch)
+    assert _report(analysed_pair, capsys) == reused
+    assert reads == ["baseline.csv", "filtered.csv"]
+
+
+def _edit_csv(directory):
+    # One analysed value, in the last row: inside the window.
+    path = directory / "filtered.csv"
+    header, *rows = path.read_text().splitlines()
+    cells = rows[-1].split(",")
+    column = 1 + CHANNEL_IDS.index("i_src_a")
+    cells[column] = repr(float(cells[column]) + 1.0)
+    path.write_text("\n".join([header, *rows[:-1], ",".join(cells)]) + "\n")
+
+
+def _edit_spectrum(directory):
+    # Half the fundamental: a spectrum that still passes its own checks.
+    path = directory / "filtered.spectrum.csv"
+    header, dc, fundamental, *rows = path.read_text().splitlines()
+    order, f, magnitude, phase = fundamental.split(",")
+    fundamental = ",".join([order, f, repr(0.5 * float(magnitude)), phase])
+    path.write_text("\n".join([header, dc, fundamental, *rows]) + "\n")
+
+
+def _edit_summary(edit):
+    def apply(directory):
+        path = directory / "filtered.summary.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+
+    return apply
+
+
+def _summary_a_directory(directory):
+    path = directory / "filtered.summary.json"
+    path.unlink()
+    path.mkdir()
+
+
+# Edits of the filtered side's files after analyze, each of which makes
+# report read that CSV.
+_STALE = {
+    "csv_value": _edit_csv,
+    "spectrum_csv": _edit_spectrum,
+    "spectrum_csv_missing": lambda directory: (directory / "filtered.spectrum.csv").unlink(),
+    "malformed_summary": lambda directory: (directory / "filtered.summary.json").write_text("{"),
+    "summary_a_directory": _summary_a_directory,
+    "summary_without_source": _edit_summary(lambda doc: doc.pop("source")),
+    "code_identity": _edit_summary(lambda doc: doc["source"].update(harmflow_sha256="0" * 64)),
+    "rate_a_string": _edit_summary(lambda doc: doc.update(sample_rate_hz="20000")),
+}
+
+
+@pytest.mark.parametrize("case", _STALE)
+def test_report_reads_a_csv_whose_analysis_does_not_match(
+    analysed_pair, capsys, monkeypatch, case
+):
+    _STALE[case](analysed_pair)
+    expected = _fresh_report(analysed_pair, capsys)
+    reads = _reads(monkeypatch)
+    assert _report(analysed_pair, capsys) == expected
+    assert reads == ["filtered.csv"]
+    assert expected[0] == 0
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--cycles", "3"], ["--max-order", "20"], ["--f1", "40"], ["--channel", "i_src_b"]],
+    ids=lambda flags: flags[0],
+)
+def test_report_with_other_window_options_reads_both_csvs(
+    analysed_pair, capsys, monkeypatch, flags
+):
+    expected = _fresh_report(analysed_pair, capsys, *flags)
+    reads = _reads(monkeypatch)
+    assert _report(analysed_pair, capsys, *flags) == expected
+    assert reads == ["baseline.csv", "filtered.csv"]
+    assert expected[0] == 0
+
+
+def test_reused_sample_rates_that_differ_exit_2(tmp_path, capsys, short_waveform, monkeypatch):
+    coarse = tmp_path / "coarse.json"
+    solver = hf.SolverConfig(dt_s=1e-4, duration_s=0.2)
+    _save_scenario(presets.baseline_scenario(solver), coarse)
+    assert main(["simulate", str(coarse), "-o", str(tmp_path / "baseline.csv")]) == 0
+    (tmp_path / "filtered.csv").write_bytes(short_waveform.read_bytes())
+    for case in ("baseline", "filtered"):
+        assert main(["analyze", str(tmp_path / f"{case}.csv"), "--channel", "i_src_a"]) == 0
+    expected = _fresh_report(tmp_path, capsys)
+    reads = _reads(monkeypatch)
+    assert _report(tmp_path, capsys) == expected
+    assert reads == []
+    assert expected[0] == 2
+    assert expected[2].startswith("error: sample rates differ: 9999.99")
+
+
+def test_summary_records_the_bytes_analyze_read(tmp_path, capsys, short_waveform, monkeypatch):
+    # The CSV is replaced once its bytes are read: the summary names the
+    # bytes analysed, and report does not take that analysis for the new
+    # file.
+    import hashlib
+
+    path = tmp_path / "filtered.csv"
+    raw = short_waveform.read_bytes()
+    path.write_bytes(raw)
+    header, *rows = short_waveform.read_text().splitlines()
+    other = [",".join([row.split(",", 1)[0], *["7"] * len(CHANNEL_IDS)]) for row in rows]
+    read_bytes = Path.read_bytes
+
+    def read_then_replace(self):
+        data = read_bytes(self)
+        if self == path:
+            self.write_text("\n".join([header, *other]) + "\n")
+        return data
+
+    with mock.patch.object(Path, "read_bytes", read_then_replace):
+        assert main(["analyze", str(path), "--channel", "i_src_a"]) == 0
+    summary = json.loads((tmp_path / "filtered.summary.json").read_text())
+    assert summary["source"]["csv_sha256"] == hashlib.sha256(raw).hexdigest()
+    assert path.read_text().endswith(",7\n")
+    (tmp_path / "baseline.csv").write_bytes(raw)
+    expected = _fresh_report(tmp_path, capsys)
+    reads = _reads(monkeypatch)
+    assert _report(tmp_path, capsys) == expected
+    assert reads == ["baseline.csv", "filtered.csv"]
+
+
 @pytest.mark.parametrize("command", ["analyze", "report"])
 def test_failed_write_prints_one_error_and_no_note(tmp_path, short_waveform, capsys, command):
     # The short run has not settled, so a successful run prints a note.
@@ -1150,6 +1346,14 @@ _SAME_COLUMNS = {
 }
 
 
+def _without_csv_digest(summary: bytes) -> bytes:
+    """A summary JSON's bytes without ``source.csv_sha256``, which names
+    the CSV's bytes and so differs between copies that read alike."""
+    rest, count = re.subn(rb'\n *"csv_sha256": "[0-9a-f]{64}",', b"", summary)
+    assert count == 1
+    return rest
+
+
 def test_csv_variants_give_identical_outputs(tmp_path, short_waveform):
     # Each copy goes to the same path, so the outputs that name it match;
     # --channel i_dc (the last column) and --v-channel v_src_a (the first)
@@ -1164,7 +1368,8 @@ def test_csv_variants_give_identical_outputs(tmp_path, short_waveform):
     def outputs() -> dict:
         for argv in argvs.values():
             assert main(argv + ["-o", str(tmp_path / "out")]) == 0
-        return {suffix: (tmp_path / f"out.{suffix}").read_bytes() for suffix in argvs}
+        written = {suffix: (tmp_path / f"out.{suffix}").read_bytes() for suffix in argvs}
+        return {**written, "summary.json": _without_csv_digest(written["summary.json"])}
 
     path.write_text("\n".join([header, *rows]) + "\n")
     expected = outputs()
@@ -1189,6 +1394,7 @@ def test_csv_without_final_line_feed_gives_identical_outputs(tmp_path, short_wav
         assert main(["report", str(short_waveform), str(path), "-o", str(out)]) == 0
         written = tmp_path.glob(f"{out.name}.*")
         outputs.append({p.name.split(".", 1)[1]: p.read_bytes() for p in written})
+        outputs[-1]["summary.json"] = _without_csv_digest(outputs[-1]["summary.json"])
     assert len(outputs[0]) == 5 and outputs[0] == outputs[1]
 
 

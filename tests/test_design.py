@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -329,6 +330,31 @@ def test_design_bank_rejects_a_string(orders, q, name):
     # A string would be read one character at a time.
     with pytest.raises(DesignError, match=f"^{name} must hold numbers, not a string"):
         hf.design_bank(BASIS, orders, 1e-5, q, 800.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("orders[0]", "5"),
+        ("orders[1]", None),
+        ("c_per_branch", "1e-5"),
+        ("st_q[0]", "50"),
+        ("st_q[1]", b"50"),
+        ("hp_corner_hz", "800"),
+        ("hp_q", "2"),
+    ],
+)
+def test_design_bank_rejects_a_string_value(name, value):
+    # Each value is named: one string among numbers is not read as one.
+    args = {"orders": [5, 7], "c_per_branch": 1e-5, "st_q": [50.0, 50.0],
+            "hp_corner_hz": 800.0, "hp_q": 2.0}
+    key, _, index = name.partition("[")
+    if index:
+        args[key][int(index[:-1])] = value
+    else:
+        args[key] = value
+    with pytest.raises(DesignError, match=rf"^{re.escape(name)} must be a real number, got "):
+        hf.design_bank(BASIS, **args)
 
 
 # --- domain type validation ------------------------------------------------
