@@ -9,9 +9,10 @@ a resonance JSON), and ``report`` (side-by-side comparison of two runs).
 ``analyze`` and ``report`` share one analysis path: every input is read and
 validated before any file is analysed, and an unsettled window gets a note
 on stderr once the outputs are written.  ``analyze`` records in its summary
-the digests of the CSV it analysed and of the spectrum CSV it wrote, and
-the code that did it; ``report`` takes a side from those outputs instead
-of analysing its CSV again when they match (see :func:`_reused`).
+the digests of the CSV it analysed, of the spectrum CSV it wrote and of
+the summary figures ``report`` reads, and the code that did it; ``report``
+takes a side from those outputs instead of analysing its CSV again when
+they match (see :func:`_reused`).
 
 Exit codes: 0 on success, 2 for input or validation errors, 3 for numerical
 solver failures.
@@ -74,6 +75,20 @@ def _code_identity() -> dict:
     files = sorted(Path(__file__).parent.glob("*.py"))
     modules = json.dumps({p.name: _sha256(p.read_bytes()) for p in files})
     return {"harmflow_version": __version__, "harmflow_sha256": _sha256(modules.encode())}
+
+
+def _source(raw: bytes, table: bytes, summary: dict) -> dict:
+    """What ``analyze`` records of an analysis for ``report`` to take it
+    (see :func:`_reused`): the digests of the CSV's bytes ``raw``, of the
+    spectrum CSV's ``table`` and of the figures ``report`` reads from the
+    ``summary``, and the code."""
+    figures = [summary.get(k) for k in ("sample_rate_hz", "settling_residual", "rms", "dc")]
+    return {
+        "csv_sha256": _sha256(raw),
+        "spectrum_sha256": _sha256(table),
+        "figures_sha256": _sha256(json.dumps(figures).encode()),
+        **_code_identity(),
+    }
 
 
 def _output_base(prefix, source) -> str:
@@ -251,12 +266,12 @@ def _reused(args: argparse.Namespace, path, raw: bytes) -> tuple | None:
     """(sample rate, the :func:`_window_analysis` of ``args.channel``
     without power) of the waveform CSV ``path``, whose bytes are ``raw``,
     taken from ``analyze``'s outputs at its default prefix; None unless
-    its summary records ``raw``, the window options of ``args`` and this
-    harmflow, and its spectrum CSV is the one it wrote.  The spectrum is
-    rebuilt from that CSV, whose values are written with ``repr`` and so
-    read back exactly; its order-0 row holds |dc|, so dc and the RMS come
-    from the summary.  A sibling file that is missing, unreadable or
-    malformed gives None."""
+    its summary records ``raw``, the window options of ``args``, its own
+    figures and this harmflow, and its spectrum CSV is the one it wrote
+    (see :func:`_source`).  The spectrum is rebuilt from that CSV, whose
+    values are written with ``repr`` and so read back exactly; its order-0
+    row holds |dc|, so dc and the RMS come from the summary.  A sibling
+    file that is missing, unreadable or malformed gives None."""
     base = _output_base(None, path)
     try:
         summary = json.loads(Path(base + ".summary.json").read_bytes())
@@ -271,8 +286,7 @@ def _reused(args: argparse.Namespace, path, raw: bytes) -> tuple | None:
     }
     if not isinstance(summary, dict) or any(summary.get(k) != v for k, v in window.items()):
         return None
-    source = {"csv_sha256": _sha256(raw), "spectrum_sha256": _sha256(table), **_code_identity()}
-    if summary.get("source") != source:
+    if summary.get("source") != _source(raw, table, summary):
         return None
 
     def finite(value) -> bool:
@@ -357,11 +371,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         svg.spectrum_bar_svg(spec, title=f"{args.channel} spectrum")
     )
     # What report needs to take this analysis in place of its own.
-    summary["source"] = {
-        "csv_sha256": _sha256(raw),
-        "spectrum_sha256": _sha256(Path(out + ".spectrum.csv").read_bytes()),
-        **_code_identity(),
-    }
+    summary["source"] = _source(raw, Path(out + ".spectrum.csv").read_bytes(), summary)
     _json_dump(summary, out + ".summary.json")
     _note_unsettled(args.channel, args.waveform, residual)
     return 0

@@ -293,6 +293,17 @@ def design_high_pass(
     return _warned(HighPassFilter(c, l, q * w * l), "high-pass", q, HIGH_PASS_Q_RANGE)
 
 
+def _numbers(name: str, value) -> tuple:
+    """The items of the sequence ``value`` of argument ``name``."""
+    # A string is a sequence too, of characters.
+    if isinstance(value, (str, bytes, bytearray)):
+        raise DesignError(f"{name} must hold numbers, not a string, got {value!r}")
+    try:
+        return tuple(value)
+    except TypeError:
+        raise DesignError(f"{name} must be a sequence of numbers, got {value!r}") from None
+
+
 def design_bank(
     basis: SystemBasis,
     orders: Sequence[float],
@@ -306,14 +317,10 @@ def design_bank(
     ``st_q`` may be a single quality factor shared by every tuned branch or
     one value per order.
     """
-    # A string is a sequence too, of characters.
-    for name, value in (("orders", orders), ("st_q", st_q)):
-        if isinstance(value, (str, bytes, bytearray)):
-            raise DesignError(f"{name} must hold numbers, not a string, got {value!r}")
-    orders = tuple(orders)
+    orders = _numbers("orders", orders)
+    qs = (st_q,) * len(orders) if isinstance(st_q, numbers.Real) else _numbers("st_q", st_q)
     if not orders:
         raise DesignError("at least one tuned order is required")
-    qs = (st_q,) * len(orders) if isinstance(st_q, numbers.Real) else tuple(st_q)
     if len(qs) != len(orders):
         raise DesignError(f"expected {len(orders)} quality factors, got {len(qs)}")
     for name, value in (

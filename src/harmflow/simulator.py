@@ -10,11 +10,15 @@ commutation overlap, rounds the line current, and makes the bridge draw
 lagging reactive power at the fundamental.
 
 Integration is the implicit trapezoidal rule at fixed dt, assembled as
-modified nodal analysis with companion models: eight node voltages plus
-the three source branch currents.  Diodes are two-state resistors of
-``DIODE_ON_OHM`` and ``DIODE_OFF_OHM``; conduction states are resolved per
-step by fixed-point iteration (turn on when the anode-cathode voltage
-exceeds zero, turn off when the current falls below zero).
+modified nodal analysis (Ho, Ruehli & Brennan, IEEE Trans. Circuits Syst.
+22(6), 1975) with companion models: eight node voltages plus the three
+source branch currents plus each filter branch's inner nodes.  A resistor
+is a conductance stamp, and an inductor or capacitor across the voltage
+``d`` carries ``dt/(2L) d + z`` or ``2C/dt (d - z)``; only the source
+inductors keep branch rows, as ``Ls`` may be zero.  Diodes are two-state
+resistors of ``DIODE_ON_OHM`` and ``DIODE_OFF_OHM``; conduction states are
+resolved per step by fixed-point iteration (turn on when the anode-cathode
+voltage exceeds zero, turn off when the current falls below zero).
 
 Every inductor and capacitor carries one history term in its element's
 own state units.  With ``q_k`` the element's state at step k (inductor
@@ -53,7 +57,7 @@ each as ``M^i`` times the block's starting ``w``: one matrix-matrix
 product per diode state and window of absolute steps, over the stacked
 starting rows of its blocks.  Against a per-step LU solve whose channels
 come from its unknowns and the element laws, the channels agree to
-1.3e-10 of each channel's maximum and the history to 2.8e-9; against
+1.8e-10 of each channel's maximum and the history to 2.8e-9; against
 per-step stepping, to 5e-12 and 2e-12, with the same flagged steps and
 counters.
 
@@ -99,7 +103,7 @@ CHANNEL_IDS = (
 )
 
 # Node numbering: PCC a/b/c, bridge AC terminals a/b/c, DC rails + and -;
-# then three source branch currents.
+# then three source branch currents; then the filters' inner nodes.
 _PCC = (0, 1, 2)
 _BT = (3, 4, 5)
 _P, _N = 6, 7
@@ -273,7 +277,8 @@ def _flows(z: np.ndarray, cols, masses: np.ndarray, dt: float) -> np.ndarray:
 class _TransientSolver:
     """Per-state step maps ``F_s`` over ``w = [z; s]``, applied between two
     alternating rows and copied into the record of ``w``.  ``_kcl`` and
-    ``_out`` are the linear forms over ``[x; z; s]`` (see ``_assemble``); a
+    ``_out`` are the linear forms over ``[x; z; s]`` (see ``_assemble``;
+    ``x`` has 38 unknowns with the bundled bank, 11 without one); a
     state adds the diode stamp and folds its solve in as
     ``F_s = out_w + out_x X`` with ``A_s X = -kcl_w``.  ``_tables`` holds
     each state's look-ahead tables: ``M^1 .. M^B``, B·nw × nw, and the
@@ -319,51 +324,45 @@ class _TransientSolver:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Forms over ``[x; z; s]``: KCL at the nodes (currents leaving) and
         the source-branch equations without the diodes, and the output rows
-        (unsigned diode voltages, next ``z``, next ``s``).  An inductor's
-        current is ``dt/(2L) v + z``, a capacitor's voltage ``dt/(2C) i + z``,
-        and each history term moves on to ``2 q - z``."""
-        nx, nz, dt = _NUM_UNKNOWNS, self.n_z, self.dt
+        (unsigned diode voltages, next ``z``, next ``s``).  The filter
+        branch-phases' inner nodes follow the fixed unknowns: R-L and L-C of
+        each single-tuned one, C-(R || L) of each high-pass one.  Every
+        resistor is a :func:`_stamp`; an inductor carries ``dt/(2L) d + z``
+        and its state is that current, a capacitor ``2C/dt (d - z)`` and its
+        state is ``d``; each history term moves on to ``2 q - z``."""
+        lay, nz, dt = self.layout, self.n_z, self.dt
+        m, n_st, n_hp = lay.masses, len(lay.st_r), len(lay.hp_r)
+        nx = _NUM_UNKNOWNS + 2 * n_st + n_hp
         unit = np.eye(nx + nz + 2)
         x, z, s = unit[:nx], unit[nx : nx + nz], unit[nx + nz :]
-        lay = self.layout
-        m, st_r, hp_r = lay.masses, lay.st_r, lay.hp_r
-        st_l, st_c, hp_c, hp_l = m[lay.st_l], m[lay.st_c], m[lay.hp_c], m[lay.hp_l]
-        z_ls, z_fe, z_dc = z[lay.ls], z[lay.fe], z[lay.dc]
-        st_zl, st_zc, hp_zc, hp_zl = z[lay.st_l], z[lay.st_c], z[lay.hp_c], z[lay.hp_l]
-
-        e = v_src @ s
-        c, sn = math.cos(step_angle), math.sin(step_angle)
-        vp, vbt, i_src = x[list(_PCC)], x[list(_BT)], x[_NUM_NODES:]
+        vp, vbt, i_src = x[list(_PCC)], x[list(_BT)], x[_NUM_NODES:_NUM_UNKNOWNS]
         v_dc = x[_P] - x[_N]
-        i_fe = dt / (2.0 * scenario.load.front_end_inductance_h) * (vp - vbt) + z_fe
-        i_load = self.g_rl * v_dc + 2.0 * scenario.load.load_capacitance_f / dt * (v_dc - z_dc)
-        # Series R-L-C: i = (vp + 2L/dt z_l - z_c) / (R + 2L/dt + dt/2C).
-        st_rl, st_rc = 2.0 * st_l / dt, dt / (2.0 * st_c)
-        st_i = (1.0 / (st_r + st_rl + st_rc))[:, None] * (
-            vp[np.arange(len(st_r)) % 3] + st_rl[:, None] * st_zl - st_zc
-        )
-        # C in series with R || L; the R-L pair's voltage is r_p (i - z_l).
-        hp_rc, hp_gl = dt / (2.0 * hp_c), dt / (2.0 * hp_l)
-        hp_rp = 1.0 / (1.0 / hp_r + hp_gl)
-        hp_i = (1.0 / (hp_rc + hp_rp))[:, None] * (
-            vp[np.arange(len(hp_r)) % 3] - hp_zc + hp_rp[:, None] * hp_zl
-        )
+        st_rl, st_lc, hp_n = np.split(x[_NUM_UNKNOWNS:], [n_st, 2 * n_st])
+        st_vp, hp_vp = vp[np.arange(n_st) % 3], vp[np.arange(n_hp) % 3]
+        c, sn = math.cos(step_angle), math.sin(step_angle)
 
-        kcl = np.zeros((nx, nx + nz + 2))
-        branches = np.vstack([st_i, hp_i]).reshape(-1, 3, nx + nz + 2).sum(axis=0)
-        kcl[list(_PCC)] = branches + i_fe - i_src
-        kcl[list(_BT)] = -i_fe
-        kcl[_P] = i_load
-        kcl[_N] = -i_load
-        # Source branches: e - vp = 2Ls/dt (i_src - z_ls).
-        kcl[_NUM_NODES:] = vp + 2.0 * scenario.basis.source_inductance_h / dt * (i_src - z_ls) - e
-
+        # The source inductors keep their branch rows (Ls may be zero).
+        d = np.zeros_like(z)
+        d[lay.fe], d[lay.dc] = vp - vbt, v_dc
+        d[lay.st_l], d[lay.st_c] = st_rl - st_lc, st_lc
+        d[lay.hp_c], d[lay.hp_l] = hp_vp - hp_n, hp_n
+        ind, cap = np.r_[lay.fe, lay.st_l, lay.hp_l], np.r_[lay.dc, lay.caps]
+        flows = np.zeros_like(z)
+        flows[ind] = (dt / (2.0 * m[ind]))[:, None] * d[ind] + z[ind]
+        flows[cap] = (2.0 * m[cap] / dt)[:, None] * (d[cap] - z[cap])
         # Each history term's element state, as a form over [x; z; s].
-        states = np.empty_like(z)
-        states[lay.ls], states[lay.fe], states[lay.dc] = i_src, i_fe, v_dc
-        states[lay.st_l], states[lay.st_c] = st_i, st_rc[:, None] * st_i + st_zc
-        states[lay.hp_c] = hp_rc[:, None] * hp_i + hp_zc
-        states[lay.hp_l] = (hp_gl * hp_rp)[:, None] * (hp_i - hp_zl) + hp_zl
+        states = flows.copy()
+        states[cap], states[lay.ls] = d[cap], i_src
+
+        # Each element's current leaves the node its d adds.
+        kcl = d[:, :nx].T @ flows
+        g = np.concatenate([[self.g_rl], 1.0 / lay.st_r, 1.0 / lay.hp_r])
+        kcl[:, :nx] += _stamp(g, np.vstack([v_dc, st_vp - st_rl, hp_n])[:, :nx])
+        kcl[list(_PCC)] -= i_src
+        # Source branches: e - vp = 2Ls/dt (i_src - z_ls).
+        kcl[_NUM_NODES:_NUM_UNKNOWNS] = (
+            vp + 2.0 * scenario.basis.source_inductance_h / dt * (i_src - z[lay.ls]) - v_src @ s
+        )
         out = np.vstack([
             vbt - x[_P], x[_N] - vbt,  # diode voltages
             2.0 * states - z,
@@ -375,7 +374,7 @@ class _TransientSolver:
         """Step map of diode state word ``key`` (bit i set when diode i
         conducts), built on its first visit: ``w = [z; s]`` to the signed
         diode voltages and the next ``w``."""
-        nx = _NUM_UNKNOWNS
+        nx = len(self._kcl)
         on = (key >> np.arange(6)) & 1 == 1
         g_d = np.where(on, self.g_on, self.g_off)
         a = self._kcl[:, :nx] + _stamp(g_d, self._out[:6, :nx])

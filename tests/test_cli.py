@@ -1056,6 +1056,8 @@ _STALE = {
     "summary_without_source": _edit_summary(lambda doc: doc.pop("source")),
     "code_identity": _edit_summary(lambda doc: doc["source"].update(harmflow_sha256="0" * 64)),
     "rate_a_string": _edit_summary(lambda doc: doc.update(sample_rate_hz="20000")),
+    "settling_residual": _edit_summary(lambda doc: doc.update(settling_residual=0.5)),
+    "rms_doubled": _edit_summary(lambda doc: doc.update(rms=2.0 * doc["rms"])),
 }
 
 

@@ -357,6 +357,15 @@ def test_design_bank_rejects_a_string_value(name, value):
         hf.design_bank(BASIS, **args)
 
 
+@pytest.mark.parametrize(
+    "orders, q, name", [([5], None, "st_q"), (5, 50.0, "orders")], ids=["st_q", "orders"]
+)
+def test_design_bank_rejects_a_value_that_is_not_a_sequence(orders, q, name):
+    with pytest.raises(DesignError, match=f"^{name} must be a sequence of numbers, got "):
+        hf.design_bank(BASIS, orders, 1e-5, q, 800, 2)
+
+
+
 # --- domain type validation ------------------------------------------------
 
 

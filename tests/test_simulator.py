@@ -568,7 +568,7 @@ def _reference_run(scenario):
     and whether it passed the sign test on the first try (entry 0 is the
     all-blocking start)."""
     s = _TransientSolver(scenario)
-    nx, nz, n, dt = 11, s.n_z, s.n_samples, s.dt
+    nx, nz, n, dt = len(s._kcl), s.n_z, s.n_samples, s.dt
     kcl_x, kcl_z = s._kcl[:, :nx], s._kcl[:, nx : nx + nz]
     load, bank = scenario.load, scenario.bank
     st = bank.single_tuned if bank else ()
@@ -731,6 +731,28 @@ def _cap2_flagged():
     """Flagged steps between runs that are stepped as blocks, once the test
     sets the iteration cap to 2, the lowest that lets a diode flip."""
     return presets.filtered_scenario(hf.SolverConfig(dt_s=1e-4, duration_s=0.2))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [presets.filtered_scenario, lambda: _bundled_branches("single_tuned"),
+     lambda: _bundled_branches("high_pass")],
+    ids=["filtered", "tuned_only", "high_pass_only"],
+)
+def test_kcl_at_filter_inner_nodes(make):
+    # Over the whole history a single-tuned inductor carries its capacitor's
+    # current, and a high-pass capacitor's current splits between the
+    # inductor and the resistor across it.
+    scenario = make()
+    waves = hf.run(scenario)
+    lay, z, dt = simulator._layout(scenario), waves.history, waves.dt_s
+    states, flows, m = simulator._states, simulator._flows, lay.masses
+    for i_c, i_other in (
+        (flows(z, lay.st_c, m, dt), states(z, lay.st_l)),
+        (flows(z, lay.hp_c, m, dt), states(z, lay.hp_l) + flows(z, lay.hp_l, m, dt) / lay.hp_r),
+    ):
+        deviation = np.max(np.abs(i_c - i_other), axis=0)
+        assert np.all(deviation <= 1e-10 * np.max(np.abs(i_c), axis=0)), deviation
 
 
 @pytest.mark.parametrize(
