@@ -2,7 +2,7 @@
 into reproducible file-based runs.
 
 Commands: ``design`` (closed-form bank synthesis to JSON), ``simulate``
-(scenario JSON to waveform CSV plus metadata), ``analyze`` (waveform CSV to
+(scenario JSON to waveform CSV, twin, metadata), ``analyze`` (waveform CSV to
 spectrum CSV/SVG and a summary JSON), ``scan`` (impedance sweep to CSV plus
 a resonance JSON), and ``report`` (side-by-side comparison of two runs).
 
@@ -12,7 +12,8 @@ on stderr once the outputs are written.  ``analyze`` records in its summary
 the digests of the CSV it analysed, of the spectrum CSV it wrote and of
 the summary figures ``report`` reads, and the code that did it; ``report``
 takes a side from those outputs instead of analysing its CSV again when
-they match (see :func:`_reused`).
+they match (see :func:`_reused`).  Both read a CSV's columns from the
+twin ``simulate`` bound to it, if there is one (see :func:`_twin`).
 
 Exit codes: 0 on success, 2 for input or validation errors, 3 for numerical
 solver failures.
@@ -43,7 +44,7 @@ from .analyzer import (
 )
 from .design import SIX_PULSE_ORDERS, SystemBasis, bank_from_dict, bank_to_dict, design_bank
 from .network import find_resonances, scan
-from .scenario_io import load_json, load_scenario, read_waveform_csv
+from .scenario_io import load_json, load_scenario, read_waveform_csv, waveform_siblings
 from .simulator import CHANNEL_IDS, SolverError, run
 
 
@@ -77,18 +78,24 @@ def _code_identity() -> dict:
     return {"harmflow_version": __version__, "harmflow_sha256": _sha256(modules.encode())}
 
 
-def _source(raw: bytes, table: bytes, summary: dict) -> dict:
+def _source(csv_sha256: str, table: bytes, summary: dict) -> dict:
     """What ``analyze`` records of an analysis for ``report`` to take it
-    (see :func:`_reused`): the digests of the CSV's bytes ``raw``, of the
+    (see :func:`_reused`): the digests of the CSV, ``csv_sha256``, of the
     spectrum CSV's ``table`` and of the figures ``report`` reads from the
     ``summary``, and the code."""
     figures = [summary.get(k) for k in ("sample_rate_hz", "settling_residual", "rms", "dc")]
     return {
-        "csv_sha256": _sha256(raw),
+        "csv_sha256": csv_sha256,
         "spectrum_sha256": _sha256(table),
         "figures_sha256": _sha256(json.dumps(figures).encode()),
         **_code_identity(),
     }
+
+
+def _twin_source(csv_sha256: str, npy_sha256: str) -> dict:
+    """What ``simulate`` records to bind a waveform CSV to its twin: the
+    digests of both and the code (see :func:`_twin`)."""
+    return {"csv_sha256": csv_sha256, "npy_sha256": npy_sha256, **_code_identity()}
 
 
 def _output_base(prefix, source) -> str:
@@ -217,10 +224,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     waves = run(scenario)
     wall = time.perf_counter() - start
-    out_csv = Path(args.output)
-    waves.to_csv(out_csv)
-    # x.csv gets x.meta.json; any other name gets .meta.json appended.
-    meta_prefix = None if out_csv.suffix == ".csv" else out_csv
+    base = waveform_siblings(args.output)
+    # The CSV, its twin, then the metadata, so that an interrupted run
+    # leaves a source that does not match (see _twin).
+    source = _twin_source(waves.to_csv(args.output), waves.to_npy(base + ".npy"))
     _json_dump(
         {
             "scenario": str(args.scenario),
@@ -238,8 +245,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "switch_events": waves.switch_events,
             "block_steps": waves.block_steps,
             "wall_time_s": wall,
+            "source": source,
         },
-        _output_base(meta_prefix, out_csv) + ".meta.json",
+        base + ".meta.json",
     )
     return 0
 
@@ -262,16 +270,30 @@ def _window_analysis(
     )
 
 
-def _reused(args: argparse.Namespace, path, raw: bytes) -> tuple | None:
+def _twin(path, csv_sha256: str) -> bytes | None:
+    """The bytes of the twin of the waveform CSV ``path``, whose digest is
+    ``csv_sha256``, if ``simulate``'s metadata beside it binds the two (see
+    :func:`_twin_source`); else None, as for a sibling file that is
+    missing, unreadable or malformed."""
+    base = waveform_siblings(path)
+    try:
+        source = json.loads(Path(base + ".meta.json").read_bytes()).get("source")
+        twin = Path(base + ".npy").read_bytes()
+    except (OSError, ValueError, AttributeError):
+        return None
+    return twin if source == _twin_source(csv_sha256, _sha256(twin)) else None
+
+
+def _reused(args: argparse.Namespace, path, csv_sha256: str) -> tuple | None:
     """(sample rate, the :func:`_window_analysis` of ``args.channel``
-    without power) of the waveform CSV ``path``, whose bytes are ``raw``,
+    without power) of the waveform CSV ``path`` of digest ``csv_sha256``,
     taken from ``analyze``'s outputs at its default prefix; None unless
-    its summary records ``raw``, the window options of ``args``, its own
-    figures and this harmflow, and its spectrum CSV is the one it wrote
-    (see :func:`_source`).  The spectrum is rebuilt from that CSV, whose
-    values are written with ``repr`` and so read back exactly; its order-0
-    row holds |dc|, so dc and the RMS come from the summary.  A sibling
-    file that is missing, unreadable or malformed gives None."""
+    its summary records that digest, the window options of ``args``, its
+    own figures and this harmflow, and its spectrum CSV is the one it
+    wrote (see :func:`_source`).  The spectrum is rebuilt from that CSV,
+    whose values are written with ``repr`` and so read back exactly; its
+    order-0 row holds |dc|, so dc and the RMS come from the summary.  A
+    sibling file that is missing, unreadable or malformed gives None."""
     base = _output_base(None, path)
     try:
         summary = json.loads(Path(base + ".summary.json").read_bytes())
@@ -286,7 +308,7 @@ def _reused(args: argparse.Namespace, path, raw: bytes) -> tuple | None:
     }
     if not isinstance(summary, dict) or any(summary.get(k) != v for k, v in window.items()):
         return None
-    if summary.get("source") != _source(raw, table, summary):
+    if summary.get("source") != _source(csv_sha256, table, summary):
         return None
 
     def finite(value) -> bool:
@@ -318,23 +340,24 @@ def _analyse_files(
     ``channels`` columns, then the match of their sample rates.  Then
     analyse each file (see :func:`_window_analysis`).  With ``reuse``, a
     file that ``analyze`` has analysed alike is not read but taken from
-    its outputs (see :func:`_reused`).  Returns per file (the analysis,
-    sample rate, the CSV's bytes)."""
+    its outputs (see :func:`_reused`), else read, from its twin if bound
+    (see :func:`_twin`).  Returns per file (analysis, rate, CSV digest)."""
     inputs = []
     for path in paths:
         raw = Path(path).read_bytes()
-        reused = _reused(args, path, raw) if reuse else None
+        digest = _sha256(raw)
+        reused = _reused(args, path, digest) if reuse else None
         if reused is None:
-            columns, rate, t_start = read_waveform_csv(path, channels, raw)
+            columns, rate, t_start = read_waveform_csv(path, channels, raw, _twin(path, digest))
             analyse = functools.partial(_window_analysis, args, columns, rate, t_start)
         else:
             rate, analysis = reused
             analyse = functools.partial(tuple, analysis)  # returns analysis itself
-        inputs.append((raw, rate, analyse))
+        inputs.append((digest, rate, analyse))
     rates = [rate for _, rate, _ in inputs]
     if max(rates) - min(rates) > 1e-6 * max(rates):
         raise AnalysisError(f"sample rates differ: {rates[0]!r} Hz vs {rates[1]!r} Hz")
-    return [(analyse(), rate, raw) for raw, rate, analyse in inputs]
+    return [(analyse(), rate, digest) for digest, rate, analyse in inputs]
 
 
 def _note_unsettled(channel: str, path, residual: float | None) -> None:
@@ -349,7 +372,7 @@ def _note_unsettled(channel: str, path, residual: float | None) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     channels = [args.channel] + ([args.v_channel] if args.v_channel is not None else [])
-    [((spec, check, residual, pf), rate, raw)] = _analyse_files(args, [args.waveform], channels)
+    [((spec, check, residual, pf), rate, digest)] = _analyse_files(args, [args.waveform], channels)
     summary = {
         "channel": args.channel,
         "fundamental_hz": args.f1,
@@ -371,7 +394,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         svg.spectrum_bar_svg(spec, title=f"{args.channel} spectrum")
     )
     # What report needs to take this analysis in place of its own.
-    summary["source"] = _source(raw, Path(out + ".spectrum.csv").read_bytes(), summary)
+    summary["source"] = _source(digest, Path(out + ".spectrum.csv").read_bytes(), summary)
     _json_dump(summary, out + ".summary.json")
     _note_unsettled(args.channel, args.waveform, residual)
     return 0

@@ -15,7 +15,9 @@ validated at load time with a field-path error message.
 A waveform CSV is a header of column names, ``t_s`` first, then one line
 of comma-separated ``%.17g`` values per sample.
 :func:`write_waveform_csv` writes it and :func:`read_waveform_csv` reads
-the named columns back, bit for bit.
+the named columns back, bit for bit, from its text or, if the caller has
+bound it to the CSV's bytes, from its binary twin: the same doubles as one
+NPY array (NumPy NEP 1), which :func:`write_waveform_npy` writes.
 """
 
 from __future__ import annotations
@@ -222,25 +224,56 @@ def load_scenario(path) -> Scenario:
 _CSV_ROWS = 1024
 
 
-def write_waveform_csv(path, names, columns) -> None:
+def waveform_siblings(path) -> str:
+    """``path`` less a ``.csv`` extension: with ``.meta.json`` or ``.npy``
+    added, the metadata or twin ``simulate`` writes with that CSV."""
+    return str(Path(path).with_suffix("") if Path(path).suffix == ".csv" else path)
+
+
+def _write_hashed(path, chunks) -> str:
+    """Write the byte strings ``chunks`` to ``path``; returns their SHA-256."""
+    import hashlib  # about 3.5 ms to import, so only where a digest is taken
+    digest = hashlib.sha256()
+    with open(path, "wb") as out:
+        for chunk in chunks:
+            digest.update(chunk)
+            out.write(chunk)
+    return digest.hexdigest()
+
+
+def write_waveform_csv(path, names, columns) -> str:
     """Write the header ``names`` (``t_s`` first), then one line per row of
-    the equal-length ``columns``, one column per name.
+    the equal-length ``columns``, one column per name; returns the
+    SHA-256 of the file's bytes.
 
     Every value is written as ``%.17g``: 17 significant digits, which read
-    back as the same double, so the round trip is exact.  The text is that
-    of ``"%.17g" % v`` byte for byte.  It is formed ``_CSV_ROWS`` (1024)
-    rows at a time by a vectorised formatter, which leaves each value it
-    cannot prove exact to Python's formatter (see ``_format_g17``).  The
-    block size sets the writer's working set, and does not change the text.
+    back as the same double, so the round trip is exact.  The bytes are
+    those of ``"%.17g" % v`` with a line feed ending each line, on every
+    platform.  They are formed ``_CSV_ROWS`` (1024) rows at a time by a
+    vectorised formatter, which leaves each value it cannot prove exact to
+    Python's formatter (see ``_format_g17``).  The block size sets the
+    writer's working set, and does not change the bytes.
     """
     seps = np.full((_CSV_ROWS, len(columns)), ord(","), dtype=np.uint8)
     seps[:, -1] = ord("\n")
-    with open(path, "w") as out:
-        out.write(",".join(names) + "\n")
+
+    def blocks():
+        yield (",".join(names) + "\n").encode()
         for lo in range(0, len(columns[0]), _CSV_ROWS):
             rows = np.column_stack([c[lo : lo + _CSV_ROWS] for c in columns])
-            text = _format_g17(rows.ravel(), seps[: len(rows)].ravel())
-            out.write(text.decode("ascii"))
+            yield _format_g17(rows.ravel(), seps[: len(rows)].ravel())
+
+    return _write_hashed(path, blocks())
+
+
+def write_waveform_npy(path, columns) -> str:
+    """Write a waveform CSV's twin: its ``columns`` as the rows of one NPY
+    float64 array, a column at a time, no table formed; returns its SHA-256."""
+    header = io.BytesIO()
+    fields = {"descr": "<f8", "fortran_order": False, "shape": (len(columns), len(columns[0]))}
+    np.lib.format.write_array_header_1_0(header, fields)
+    data = (np.ascontiguousarray(c, "<f8").data.cast("B") for c in columns)
+    return _write_hashed(path, itertools.chain([header.getvalue()], data))
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -396,7 +429,7 @@ def _format_g17(v: np.ndarray, sep: np.ndarray) -> bytes:
 
 
 def read_waveform_csv(
-    path, channels, raw: bytes | None = None
+    path, channels, raw: bytes | None = None, twin: bytes | None = None
 ) -> tuple[list[np.ndarray], float, float]:
     """Return (the ``channels`` columns, sample rate, first ``t_s``) of a
     waveform CSV.  The columns come in the order of ``channels``, each
@@ -405,10 +438,12 @@ def read_waveform_csv(
     from ``path``, which every message names.
 
     Each channel is checked against the header before the body is read.
-    The body is checked whole before any of it is converted: a body of
-    plain numbers only by :func:`_plain_numbers`, any other line by line
-    by :func:`_first_bad_line`.  Then ``t_s`` and ``channels`` alone are
-    converted, from the bytes that were checked."""
+    The columns are the rows of ``twin``, a binary twin the caller bound to
+    ``raw``, if it holds one per column, a sample per line.  Else the body
+    is checked whole before any of it is converted: a body of plain numbers
+    only by :func:`_plain_numbers`, any other line by line by
+    :func:`_first_bad_line`.  Then ``t_s`` and ``channels`` alone are
+    converted, from the bytes that were checked.  The same checks follow."""
     if raw is None:
         raw = Path(path).read_bytes()
     body = raw.find(b"\n") + 1 or len(raw)
@@ -427,22 +462,25 @@ def read_waveform_csv(
                 f"unknown channel {channel!r} in {path}; available: {available}"
             )
     wanted = [names.index(channel) for channel in channels]
-    # A CR ends the header for np.loadtxt, so its body would start there.
-    if "\r" in header or not _plain_numbers(raw, body, len(names)):
-        bad = _first_bad_line(decode_utf8(raw, path, AnalysisError), names)
-        if bad is not None:
-            raise AnalysisError(f"{path}: {bad}")
-    usecols = sorted({0, *wanted})
-    # A text stream splits lines as reading the path does; a bare BytesIO
-    # would read a file of lone CRs as one line.
-    stream = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
-    with warnings.catch_warnings():
-        # A file without data rows is reported below.
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        data = np.loadtxt(stream, delimiter=",", skiprows=1, ndmin=2, usecols=usecols)
-    if len(data) < 2:
+    table = None if twin is None else _twin_table(twin, (len(names), raw.count(b"\n") - 1))
+    if table is None:
+        # A CR ends the header for np.loadtxt, so its body would start there.
+        if "\r" in header or not _plain_numbers(raw, body, len(names)):
+            bad = _first_bad_line(decode_utf8(raw, path, AnalysisError), names)
+            if bad is not None:
+                raise AnalysisError(f"{path}: {bad}")
+        usecols = sorted({0, *wanted})
+        # A text stream splits lines as reading the path does; a bare BytesIO
+        # would read a file of lone CRs as one line.
+        stream = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+        with warnings.catch_warnings():
+            # A file without data rows is reported below.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(stream, delimiter=",", skiprows=1, ndmin=2, usecols=usecols)
+        table = dict(zip(usecols, data.T))
+    t = table[0]
+    if len(t) < 2:
         raise AnalysisError(f"{path}: need at least two data rows")
-    t = data[:, 0]
     steps = np.diff(t)
     if not (np.isfinite(t).all() and (steps > 0.0).all()):
         raise AnalysisError(f"{path}: t_s must be finite and strictly increasing")
@@ -456,7 +494,7 @@ def read_waveform_csv(
             f"{float(steps[row - 1])!r} differs from the mean step "
             f"{float(mean_step)!r} by more than 1e-6 of it"
         )
-    columns = [data[:, usecols.index(i)] for i in wanted]
+    columns = [table[i] for i in wanted]
     for channel, column in zip(channels, columns):
         if not np.isfinite(column).all():
             row = int(np.argmin(np.isfinite(column)))
@@ -466,6 +504,19 @@ def read_waveform_csv(
             )
     sample_rate = float((len(t) - 1) / (t[-1] - t[0]))
     return columns, sample_rate, float(t[0])
+
+
+def _twin_table(twin: bytes, shape: tuple[int, int]) -> np.ndarray | None:
+    """A view of the NPY bytes ``twin`` if they hold C-order float64 of ``shape``,
+    else None; the header is checked first, so no pickle is ever read."""
+    stream = io.BytesIO(twin)
+    try:
+        header = np.lib.format.read_magic(stream), np.lib.format.read_array_header_1_0(stream)
+    except (ValueError, TypeError):  # a malformed header; literal_eval may raise either
+        return None
+    offset = len(twin) - 8 * shape[0] * shape[1]
+    ok = header == ((1, 0), (shape, False, np.dtype("<f8"))) and stream.tell() == offset
+    return np.frombuffer(twin, "<f8", offset=offset).reshape(shape) if ok else None
 
 
 def _data_lines(text: str):

@@ -89,7 +89,7 @@ import numpy as np
 
 from .analyzer import AnalysisError, last_cycles_window
 from .design import SystemBasis
-from .scenario_io import Scenario, write_waveform_csv
+from .scenario_io import Scenario, write_waveform_csv, write_waveform_npy
 
 TWO_PI = 2.0 * math.pi
 
@@ -189,10 +189,16 @@ class WaveformSet:
     def time(self) -> np.ndarray:
         return np.arange(self.first_step, self.first_step + self.n_samples) * self.dt_s
 
-    def to_csv(self, path) -> None:
-        """The waveform CSV: ``t_s``, then one column per contract channel."""
-        columns = [self.time(), *(self.channels[c] for c in CHANNEL_IDS)]
-        write_waveform_csv(path, ["t_s", *CHANNEL_IDS], columns)
+    def to_csv(self, path) -> str:
+        """The waveform CSV: ``t_s``, then each contract channel; returns its SHA-256."""
+        return write_waveform_csv(path, ["t_s", *CHANNEL_IDS], self._columns())
+
+    def to_npy(self, path) -> str:
+        """The CSV's twin: its columns as the rows of an NPY array; returns its SHA-256."""
+        return write_waveform_npy(path, self._columns())
+
+    def _columns(self) -> list[np.ndarray]:
+        return [self.time(), *(self.channels[c] for c in CHANNEL_IDS)]
 
 
 def run(scenario: Scenario) -> WaveformSet:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import io
 import itertools
 import json
 import math
@@ -1301,6 +1302,293 @@ def test_undecodable_input_names_file_and_line(
     message = "cannot decode byte 0xff as UTF-8: invalid start byte"
     assert capsys.readouterr().err == f"error: {path}: line {line}: {message}\n"
     assert list(tmp_path.iterdir()) == [path]
+
+
+# --- waveform CSV: the binary twin simulate writes beside it -----------------
+
+
+@pytest.fixture(scope="module")
+def bundled_waveforms(tmp_path_factory):
+    """The bundled runs' CSVs, each with its twin and metadata."""
+    directory = tmp_path_factory.mktemp("cli_bundled")
+    paths = {}
+    for case in ("baseline", "filtered"):
+        paths[case] = directory / f"{case}.csv"
+        scenario = presets.SCENARIOS / f"{case}.json"
+        assert main(["simulate", str(scenario), "-o", str(paths[case])]) == 0
+    return paths
+
+
+def _siblings(csv) -> list[Path]:
+    """The twin and the metadata ``simulate`` writes beside ``csv``."""
+    base = scenario_io.waveform_siblings(csv)
+    return [Path(base + ".npy"), Path(base + ".meta.json")]
+
+
+def _copy_run(csv, directory) -> Path:
+    """A copy of the waveform CSV ``csv`` as ``directory``/run.csv, with
+    copies of its twin and metadata beside it."""
+    copy = directory / "run.csv"
+    for source, target in zip([csv, *_siblings(csv)], [copy, *_siblings(copy)], strict=True):
+        target.write_bytes(source.read_bytes())
+    return copy
+
+
+def _parses(monkeypatch) -> list:
+    """One entry per waveform CSV body whose text the CLI checks from now
+    on: every parse starts with the plain-number check."""
+    calls = []
+    plain_numbers = scenario_io._plain_numbers
+
+    def plain(*args):
+        calls.append(args[1:])
+        return plain_numbers(*args)
+
+    monkeypatch.setattr(scenario_io, "_plain_numbers", plain)
+    return calls
+
+
+def _outputs(csv, capsys) -> tuple:
+    """Exit codes, outputs and stderr of ``analyze`` of ``csv`` and of
+    ``report`` of ``csv`` against itself, to the prefix ``out`` beside it."""
+    out = csv.parent / "out"
+    for old in csv.parent.glob("out.*"):
+        old.unlink()
+    capsys.readouterr()
+    argv = ["analyze", str(csv), "--channel", "i_src_a", "--v-channel", "v_src_a"]
+    codes = [main(argv + ["-o", str(out)]), main(["report", str(csv), str(csv), "-o", str(out)])]
+    written = {p.name: p.read_bytes() for p in sorted(csv.parent.glob("out.*"))}
+    return codes, written, capsys.readouterr().err
+
+
+def test_simulate_binds_the_twin_to_the_csv(short_waveform):
+    import hashlib
+
+    twin, meta = _siblings(short_waveform)
+    source = json.loads(meta.read_text())["source"]
+    assert source == {
+        "csv_sha256": hashlib.sha256(short_waveform.read_bytes()).hexdigest(),
+        "npy_sha256": hashlib.sha256(twin.read_bytes()).hexdigest(),
+        **cli._code_identity(),
+    }
+    table = np.load(twin, allow_pickle=False)
+    assert table.shape == (1 + len(CHANNEL_IDS), 4000) and table.flags.c_contiguous
+    assert table.tobytes() == np.loadtxt(short_waveform, delimiter=",", skiprows=1).T.tobytes()
+
+
+@pytest.mark.parametrize("case", ["short", "baseline", "filtered"])
+def test_twin_and_text_give_identical_outputs(
+    tmp_path, capsys, monkeypatch, short_waveform, bundled_waveforms, case
+):
+    csv = _copy_run(short_waveform if case == "short" else bundled_waveforms[case], tmp_path)
+    parses = _parses(monkeypatch)
+    from_twin = _outputs(csv, capsys)
+    assert parses == []
+    _siblings(csv)[0].rename(tmp_path / "aside.npy")
+    assert _outputs(csv, capsys) == from_twin
+    assert len(parses) == 3  # analyze's file, and report's twice
+    assert from_twin[0] == [0, 0] and len(from_twin[1]) == 5
+
+
+def test_simulate_names_the_siblings_of_any_csv_path(tmp_path, short_scenario_path, monkeypatch):
+    assert scenario_io.waveform_siblings(tmp_path / "run.csv") == str(tmp_path / "run")
+    assert scenario_io.waveform_siblings("a.b.csv") == "a.b"
+    out = tmp_path / "run.dat"
+    assert main(["simulate", str(short_scenario_path), "-o", str(out)]) == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["run.dat", "run.dat.meta.json", "run.dat.npy"]
+    parses = _parses(monkeypatch)
+    assert main(["analyze", str(out), "--channel", "i_src_a", "-o", str(tmp_path / "out")]) == 0
+    assert parses == []
+
+
+def _edit_meta(edit):
+    def apply(csv):
+        meta = _siblings(csv)[1]
+        doc = json.loads(meta.read_text())
+        edit(doc)
+        meta.write_text(json.dumps(doc))
+
+    return apply
+
+
+def _bind(csv, twin: bytes) -> None:
+    """Make ``twin`` the twin of ``csv`` and bind it in the metadata, as
+    ``simulate`` would bind its own."""
+    import hashlib
+
+    _siblings(csv)[0].write_bytes(twin)
+    digest = hashlib.sha256(twin).hexdigest()
+    _edit_meta(lambda doc: doc["source"].update(npy_sha256=digest))(csv)
+
+
+def _rebound(edit):
+    """Replace the twin by np.save's bytes of ``edit`` of its table, bound."""
+    def apply(csv):
+        saved = io.BytesIO()
+        np.save(saved, edit(np.load(_siblings(csv)[0])), allow_pickle=True)
+        _bind(csv, saved.getvalue())
+
+    return apply
+
+
+def _edit_digit(csv):
+    # The last digit of i_src_a in the last row: inside the window.
+    header, *rows = csv.read_text().splitlines()
+    cells = rows[-1].split(",")
+    column = 1 + CHANNEL_IDS.index("i_src_a")
+    cells[column] = cells[column][:-1] + str((int(cells[column][-1]) + 1) % 10)
+    csv.write_text("\n".join([header, *rows[:-1], ",".join(cells)]) + "\n")
+
+
+def _flip_twin_byte(csv):
+    # The high byte of i_src_a's last sample: the last of its row's bytes.
+    twin = _siblings(csv)[0]
+    data = bytearray(twin.read_bytes())
+    row_bytes = 8 * 4000
+    start = len(data) - row_bytes * (1 + len(CHANNEL_IDS))
+    data[start + row_bytes * (2 + CHANNEL_IDS.index("i_src_a")) - 1] ^= 0x40
+    twin.write_bytes(bytes(data))
+
+
+# Edits of a copy of the short run's files, after each of which analyze and
+# report parse its CSV's text.
+_UNBOUND = {
+    "twin_missing": lambda csv: _siblings(csv)[0].unlink(),
+    "meta_missing": lambda csv: _siblings(csv)[1].unlink(),
+    "meta_malformed": lambda csv: _siblings(csv)[1].write_text("{"),
+    "meta_a_list": lambda csv: _siblings(csv)[1].write_text("[]"),
+    "meta_without_source": _edit_meta(lambda doc: doc.pop("source")),
+    "csv_digit": _edit_digit,
+    "twin_byte": _flip_twin_byte,
+    "twin_pickled": _rebound(lambda table: np.array(list(table), dtype=object)),
+    "twin_transposed": _rebound(lambda table: np.ascontiguousarray(table.T)),
+    "twin_short": _rebound(lambda table: table[:, :-1]),
+    "twin_one_row_less": _rebound(lambda table: table[:-1]),
+    "twin_float32": _rebound(lambda table: table.astype(np.float32)),
+    "twin_big_endian": _rebound(lambda table: table.astype(">f8")),
+    "twin_fortran_order": _rebound(np.asfortranarray),
+    "twin_not_npy": lambda csv: _bind(csv, b"not an NPY file"),
+    "twin_truncated": lambda csv: _bind(csv, _siblings(csv)[0].read_bytes()[:-8]),
+    "code_identity": _edit_meta(lambda doc: doc["source"].update(harmflow_sha256="0" * 64)),
+}
+
+
+@pytest.mark.parametrize("case", _UNBOUND)
+def test_analysis_parses_a_csv_without_a_bound_twin(
+    tmp_path, capsys, monkeypatch, short_waveform, case
+):
+    csv = _copy_run(short_waveform, tmp_path)
+    _UNBOUND[case](csv)
+    with mock.patch.object(cli, "_twin", return_value=None):
+        expected = _outputs(csv, capsys)
+    parses = _parses(monkeypatch)
+    assert _outputs(csv, capsys) == expected
+    assert len(parses) == 3
+    assert expected[0] == [0, 0]
+
+
+def test_a_twin_saved_by_numpy_and_bound_is_read(tmp_path, capsys, monkeypatch, short_waveform):
+    # The edits above are refused for what they change, not for rebinding.
+    csv = _copy_run(short_waveform, tmp_path)
+    expected = _outputs(csv, capsys)
+    _rebound(lambda table: table)(csv)
+    parses = _parses(monkeypatch)
+    assert _outputs(csv, capsys) == expected
+    assert parses == []
+
+
+def test_twin_is_converted_from_the_bytes_hashed(tmp_path, capsys, monkeypatch, short_waveform):
+    # The twin is replaced once analyze has read its bytes: analyze takes
+    # the columns of the bytes that matched their digest, and report, which
+    # reads the new twin, parses the CSV.
+    csv = _copy_run(short_waveform, tmp_path)
+    expected = _outputs(csv, capsys)
+    twin = _siblings(csv)[0]
+    sevens = np.full(4000 * (1 + len(CHANNEL_IDS)), 7.0).tobytes()
+    read_bytes = Path.read_bytes
+
+    def read_then_replace(self):
+        data = read_bytes(self)
+        if self == twin and not data.endswith(sevens):
+            self.write_bytes(data[: -len(sevens)] + sevens)
+        return data
+
+    parses = _parses(monkeypatch)
+    with mock.patch.object(Path, "read_bytes", read_then_replace):
+        assert _outputs(csv, capsys) == expected
+    assert len(parses) == 2  # report's, not analyze's
+    assert twin.read_bytes().endswith(sevens)
+
+
+def test_unknown_channel_is_reported_alike_with_the_twin(tmp_path, capsys, short_waveform):
+    csv = _copy_run(short_waveform, tmp_path)
+    errors = []
+    for _ in range(2):
+        argv = ["analyze", str(csv), "--channel", "i_src_x", "-o", str(tmp_path / "out")]
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+        _siblings(csv)[0].unlink(missing_ok=True)
+    available = ", ".join(CHANNEL_IDS)
+    assert errors == [f"error: unknown channel 'i_src_x' in {csv}; available: {available}\n"] * 2
+
+
+@pytest.mark.parametrize(
+    "defect", ["nan_channel", "inf_channel", "uneven_t", "decreasing_t", "nan_t"]
+)
+def test_twin_and_text_report_a_defect_alike(
+    tmp_path, capsys, monkeypatch, short_waveform, defect
+):
+    # A CSV, twin and metadata bound as simulate writes them, from columns
+    # with a defect: both reads give the same message.
+    table = np.loadtxt(short_waveform, delimiter=",", skiprows=1).T.copy()
+    t, i = table[0], table[1 + CHANNEL_IDS.index("i_src_a")]
+    # The header is line 1, so sample 9 is line 11.
+    if defect in ("nan_channel", "inf_channel"):
+        i[9] = math.nan if defect == "nan_channel" else -math.inf
+        message = f"line 11: i_src_a value {float(i[9])!r} is not finite"
+    elif defect == "uneven_t":
+        shift = 0.4 * (t[1] - t[0])
+        t[9:-1] += shift
+        message = (
+            f"line 11: t_s step {float(t[9] - t[8])!r} differs from the mean "
+            f"step {float((t[-1] - t[0]) / (len(t) - 1))!r} by more than 1e-6 of it"
+        )
+    else:
+        if defect == "nan_t":
+            t[-1] = math.nan
+        else:
+            t[:] = t[::-1].copy()
+        message = "t_s must be finite and strictly increasing"
+    csv = tmp_path / "bad.csv"
+    twin, meta = _siblings(csv)
+    source = cli._twin_source(
+        scenario_io.write_waveform_csv(csv, ["t_s", *CHANNEL_IDS], list(table)),
+        scenario_io.write_waveform_npy(twin, list(table)),
+    )
+    _json_dump({"source": source}, meta)
+    parses = _parses(monkeypatch)
+    errors = []
+    argv = ["analyze", str(csv), "--channel", "i_src_a", "-o", str(tmp_path / "out")]
+    for _ in range(2):
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+        twin.unlink(missing_ok=True)
+    assert len(parses) == 1  # the second read only
+    assert errors == [f"error: {csv}: {message}\n"] * 2
+
+
+def test_csv_edited_to_a_defect_gets_the_parser_message(tmp_path, capsys, short_waveform):
+    # The twin still holds the numbers, but it no longer matches the CSV.
+    csv = _copy_run(short_waveform, tmp_path)
+    header, *lines = csv.read_text().splitlines()
+    cells = lines[9].split(",")
+    cells[1 + CHANNEL_IDS.index("v_dc")] = "abc"
+    csv.write_text("\n".join([header, *lines[:9], ",".join(cells), *lines[10:]]) + "\n")
+    argv = ["analyze", str(csv), "--channel", "i_src_a", "-o", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {csv}: line 11: v_dc value 'abc' is not a number\n"
+
 
 
 # --- waveform CSV: only the analysed columns of a plain file -----------------

@@ -1029,6 +1029,42 @@ def test_waveform_csv_writer_peak_is_below_the_run(tmp_path):
     assert csv_peak < run_peak, (csv_peak, run_peak)
 
 
+def test_waveform_twin_writer_peak_is_below_the_run(tmp_path):
+    # The twin is written a column at a time: its writer holds the time
+    # column it forms (0.23 MB traced with its temporaries) and no (18, n)
+    # table, which for the bundled filtered record would be 1.44 MB.
+    scenario = presets.filtered_scenario()
+    tracemalloc.start()
+    try:
+        waves = hf.run(scenario)
+        held, run_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        waves.to_npy(tmp_path / "filtered.npy")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    npy_peak = peak - held  # not counting the record the run left
+    assert npy_peak < run_peak, (npy_peak, run_peak)
+    assert npy_peak < 4 * 8 * waves.n_samples, npy_peak  # four columns
+
+
+@pytest.mark.parametrize("case", ["baseline", "filtered"])
+def test_writers_return_the_digest_of_the_bytes_written(case, request, tmp_path):
+    # The twin's bytes are np.save's of the table the CSV holds.
+    import hashlib
+    import io
+
+    _, waves, _ = request.getfixturevalue(f"{case}_bundled_run")
+    csv, npy = tmp_path / "run.csv", tmp_path / "run.npy"
+    assert waves.to_csv(csv) == hashlib.sha256(csv.read_bytes()).hexdigest()
+    assert waves.to_npy(npy) == hashlib.sha256(npy.read_bytes()).hexdigest()
+    saved = io.BytesIO()
+    table = np.loadtxt(csv, delimiter=",", skiprows=1).T
+    np.save(saved, np.ascontiguousarray(table))
+    assert npy.read_bytes() == saved.getvalue()
+    assert table.shape == (1 + len(CHANNEL_IDS), waves.n_samples)
+
+
 def test_waveform_csv_matches_g17_at_powers_of_ten(tmp_path):
     tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
     values = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
