@@ -341,11 +341,15 @@ def _analyse_files(
     analyse each file (see :func:`_window_analysis`).  With ``reuse``, a
     file that ``analyze`` has analysed alike is not read but taken from
     its outputs (see :func:`_reused`), else read, from its twin if bound
-    (see :func:`_twin`).  Returns per file (analysis, rate, CSV digest)."""
-    inputs = []
+    (see :func:`_twin`); a file with an earlier one's bytes takes its
+    analysis.  Returns per file (analysis, rate, CSV digest)."""
+    digests, inputs = [], {}
     for path in paths:
         raw = Path(path).read_bytes()
         digest = _sha256(raw)
+        digests.append(digest)
+        if digest in inputs:
+            continue
         reused = _reused(args, path, digest) if reuse else None
         if reused is None:
             columns, rate, t_start = read_waveform_csv(path, channels, raw, _twin(path, digest))
@@ -353,11 +357,12 @@ def _analyse_files(
         else:
             rate, analysis = reused
             analyse = functools.partial(tuple, analysis)  # returns analysis itself
-        inputs.append((digest, rate, analyse))
-    rates = [rate for _, rate, _ in inputs]
+        inputs[digest] = rate, analyse
+    rates = [rate for rate, _ in inputs.values()]
     if max(rates) - min(rates) > 1e-6 * max(rates):
         raise AnalysisError(f"sample rates differ: {rates[0]!r} Hz vs {rates[1]!r} Hz")
-    return [(analyse(), rate, digest) for digest, rate, analyse in inputs]
+    done = {digest: (analyse(), rate, digest) for digest, (rate, analyse) in inputs.items()}
+    return [done[digest] for digest in digests]
 
 
 def _note_unsettled(channel: str, path, residual: float | None) -> None:

@@ -33,9 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import FilterBank, FilterBranch, SingleTunedFilter
-
-TWO_PI = 2.0 * np.pi
+from .design import TWO_PI, FilterBank, FilterBranch, SingleTunedFilter
 
 # Frequencies evaluated per pass.  Each element law builds several
 # temporaries; at this size they stay in cache instead of streaming

@@ -42,17 +42,17 @@ their voltage forms, so the matrix depends only on the diode state word
 (EMTP's constant matrix per topology).  Each state visited gets one
 cached map ``F_s``, with its solve (LAPACK ``gesv`` through numpy) folded
 in, from ``w = [z; s]`` to the signed diode voltages and the next ``w``
-(45 x 39 with the bundled bank).  A step is one matrix-vector product, the
-sign test and the copy of the next ``w`` into the record; a diode flip
-applies the new state's map to the same ``w``.  The source voltages are
-the exact samples.
+(45 x 39 with the bundled bank).  One stepper takes every step: a step is
+one matrix-vector product into one scratch vector, the sign test and the
+copy of the next ``w`` into the record; a diode flip applies the new
+state's map to the same ``w``.  The source voltages are the exact samples.
 
 Runs of unchanged diode state are stepped in look-ahead blocks of up to B
 steps once G consecutive steps passed the sign test on the first try: one
 product with the state's cached diode rows through ``M^0 .. M^(B-1)``
 (``M`` the ``w`` -> next-``w`` block) finds the j steps before the first
-sign change, and the step loop goes on from ``M^j w``, the block's end,
-which it records.  The rows inside the blocks are filled after the loop,
+sign change, and the stepper goes on from ``M^j w``, the block's end,
+which it records.  The rows inside the blocks are filled after it,
 each as ``M^i`` times the block's starting ``w``: one matrix-matrix
 product per diode state and window of absolute steps, over the stacked
 starting rows of its blocks.  Against a per-step LU solve whose channels
@@ -88,10 +88,8 @@ from typing import Mapping
 import numpy as np
 
 from .analyzer import AnalysisError, last_cycles_window
-from .design import SystemBasis
+from .design import TWO_PI, SystemBasis
 from .scenario_io import Scenario, write_waveform_csv, write_waveform_npy
-
-TWO_PI = 2.0 * math.pi
 
 CHANNEL_IDS = (
     "v_src_a", "v_src_b", "v_src_c",
@@ -281,8 +279,8 @@ def _flows(z: np.ndarray, cols, masses: np.ndarray, dt: float) -> np.ndarray:
 
 
 class _TransientSolver:
-    """Per-state step maps ``F_s`` over ``w = [z; s]``, applied between two
-    alternating rows and copied into the record of ``w``.  ``_kcl`` and
+    """Per-state step maps ``F_s`` over ``w = [z; s]``, applied into one
+    scratch vector, whose next ``w`` is copied into the record.  ``_kcl`` and
     ``_out`` are the linear forms over ``[x; z; s]`` (see ``_assemble``;
     ``x`` has 38 unknowns with the bundled bank, 11 without one); a
     state adds the diode stamp and folds its solve in as
@@ -290,13 +288,9 @@ class _TransientSolver:
     each state's look-ahead tables: ``M^1 .. M^B``, B·nw × nw, and the
     signed diode rows, B·6 × nw (380 kB and 60 kB at nw = 39, B = 32).
 
-    The step loop computes every step's ``w`` except those inside
-    look-ahead blocks, whose end alone it forms; it queues each block that
-    has inside rows to record.  :meth:`_fill_interiors` then writes those
-    rows with one product per state and window, and the channels are
-    formed from the full record.  The ``w`` of steps before ``first_step``
-    are computed but not recorded, and blocks that end before the window
-    holding ``first_step`` are not filled."""
+    :meth:`run` allocates the record, has :meth:`_step` take every step,
+    :meth:`_fill_interiors` write the rows inside look-ahead blocks, and
+    forms the channels from the full record and guards them."""
 
     def __init__(self, scenario: Scenario) -> None:
         cfg = scenario.solver
@@ -416,38 +410,17 @@ class _TransientSolver:
         self._tables[key] = powers, diode
         return powers, diode
 
-    def _lookahead(
-        self, key: int, k: int, w: np.ndarray, record: np.ndarray, queue: np.ndarray, saved: list
-    ) -> int:
-        """Steps ``k``, ``k+1``, .. in state ``key`` from ``w`` while they
-        pass the sign test, at most B, and returns how many (j) it took.
-        Only the block's end is formed here: ``w`` advances in place to
-        ``M^j w``, which is recorded.  A block with rows inside it whose
-        last one lies in a window that :meth:`_fill_interiors` fills is
-        queued as ``queue[:, k] = j, key``, and the ``w`` entering step k
-        saved when the record does not hold it."""
-        powers, diode = self._tables.get(key) or self._lookahead_tables(key)
+    def _block_length(self, key: int, k: int, w: np.ndarray) -> int:
+        """The sign test of a look-ahead block in state ``key`` entering
+        step ``k`` with ``w``: how many steps (j) from k pass it, at most B.
+        Builds the state's tables on first use."""
+        diode = (self._tables.get(key) or self._lookahead_tables(key))[1]
         # Signed diode voltages of steps k .. k+B-1.  NaN compares false, so
         # a block holding NaN is taken whole and left to the guard after
         # the step loop.
         neg = diode @ w < 0.0
         j = int(neg.argmax())
-        j = j // 6 if neg[j] else LOOKAHEAD_STEPS
-        if j:
-            nw, first = len(w), self.first_step
-            if j > 1 and (k + j - 1) // _WINDOW >= first // _WINDOW:
-                queue[0, k] = j
-                queue[1, k] = key
-                if k < first:
-                    saved.append(w.copy())
-            end = powers[(j - 1) * nw : j * nw]
-            if k + j >= first:
-                row = record[k + j - first]
-                np.dot(end, w, out=row)
-                w[:] = row
-            else:
-                w[:] = np.dot(end, w)
-        return j
+        return j // 6 if neg[j] else LOOKAHEAD_STEPS
 
     def _fill_interiors(self, queue: np.ndarray, saved: list, record: np.ndarray) -> None:
         """Records the rows inside the queued blocks: the ``w`` after steps
@@ -483,24 +456,75 @@ class _TransientSolver:
                 if lo < k + j:
                     record[lo - first : k + j - first] = a[lo - k - 1 : j - 1]
 
-    def run(self) -> WaveformSet:
-        n, maps, max_iter = self.n_samples, self._maps, MAX_SWITCH_ITERATIONS
-        first, nw = self.first_step, self.n_z + 2
-        # Row r holds the w entering step first + r; the w entering steps
-        # 0 and 1 are zero but for the source phase.
-        record = np.zeros((n + 1 - first, nw))
-        # Two rows laid out as the step maps' rows take turns: step k maps
-        # w = [z; s] of one into the other.
-        cur, nxt = ((row, row[:6], row[6:]) for row in np.zeros((2, 6 + nw)))
-        cur[2][-2:] = self._s_first
-        if first <= 1:
-            record[1 - first] = cur[2]
+    def _step(self, record: np.ndarray, queue: np.ndarray, saved: list) -> tuple:
+        """The stepper: takes steps 1 .. n-1 and records the ``w`` each
+        leaves from ``first_step`` on, but the rows inside look-ahead blocks:
+        a block of j steps forms only its end, ``M^j w``.  One with rows whose
+        last lies in a window :meth:`_fill_interiors` fills is queued as
+        ``queue[:, k] = j, key``, and the ``w`` entering its step k saved
+        when the record does not hold it.  Returns the flagged steps and the
+        counts of solves, switch events and block steps."""
+        n, first, nw = self.n_samples, self.first_step, record.shape[1]
+        maps, max_iter = self._maps, MAX_SWITCH_ITERATIONS
+        # One scratch vector for a step's signed diode voltages and next w.
+        y = np.empty(6 + nw)
+        signed_vd, w_next = y[:6], y[6:]
+        # The w entering step k: its record row, or before the record a
+        # vector of its own.  The w entering step 1 is zero but for the
+        # source phase.
+        w = record[1 - first] if first <= 1 else np.zeros(nw)
+        w[-2:] = self._s_first
 
         key = 0  # all diodes blocking
         solves = events = blocked = 0
         # Consecutive steps that passed the sign test on the first try.
         streak = 0
         flagged: list[int] = []
+        k = 1
+        while k < n:
+            if streak >= LOOKAHEAD_GATE and k + LOOKAHEAD_STEPS <= n:
+                j = self._block_length(key, k, w)
+                if j:
+                    if j > 1 and (k + j - 1) // _WINDOW >= first // _WINDOW:
+                        queue[:, k] = j, key
+                        if k < first:
+                            saved.append(w.copy())
+                    end = self._tables[key][0][(j - 1) * nw : j * nw]
+                    w = np.dot(end, w, out=record[k + j - first] if k + j >= first else None)
+                    blocked += j
+                    k += j
+                    if j == LOOKAHEAD_STEPS:
+                        continue
+            before = key
+            for it in range(max_iter):
+                f = maps.get(key)
+                if f is None:
+                    f = self._step_map(key, k)
+                np.dot(f, w, out=y)
+                v0, v1, v2, v3, v4, v5 = signed_vd.tolist()
+                flips = (
+                    (v0 < 0.0) | (v1 < 0.0) << 1 | (v2 < 0.0) << 2
+                    | (v3 < 0.0) << 3 | (v4 < 0.0) << 4 | (v5 < 0.0) << 5
+                )
+                if not flips:
+                    break
+                if it < max_iter - 1:
+                    key ^= flips
+            else:
+                flagged.append(k)
+            solves += it + 1
+            streak = streak + 1 if it == 0 and not flips else 0
+            events += key != before
+            if k + 1 >= first:
+                w = record[k + 1 - first]
+            w[:] = w_next
+            k += 1
+        return flagged, solves, events, blocked
+
+    def run(self) -> WaveformSet:
+        n, first = self.n_samples, self.first_step
+        # Row r holds the w entering step first + r.
+        record = np.zeros((n + 1 - first, self.n_z + 2))
         # Column k: the steps j and state word of a block queued at step k,
         # else zeros.  A fixed array, since a growing one fragments the
         # heap.  Then the starting w of the queued blocks the record does
@@ -509,40 +533,7 @@ class _TransientSolver:
         saved: list[np.ndarray] = []
         # Overflow is reported by the guard after the loop.
         with np.errstate(over="ignore", invalid="ignore"):
-            k = 1
-            while k < n:
-                w = cur[2]
-                if streak >= LOOKAHEAD_GATE and k + LOOKAHEAD_STEPS <= n:
-                    j = self._lookahead(key, k, w, record, queue, saved)
-                    blocked += j
-                    k += j
-                    if j == LOOKAHEAD_STEPS:
-                        continue
-                y, signed_vd, w_next = nxt
-                before = key
-                for it in range(max_iter):
-                    f = maps.get(key)
-                    if f is None:
-                        f = self._step_map(key, k)
-                    np.dot(f, w, out=y)
-                    v0, v1, v2, v3, v4, v5 = signed_vd.tolist()
-                    flips = (
-                        (v0 < 0.0) | (v1 < 0.0) << 1 | (v2 < 0.0) << 2
-                        | (v3 < 0.0) << 3 | (v4 < 0.0) << 4 | (v5 < 0.0) << 5
-                    )
-                    if not flips:
-                        break
-                    if it < max_iter - 1:
-                        key ^= flips
-                else:
-                    flagged.append(k)
-                solves += it + 1
-                streak = streak + 1 if it == 0 and not flips else 0
-                events += key != before
-                if k + 1 >= first:
-                    record[k + 1 - first] = w_next
-                cur, nxt = nxt, cur
-                k += 1
+            flagged, solves, events, blocked = self._step(record, queue, saved)
             self._fill_interiors(queue, saved, record)
             # The look-ahead tables (440 kB a state) have served; their
             # memory goes to the channels' temporaries.
@@ -572,7 +563,7 @@ class _TransientSolver:
             channels=dict(zip(CHANNEL_IDS, [*self.esrc, *channels])),
             flagged_steps=tuple(flagged),
             history=history,
-            diode_states=len(maps),
+            diode_states=len(self._maps),
             switch_iterations=solves + blocked,
             switch_events=events,
             block_steps=blocked,

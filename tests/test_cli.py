@@ -895,16 +895,21 @@ def test_scan_points_above_cap_exit_2(tmp_path, ref_bank, capsys, monkeypatch):
 # --- report -------------------------------------------------------------------
 
 
-def test_report_identical_inputs_zero_delta(tmp_path, short_waveform):
+def test_report_identical_inputs_zero_delta(tmp_path, monkeypatch, short_waveform):
+    # A copy without its twin: its text is parsed, once for both sides.
+    csv = tmp_path / "run.csv"
+    csv.write_bytes(short_waveform.read_bytes())
+    parses = _parses(monkeypatch)
     prefix = tmp_path / "same"
     rc = main(
         [
-            "report", str(short_waveform), str(short_waveform),
+            "report", str(csv), str(csv),
             "--cycles", "3",
             "-o", str(prefix),
         ]
     )
     assert rc == 0
+    assert len(parses) == 1
     doc = json.loads((tmp_path / "same.report.json").read_text())
     assert doc["thd_delta"] == 0.0
     assert doc["baseline"]["settling_residual"] == doc["filtered"]["settling_residual"] >= 0.0
@@ -1386,7 +1391,7 @@ def test_twin_and_text_give_identical_outputs(
     assert parses == []
     _siblings(csv)[0].rename(tmp_path / "aside.npy")
     assert _outputs(csv, capsys) == from_twin
-    assert len(parses) == 3  # analyze's file, and report's twice
+    assert len(parses) == 2  # analyze's file, and report's once for both sides
     assert from_twin[0] == [0, 0] and len(from_twin[1]) == 5
 
 
@@ -1484,7 +1489,7 @@ def test_analysis_parses_a_csv_without_a_bound_twin(
         expected = _outputs(csv, capsys)
     parses = _parses(monkeypatch)
     assert _outputs(csv, capsys) == expected
-    assert len(parses) == 3
+    assert len(parses) == 2  # analyze's, and report's once for both sides
     assert expected[0] == [0, 0]
 
 
@@ -1517,7 +1522,7 @@ def test_twin_is_converted_from_the_bytes_hashed(tmp_path, capsys, monkeypatch, 
     parses = _parses(monkeypatch)
     with mock.patch.object(Path, "read_bytes", read_then_replace):
         assert _outputs(csv, capsys) == expected
-    assert len(parses) == 2  # report's, not analyze's
+    assert len(parses) == 1  # report's, once for both sides, not analyze's
     assert twin.read_bytes().endswith(sevens)
 
 

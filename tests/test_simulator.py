@@ -455,6 +455,13 @@ def test_record_cycles_keeps_last_rows_of_full_record(case, request):
     for counter in ("flagged_steps", "diode_states", "switch_iterations", "switch_events"):
         assert getattr(waves, counter) == getattr(full, counter), counter
     assert waves.switch_events == {"baseline": 490, "filtered": 409}[case]
+    # Both runs try the same blocks at the same steps, each taking the same
+    # steps, before the record starts and in it.
+    logs = [_BlockLog(scenario), _BlockLog(full_scenario)]
+    for log in logs:
+        log.run()
+    assert logs[0].blocks[0][0] < waves.first_step < logs[0].blocks[-1][0]
+    assert logs[0].blocks == logs[1].blocks
 
     f1 = scenario.basis.fundamental_hz
     figures = []
@@ -527,11 +534,12 @@ def test_record_cycles_from_mid_window_of_settled_run(window, settled_filtered_r
     # a record that starts inside a window and spans several holds the full
     # run's last rows bit for bit.  Here it starts inside a block, too.  In
     # small windows some state has a single block, and a product of one row
-    # differs in the last bit from the same row in a batch.
-    scenario, full, _ = settled_filtered_run
-    if window != simulator._WINDOW:
-        monkeypatch.setattr(simulator, "_WINDOW", window)
-        full = hf.run(scenario)
+    # differs in the last bit from the same row in a batch.  Both runs try
+    # the same blocks at the same steps and take the same steps in each.
+    scenario = settled_filtered_run[0]
+    monkeypatch.setattr(simulator, "_WINDOW", window)
+    full_log = _BlockLog(scenario)
+    full = full_log.run()
     solver = hf.SolverConfig(
         dt_s=scenario.solver.dt_s, duration_s=scenario.solver.duration_s, record_cycles=47
     )
@@ -542,6 +550,7 @@ def test_record_cycles_from_mid_window_of_settled_run(window, settled_filtered_r
     assert first % window > LOOKAHEAD_STEPS
     assert (full.n_samples - 1) // window - first // window >= 3
     assert any(k + 1 < first < k + j - 1 for k, j in logged.blocks)
+    assert logged.blocks == full_log.blocks
     assert np.array_equal(waves.history, full.history[first:])
     for name in CHANNEL_IDS:
         assert np.array_equal(waves.channels[name], full.channels[name][first:]), name
@@ -656,8 +665,8 @@ class _BlockLog(_TransientSolver):
         super().__init__(scenario)
         self.blocks = []
 
-    def _lookahead(self, key, k, w, record, queue, saved):
-        j = super()._lookahead(key, k, w, record, queue, saved)
+    def _block_length(self, key, k, w):
+        j = super()._block_length(key, k, w)
         self.blocks.append((k, j))
         return j
 
