@@ -439,11 +439,11 @@ def read_waveform_csv(
 
     Each channel is checked against the header before the body is read.
     The columns are the rows of ``twin``, a binary twin the caller bound to
-    ``raw``, if it holds one per column, a sample per line.  Else the body
-    is checked whole before any of it is converted: a body of plain numbers
-    only by :func:`_plain_numbers`, any other line by line by
-    :func:`_first_bad_line`.  Then ``t_s`` and ``channels`` alone are
-    converted, from the bytes that were checked.  The same checks follow."""
+    ``raw``, if it holds one per column, a sample per line.  Else one
+    ``np.loadtxt`` call converts every column of the body from those bytes,
+    and that is the check of its text: only if it fails, or finds a field
+    count other than the header's, does :func:`_first_bad_line` look for
+    the line to name.  The same checks follow."""
     if raw is None:
         raw = Path(path).read_bytes()
     body = raw.find(b"\n") + 1 or len(raw)
@@ -464,20 +464,22 @@ def read_waveform_csv(
     wanted = [names.index(channel) for channel in channels]
     table = None if twin is None else _twin_table(twin, (len(names), raw.count(b"\n") - 1))
     if table is None:
-        # A CR ends the header for np.loadtxt, so its body would start there.
-        if "\r" in header or not _plain_numbers(raw, body, len(names)):
-            bad = _first_bad_line(decode_utf8(raw, path, AnalysisError), names)
-            if bad is not None:
-                raise AnalysisError(f"{path}: {bad}")
-        usecols = sorted({0, *wanted})
         # A text stream splits lines as reading the path does; a bare BytesIO
         # would read a file of lone CRs as one line.
         stream = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
-        with warnings.catch_warnings():
-            # A file without data rows is reported below.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(stream, delimiter=",", skiprows=1, ndmin=2, usecols=usecols)
-        table = dict(zip(usecols, data.T))
+        try:
+            with warnings.catch_warnings():
+                # A file without data rows is reported below.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(stream, delimiter=",", skiprows=1, ndmin=2).T
+        except ValueError:  # a UnicodeDecodeError too
+            pass
+        # np.loadtxt reads exactly the bodies _first_bad_line passes, so
+        # the line at fault is looked for only when the conversion fails.
+        # A body without data rows reads as one empty column.
+        if table is None or len(table[0]) and len(table) != len(names):
+            bad = _first_bad_line(decode_utf8(raw, path, AnalysisError), names)
+            raise AnalysisError(f"{path}: {bad}")
     t = table[0]
     if len(t) < 2:
         raise AnalysisError(f"{path}: need at least two data rows")
@@ -546,66 +548,11 @@ _NUMBER = re.compile(
 )
 
 
-# The class of each byte value in the plain-number check: digit 0, "." 1,
-# "e" or "E" 2, sign 3, "," or line feed 4, any other byte 5.
-_CLASSES = (
-    b"\5" * 10 + b"\4" + b"\5" * 32 + b"\3\4\3\1\5" + b"\0" * 10
-    + b"\5" * 11 + b"\2" + b"\5" * 31 + b"\2" + b"\5" * 154
-)
-# The codes 36·a + 6·b + c of the classes (a, b, c) of three adjacent bytes
-# that occur in lines of comma-separated fields of the plain grammar
-# [+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?, a subset of _NUMBER's.
-_TRIGRAMS = bytes([
-    0, 1, 2, 4, 6, 8, 10, 12, 15, 24, 25, 27, 36, 38, 40, 48, 51, 60, 61, 63,
-    72, 76, 90, 108, 109, 110, 112, 114, 144, 145, 146, 148, 150, 162, 163,
-])
-_LOWER_E = bytes.maketrans(b"E", b"e")
-# The body is checked in pieces of about this many bytes, cut at line ends.
-_PIECE = 1 << 18
-
-
-def _plain_numbers(raw: bytes, start: int, n_fields: int) -> bool:
-    """True if every line of ``raw`` from offset ``start`` (just past a
-    line end) holds ``n_fields`` (at least 2) comma-separated fields of
-    the plain grammar above and ends in a line feed: no blank line, space,
-    CR, comment, inf, nan or non-ASCII byte.  np.loadtxt reads each column
-    of such a body the same with or without usecols.
-
-    Each piece of the body passes three tests: every trigram of byte
-    classes is one of ``_TRIGRAMS``; no field has two points, two
-    exponents, or a point after its exponent; and, with all else deleted,
-    each line is n_fields - 1 commas and a line feed.  Together they accept
-    exactly the bodies described (the tests check this against the
-    grammar)."""
-    if not raw.endswith(b"\n"):
-        return False
-    line = b"," * (n_fields - 1) + b"\n"
-    while start < len(raw):
-        stop = raw.rfind(b"\n", start, start + _PIECE) + 1 or raw.find(b"\n", start) + 1
-        # From the line end before the piece, which starts its first trigram.
-        piece = raw[start - 1 : stop]
-        start = stop
-        classes = np.frombuffer(piece.translate(_CLASSES), np.uint8)
-        codes = classes[:-2] * 36
-        codes += classes[1:-1] * 6
-        codes += classes[2:]
-        if codes.tobytes().translate(None, _TRIGRAMS):
-            return False
-        # Each field's points and exponents, in order: "", ".", "e" or ".e".
-        marks = piece.translate(_LOWER_E, b"0123456789+-")
-        if b".." in marks or b"e." in marks or b"ee" in marks:
-            return False
-        separators = marks.translate(None, b".e")
-        if separators != b"\n" + line * ((len(separators) - 1) // len(line)):
-            return False
-    return True
-
-
 def _first_bad_line(text: str, names: list[str]) -> str | None:
     """Describe the first line of a waveform CSV's ``text`` whose field
     count differs from the header's ``names`` or which holds a field that
-    is not a number; None if there is none, and np.loadtxt then reads any
-    of its columns."""
+    is not a number; None if there is none, and exactly then np.loadtxt
+    reads the whole body with the header's field count."""
     for number, line in _data_lines(text):
         cells = line.split(",")
         if len(cells) != len(names):

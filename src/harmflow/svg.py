@@ -27,12 +27,13 @@ _BAR_LAYOUTS = {1: (0.7, (0.15,)), 2: (0.38, (0.10, 0.52))}
 
 
 def _header(title: str) -> list[str]:
+    import html  # about 2 ms to import, so only where a chart is drawn
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:g}" '
         f'height="{_HEIGHT:g}" viewBox="0 0 {_WIDTH:g} {_HEIGHT:g}">',
         f'<rect x="0" y="0" width="{_WIDTH:g}" height="{_HEIGHT:g}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.2f}" y="22" font-family="sans-serif" font-size="15" '
-        f'text-anchor="middle">{title}</text>',
+        f'text-anchor="middle">{html.escape(title)}</text>',
     ]
 
 

@@ -28,7 +28,6 @@ from harmflow.cli import _json_dump, main
 from harmflow.scenario_io import (
     ScenarioError,
     _first_bad_line,
-    _plain_numbers,
     load_scenario,
     read_waveform_csv,
     scenario_from_dict,
@@ -1340,16 +1339,16 @@ def _copy_run(csv, directory) -> Path:
 
 
 def _parses(monkeypatch) -> list:
-    """One entry per waveform CSV body whose text the CLI checks from now
-    on: every parse starts with the plain-number check."""
+    """One entry per waveform CSV body whose text is converted from now on:
+    every parse is one np.loadtxt call."""
     calls = []
-    plain_numbers = scenario_io._plain_numbers
+    loadtxt = np.loadtxt
 
-    def plain(*args):
-        calls.append(args[1:])
-        return plain_numbers(*args)
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return loadtxt(*args, **kwargs)
 
-    monkeypatch.setattr(scenario_io, "_plain_numbers", plain)
+    monkeypatch.setattr(np, "loadtxt", counted)
     return calls
 
 
@@ -1596,13 +1595,7 @@ def test_csv_edited_to_a_defect_gets_the_parser_message(tmp_path, capsys, short_
 
 
 
-# --- waveform CSV: only the analysed columns of a plain file -----------------
-
-
-def _body(path) -> tuple[bytes, int]:
-    """A CSV's bytes and the offset of its first data line."""
-    raw = Path(path).read_bytes()
-    return raw, raw.find(b"\n") + 1
+# --- waveform CSV: its text ---------------------------------------------------
 
 
 @pytest.mark.parametrize("case", ["short", "baseline_bundled", "filtered_bundled"])
@@ -1612,7 +1605,6 @@ def test_plain_csv_reads_analysed_columns_bit_exact(tmp_path, request, short_wav
     else:
         path = tmp_path / "run.csv"
         request.getfixturevalue(f"{case}_run")[1].to_csv(path)
-    assert _plain_numbers(*_body(path), 1 + len(CHANNEL_IDS))
     full = np.loadtxt(path, delimiter=",", skiprows=1)
     names = ["i_dc", "i_src_a", "v_src_a"]
     columns, _, _ = read_waveform_csv(path, names)
@@ -1627,17 +1619,17 @@ def _with_field(rows: list[str], channel: str, value: str) -> list[str]:
     return [*rows[:9], ",".join(cells), *rows[10:]]
 
 
-# Copies of a waveform CSV that read as the same analysed columns, and
-# whether each passes the plain-number check (else it is parsed in full).
+# Copies of a waveform CSV that read as the same analysed columns: each
+# edit of the rows and the line end.
 _SAME_COLUMNS = {
-    "crlf": (lambda rows: rows, "\r\n", False),
-    "comment": (lambda rows: [*rows[:5], "# comment", *rows[5:]], "\n", False),
-    "blank_line": (lambda rows: [*rows[:5], "", *rows[5:]], "\n", False),
-    "spaces": (lambda rows: [row.replace(",", ", ") for row in rows], "\n", False),
-    "nan_v_dc": (lambda rows: _with_field(rows, "v_dc", "nan"), "\n", False),
-    "point_exponent": (lambda rows: _with_field(rows, "i_filter_b", "1.e5"), "\n", True),
-    "leading_point": (lambda rows: _with_field(rows, "i_filter_b", ".5"), "\n", True),
-    "signed_point": (lambda rows: _with_field(rows, "i_filter_b", "+.5E-3"), "\n", True),
+    "crlf": (lambda rows: rows, "\r\n"),
+    "comment": (lambda rows: [*rows[:5], "# comment", *rows[5:]], "\n"),
+    "blank_line": (lambda rows: [*rows[:5], "", *rows[5:]], "\n"),
+    "spaces": (lambda rows: [row.replace(",", ", ") for row in rows], "\n"),
+    "nan_v_dc": (lambda rows: _with_field(rows, "v_dc", "nan"), "\n"),
+    "point_exponent": (lambda rows: _with_field(rows, "i_filter_b", "1.e5"), "\n"),
+    "leading_point": (lambda rows: _with_field(rows, "i_filter_b", ".5"), "\n"),
+    "signed_point": (lambda rows: _with_field(rows, "i_filter_b", "+.5E-3"), "\n"),
 }
 
 
@@ -1668,21 +1660,36 @@ def test_csv_variants_give_identical_outputs(tmp_path, short_waveform):
 
     path.write_text("\n".join([header, *rows]) + "\n")
     expected = outputs()
-    for variant, (edit, end, plain) in _SAME_COLUMNS.items():
+    for variant, (edit, end) in _SAME_COLUMNS.items():
         path.write_bytes(end.join([header, *edit(rows)]).encode() + end.encode())
-        assert _plain_numbers(*_body(path), 1 + len(CHANNEL_IDS)) == plain, variant
         assert outputs() == expected, variant
 
 
+def test_csv_variants_read_without_the_line_check(tmp_path, short_waveform, monkeypatch):
+    # np.loadtxt converts each variant whole, so the line check, which only
+    # names the line at fault once a conversion fails, never runs.
+    channels = ["i_dc", "i_src_a", "v_src_a"]
+    columns, *rate_start = read_waveform_csv(short_waveform, channels)
+    expected = [c.tobytes() for c in columns], rate_start
+
+    def line_check(*args):
+        raise AssertionError("the line check ran")
+
+    monkeypatch.setattr(scenario_io, "_first_bad_line", line_check)
+    header, *rows = short_waveform.read_text().splitlines()
+    path = tmp_path / "run.csv"
+    for variant, (edit, end) in _SAME_COLUMNS.items():
+        path.write_bytes(end.join([header, *edit(rows)]).encode() + end.encode())
+        columns, *rate_start = read_waveform_csv(path, channels)
+        assert ([c.tobytes() for c in columns], rate_start) == expected, variant
+
+
 def test_csv_without_final_line_feed_gives_identical_outputs(tmp_path, short_waveform):
-    # The plain-number check wants a line feed after every line, so the
-    # copy without one is parsed in full.
     raw = short_waveform.read_bytes()
     path = tmp_path / "run.csv"
     outputs = []
     for text in (raw, raw[:-1]):
         path.write_bytes(text)
-        assert _plain_numbers(*_body(path), 1 + len(CHANNEL_IDS)) == text.endswith(b"\n")
         out = tmp_path / ("lf" if text is raw else "no-lf")
         argv = ["analyze", str(path), "--channel", "i_src_a", "--v-channel", "v_src_a"]
         assert main(argv + ["-o", str(out)]) == 0
@@ -1726,10 +1733,9 @@ def test_header_ending_in_cr_checks_the_row_after_it(tmp_path, short_waveform, c
     assert capsys.readouterr().err == f"error: {path}: line 2: i_dc value 'abc' is not a number\n"
 
 
-# The plain grammar the check accepts: _NUMBER without inf and nan.
-_PLAIN_NUMBER = r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
 _digits = st.text("0123456789", min_size=1, max_size=3)
 _signs = st.sampled_from(["", "+", "-"])
+# A number of the plain grammar [+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?.
 _plain_number = st.builds(
     "{}{}{}".format,
     _signs,
@@ -1756,61 +1762,50 @@ def _csv_bodies(draw) -> tuple[int, str]:
     return n_fields, body
 
 
-@given(case=_csv_bodies(), piece=st.integers(min_value=1, max_value=40))
-# Only the order of points and exponents tells these from plain numbers.
-@example(case=(2, "1,1e55.3\n"), piece=40)
-@example(case=(2, "1,1.22.3\n"), piece=40)
-@example(case=(2, "1e22e3,1\n"), piece=40)
+@given(case=_csv_bodies())
+# Only the order of points and exponents tells these from numbers.
+@example(case=(2, "1,1e55.3\n"))
+@example(case=(2, "1,1.22.3\n"))
+@example(case=(2, "1e22e3,1\n"))
 @settings(max_examples=100, deadline=None)
-def test_plain_check_accepts_exactly_plain_bodies(tmp_path_factory, case, piece):
+def test_line_check_passes_exactly_what_loadtxt_reads(case):
+    # The line check passes exactly what the reader's np.loadtxt call reads
+    # whole with the header's field count, so it names a line for every
+    # body that call rejects, and for no other.
     n_fields, body = case
     names = ["t_s", *CHANNEL_IDS[: n_fields - 1]]
-    header = ",".join(names) + "\n"
-    accepted = _plain_numbers((header + body).encode(), len(header), n_fields)
-    line = rf"{_PLAIN_NUMBER}(?:,{_PLAIN_NUMBER}){{{n_fields - 1}}}\n"
-    assert accepted == (re.fullmatch(f"(?:{line})+", body) is not None)
-    # Pieces of a line or a few: the cuts change nothing.
-    with mock.patch.object(scenario_io, "_PIECE", piece):
-        assert _plain_numbers((header + body).encode(), len(header), n_fields) == accepted
-    path = tmp_path_factory.getbasetemp() / "body.csv"
-    path.write_bytes((header + body).encode())
-    if accepted:
-        # np.loadtxt reads every field, and no line is flagged.
-        full = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        assert full.shape == (body.count("\n"), n_fields)
-    # Any body: the line check passes exactly what np.loadtxt reads in
-    # full with the header's field count, so no np.loadtxt error is left
-    # for the reader to report.
+    text = ",".join(names) + "\n" + body
+    stream = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
-            full = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, encoding="utf-8")
+            full = np.loadtxt(stream, delimiter=",", skiprows=1, ndmin=2)
             read = len(full) == 0 or full.shape[1] == n_fields
         except ValueError:
             read = False
-    assert (_first_bad_line(header + body, names) is None) == read
+    assert (_first_bad_line(text, names) is None) == read
 
 
-def test_plain_check_tables_follow_the_grammar():
-    # Byte classes: digit, point, exponent, sign, separator, any other.
-    classes = {**dict.fromkeys(b"0123456789", 0), ord("."): 1, ord("e"): 2, ord("E"): 2,
-               ord("+"): 3, ord("-"): 3, ord(","): 4, ord("\n"): 4}
-    assert scenario_io._CLASSES == bytes(classes.get(b, 5) for b in range(256))
-    # Every class string of up to 6 bytes that is a plain number, between
-    # separators; a separator's neighbours are any field's last and first.
-    symbol = {0: "1", 1: ".", 2: "e", 3: "+"}
-    fields = [
-        word
-        for size in range(1, 7)
-        for word in itertools.product(range(4), repeat=size)
-        if re.fullmatch(_PLAIN_NUMBER, "".join(symbol[c] for c in word))
-    ]
-    trigrams = set()
-    for field in fields:
-        padded = (4, *field, 4)
-        trigrams.update(zip(padded, padded[1:], padded[2:]))
-    trigrams.update((last[-1], 4, first[0]) for last in fields for first in fields)
-    assert scenario_io._TRIGRAMS == bytes(sorted(36 * a + 6 * b + c for a, b, c in trigrams))
+def test_svg_title_escapes_the_channel_name(tmp_path):
+    # Any header name is a channel, and the SVG titles carry it.
+    import xml.etree.ElementTree as ET
+
+    channel = "i<a&b"
+    t = np.arange(2000) / 10_000.0
+    path = tmp_path / "run.csv"
+    np.savetxt(path, np.column_stack([t, np.sin(2 * np.pi * 50.0 * t)]), fmt="%.17g",
+               delimiter=",", header=f"t_s,{channel}", comments="")
+    out = str(tmp_path / "out")
+    assert main(["analyze", str(path), "--channel", channel, "-o", out]) == 0
+    assert main(["report", str(path), str(path), "--channel", channel, "-o", out]) == 0
+    titles = {
+        suffix: ET.parse(f"{out}.{suffix}").find("{http://www.w3.org/2000/svg}text").text
+        for suffix in ("spectrum.svg", "overlay.svg")
+    }
+    assert titles == {
+        "spectrum.svg": f"{channel} spectrum",
+        "overlay.svg": f"{channel}: baseline vs filtered",
+    }
 
 
 @pytest.mark.parametrize("command", ["analyze", "report"])
