@@ -7,16 +7,19 @@ spectrum CSV/SVG and a summary JSON), ``scan`` (impedance sweep to CSV plus
 a resonance JSON), and ``report`` (side-by-side comparison of two runs).
 
 ``analyze`` and ``report`` share one analysis path: every input is read and
-validated before any file is analysed, and an unsettled window gets a note
-on stderr once the outputs are written.  ``analyze`` records in its summary
-the digests of the CSV it analysed, of the spectrum CSV it wrote and of
-the summary figures ``report`` reads, and the code that did it; ``report``
+validated before any file is analysed, an analysis error names its CSV, and
+an unsettled window gets a note on stderr once the outputs are written.
+The options that define an analysis are :func:`_analysis_options`.
+``analyze`` records them in its summary with the digests of the CSV it
+analysed, of the spectrum CSV it wrote and of the summary figures
+``report`` reads (:data:`_FIGURES`), and the code that did it; ``report``
 takes a side from those outputs instead of analysing its CSV again when
 they match (see :func:`_reused`).  Both read a CSV's columns from the
 twin ``simulate`` bound to it, if there is one (see :func:`_twin`).
 
 Exit codes: 0 on success, 2 for input or validation errors, 3 for numerical
-solver failures.
+solver failures.  The commands form every message; :func:`main` only maps
+the exception to its exit code.
 """
 
 from __future__ import annotations
@@ -78,12 +81,25 @@ def _code_identity() -> dict:
     return {"harmflow_version": __version__, "harmflow_sha256": _sha256(modules.encode())}
 
 
+def _analysis_options(args: argparse.Namespace) -> dict:
+    """The options that define an analysis, as a summary and a report
+    record them; ``report`` reuses a summary only if they match."""
+    return {
+        "channel": args.channel, "fundamental_hz": args.f1,
+        "max_order": args.max_order, "cycles": args.cycles,
+    }
+
+
+# The summary figures that report reads (see _reused), in digest order.
+_FIGURES = ("sample_rate_hz", "settling_residual", "rms", "dc")
+
+
 def _source(csv_sha256: str, table: bytes, summary: dict) -> dict:
     """What ``analyze`` records of an analysis for ``report`` to take it
     (see :func:`_reused`): the digests of the CSV, ``csv_sha256``, of the
-    spectrum CSV's ``table`` and of the figures ``report`` reads from the
-    ``summary``, and the code."""
-    figures = [summary.get(k) for k in ("sample_rate_hz", "settling_residual", "rms", "dc")]
+    spectrum CSV's ``table`` and of the ``summary``'s :data:`_FIGURES`,
+    and the code."""
+    figures = [summary.get(k) for k in _FIGURES]
     return {
         "csv_sha256": csv_sha256,
         "spectrum_sha256": _sha256(table),
@@ -131,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--hp-q", type=float, required=True, help="high-pass quality factor"
     )
-    p.add_argument("--f1", type=float, default=50.0, help="fundamental [Hz]")
+    p.add_argument("--f1", type=float, default=SystemBasis.fundamental_hz, help="fundamental [Hz]")
     p.add_argument("-o", "--output", default=None, help="bank JSON path (default stdout)")
     p.set_defaults(func=cmd_design)
 
@@ -190,7 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     # analyze and report take the same analysis window.
     for p in (analyze, report):
-        p.add_argument("--f1", type=float, default=50.0, help="fundamental [Hz]")
+        p.add_argument(
+            "--f1", type=float, default=SystemBasis.fundamental_hz, help="fundamental [Hz]"
+        )
         p.add_argument(
             "--max-order", type=int, default=DEFAULT_MAX_ORDER, help="highest harmonic order"
         )
@@ -288,7 +306,7 @@ def _reused(args: argparse.Namespace, path, csv_sha256: str) -> tuple | None:
     """(sample rate, the :func:`_window_analysis` of ``args.channel``
     without power) of the waveform CSV ``path`` of digest ``csv_sha256``,
     taken from ``analyze``'s outputs at its default prefix; None unless
-    its summary records that digest, the window options of ``args``, its
+    its summary records that digest, the analysis options of ``args``, its
     own figures and this harmflow, and its spectrum CSV is the one it
     wrote (see :func:`_source`).  The spectrum is rebuilt from that CSV,
     whose values are written with ``repr`` and so read back exactly; its
@@ -300,13 +318,8 @@ def _reused(args: argparse.Namespace, path, csv_sha256: str) -> tuple | None:
         table = Path(base + ".spectrum.csv").read_bytes()
     except (OSError, ValueError):
         return None
-    window = {
-        "channel": args.channel,
-        "fundamental_hz": args.f1,
-        "max_order": args.max_order,
-        "cycles": args.cycles,
-    }
-    if not isinstance(summary, dict) or any(summary.get(k) != v for k, v in window.items()):
+    options = _analysis_options(args).items()
+    if not isinstance(summary, dict) or any(summary.get(k) != v for k, v in options):
         return None
     if summary.get("source") != _source(csv_sha256, table, summary):
         return None
@@ -314,7 +327,7 @@ def _reused(args: argparse.Namespace, path, csv_sha256: str) -> tuple | None:
     def finite(value) -> bool:
         return type(value) is float and math.isfinite(value)
 
-    rate, residual = summary.get("sample_rate_hz"), summary.get("settling_residual")
+    rate, residual, rms, dc = (summary.get(k) for k in _FIGURES)
     if not (finite(rate) and rate > 0.0):
         return None
     if not (residual is None if args.cycles < 2 else finite(residual)):
@@ -325,8 +338,8 @@ def _reused(args: argparse.Namespace, path, csv_sha256: str) -> tuple | None:
             fundamental_hz=args.f1,
             magnitudes=[float(row[2]) for row in rows],
             phases_rad=[float(row[3]) for row in rows],
-            rms_total=summary.get("rms"),
-            dc=summary.get("dc"),
+            rms_total=rms,
+            dc=dc,
         )
         return rate, (spec, ieee519_check(spec), residual, None)
     except (ValueError, TypeError, IndexError):
@@ -342,7 +355,8 @@ def _analyse_files(
     file that ``analyze`` has analysed alike is not read but taken from
     its outputs (see :func:`_reused`), else read, from its twin if bound
     (see :func:`_twin`); a file with an earlier one's bytes takes its
-    analysis.  Returns per file (analysis, rate, CSV digest)."""
+    analysis.  An :class:`AnalysisError` of a file's analysis is raised
+    again naming its path.  Returns per file (analysis, rate, CSV digest)."""
     digests, inputs = [], {}
     for path in paths:
         raw = Path(path).read_bytes()
@@ -357,11 +371,17 @@ def _analyse_files(
         else:
             rate, analysis = reused
             analyse = functools.partial(tuple, analysis)  # returns analysis itself
-        inputs[digest] = rate, analyse
-    rates = [rate for rate, _ in inputs.values()]
+        inputs[digest] = path, rate, analyse
+    rates = [rate for _, rate, _ in inputs.values()]
     if max(rates) - min(rates) > 1e-6 * max(rates):
-        raise AnalysisError(f"sample rates differ: {rates[0]!r} Hz vs {rates[1]!r} Hz")
-    done = {digest: (analyse(), rate, digest) for digest, (rate, analyse) in inputs.items()}
+        a, b = (f"{rate!r} Hz ({path})" for path, rate, _ in list(inputs.values())[:2])
+        raise AnalysisError(f"sample rates differ: {a} vs {b}")
+    done = {}
+    for digest, (path, rate, analyse) in inputs.items():
+        try:
+            done[digest] = analyse(), rate, digest
+        except AnalysisError as exc:
+            raise AnalysisError(f"{path}: {exc}") from None
     return [done[digest] for digest in digests]
 
 
@@ -379,10 +399,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     channels = [args.channel] + ([args.v_channel] if args.v_channel is not None else [])
     [((spec, check, residual, pf), rate, digest)] = _analyse_files(args, [args.waveform], channels)
     summary = {
-        "channel": args.channel,
-        "fundamental_hz": args.f1,
-        "max_order": args.max_order,
-        "cycles": args.cycles,
+        **_analysis_options(args),
         "sample_rate_hz": rate,
         "thd": spec.thd,
         "rms": spec.rms_total,
@@ -429,12 +446,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     paths = {"baseline": args.baseline, "filtered": args.filtered}
     files = _analyse_files(args, list(paths.values()), [args.channel], reuse=True)
     results = [analysis for analysis, _, _ in files]
-    report = {
-        "channel": args.channel,
-        "fundamental_hz": args.f1,
-        "max_order": args.max_order,
-        "cycles": args.cycles,
-    }
+    report = _analysis_options(args)
     for (side, path), (spec, check, residual, _) in zip(paths.items(), results):
         report[side] = {
             "csv": str(path),
@@ -463,13 +475,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(
-            f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}",
-            file=sys.stderr,
-        )
-        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
 TWO_PI = 2.0 * math.pi
@@ -133,11 +133,7 @@ class HighPassFilter:
     resistance_ohm: float
 
     def __post_init__(self) -> None:
-        _require_positive(
-            capacitance_f=self.capacitance_f,
-            inductance_h=self.inductance_h,
-            resistance_ohm=self.resistance_ohm,
-        )
+        _require_positive(**asdict(self))
 
     @property
     def corner_hz(self) -> float:

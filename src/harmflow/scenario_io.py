@@ -197,9 +197,9 @@ def decode_utf8(raw: bytes, path, error: type[ValueError] = ScenarioError) -> st
 def load_json(path) -> Any:
     """Read a UTF-8 JSON file.
 
-    ``json.JSONDecodeError`` (with line/column) propagates for malformed
-    JSON; bytes that are not UTF-8 and an integer literal too long to
-    convert raise :class:`ScenarioError` starting with the path.
+    Malformed JSON (named by line and column), bytes that are not UTF-8
+    and an integer literal too long to convert raise :class:`ScenarioError`
+    starting with the path.
     """
     with open(path, "rb") as fh:
         text = decode_utf8(fh.read(), path)
@@ -207,6 +207,10 @@ def load_json(path) -> Any:
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text, parse_int=_parse_int)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(
+            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
     except ScenarioError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
 

@@ -322,6 +322,16 @@ def test_power_report_rejects_zero_apparent_power():
         hf.power_report(x, x, 100.0 * 50.0, 50.0)
 
 
+def test_power_report_rejects_true_pf_above_one():
+    with pytest.raises(AnalysisError, match=r"true power factor 1\.5 outside \[-1, 1\]"):
+        hf.PowerReport(
+            active_power_w=1.5,
+            apparent_power_va=1.0,
+            true_power_factor=1.5,
+            displacement_power_factor=1.0,
+        )
+
+
 def test_power_report_rejects_missing_fundamental():
     # A DC voltage has an exactly zero fundamental, but not zero RMS.
     spp = 100

@@ -273,6 +273,21 @@ def test_simulate_malformed_json_reports_position(tmp_path, capsys):
     assert "column" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "scan"])
+def test_malformed_json_names_the_file(tmp_path, capsys, command):
+    # A scenario and a bank file are read alike: the message starts with
+    # the path, then gives the line and column.
+    bad = tmp_path / "bad.json"
+    bad.write_text('{\n  "basis": {,}\n}\n')
+    argv = [command, str(bad), "-o", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: malformed JSON at line 2, column 13: "
+        "Expecting property name enclosed in double quotes\n"
+    )
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 def test_simulate_unknown_key_exit_2(tmp_path, capsys):
     doc = scenario_to_dict(presets.baseline_scenario())
     doc["solver"]["typo_knob"] = 1.0
@@ -598,7 +613,8 @@ def test_analyze_window_must_start_two_periods_in(tmp_path, short_waveform, caps
     assert main(argv) == rc
     err = capsys.readouterr().err
     if rc:
-        assert err.startswith("error: the last 5 periods start 1 periods after t = 0; ")
+        message = f"error: {cut}: the last 5 periods start 1 periods after t = 0; "
+        assert err.startswith(message)
         assert list(tmp_path.iterdir()) == [cut]
     else:
         assert (tmp_path / "cut.summary.json").exists()
@@ -620,8 +636,25 @@ def test_analyze_unknown_channel_lists_available(tmp_path, short_waveform, capsy
 def test_analyze_rejects_zero_window_flags(tmp_path, short_waveform, capsys, flag, message):
     argv = ["analyze", str(short_waveform), "--channel", "i_src_a", flag, "0"]
     assert main(argv + ["-o", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == f"error: {message}, got 0\n"
+    assert capsys.readouterr().err == f"error: {short_waveform}: {message}, got 0\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "report"])
+def test_one_period_csv_names_the_file(tmp_path, short_waveform, capsys, command):
+    # The header and the run's first period (400 samples at dt 50 µs), and
+    # no twin: too short for the window.
+    lines = short_waveform.read_text().splitlines(keepends=True)
+    cut = tmp_path / "one-period.csv"
+    cut.write_text("".join(lines[: 1 + 400]))
+    if command == "analyze":
+        argv = ["analyze", str(cut), "--channel", "i_src_a"]
+    else:
+        argv = ["report", str(short_waveform), str(cut)]
+    assert main(argv + ["-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cut}: waveform spans 1 periods; the last 5 do not fit\n"
+    assert list(tmp_path.iterdir()) == [cut]
 
 
 def test_unknown_channel_is_reported_before_the_body_and_the_rates(
@@ -942,6 +975,20 @@ def test_report_mismatched_sample_rates_exit_2(tmp_path, short_waveform, capsys)
     assert "np.float64" not in err
 
 
+def test_sample_rate_mismatch_names_both_files(tmp_path, capsys):
+    paths = []
+    for name, rate in (("coarse", 10_000.0), ("fine", 20_000.0)):
+        t = np.arange(int(rate * 0.2)) / rate
+        paths.append(tmp_path / f"{name}.csv")
+        np.savetxt(paths[-1], np.column_stack([t, np.sin(2 * np.pi * 50.0 * t)]),
+                   fmt="%.17g", delimiter=",", header="t_s,i_src_a", comments="")
+    coarse, fine = paths
+    assert main(["report", str(coarse), str(fine), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: sample rates differ: 10000.0 Hz ({coarse}) vs 20000.0 Hz ({fine})\n"
+    )
+
+
 # --- report: reuse of analyze's outputs ----------------------------------------
 
 
@@ -1044,6 +1091,29 @@ def _edit_summary(edit):
     return apply
 
 
+def _rebind_summary(edit):
+    """``edit`` of the filtered side's files, then its summary's ``source``
+    recomputed, so that the digests match and only what was edited can
+    make report read the CSV."""
+
+    def apply(directory):
+        edit(directory)
+        path = directory / "filtered.summary.json"
+        doc = json.loads(path.read_text())
+        table = (directory / "filtered.spectrum.csv").read_bytes()
+        doc["source"] = cli._source(doc["source"]["csv_sha256"], table, doc)
+        path.write_text(json.dumps(doc))
+
+    return apply
+
+
+def _spectrum_row_of_three(directory):
+    # The fundamental's row without its phase.
+    path = directory / "filtered.spectrum.csv"
+    header, dc, fundamental, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, dc, fundamental.rsplit(",", 1)[0], *rows]) + "\n")
+
+
 def _summary_a_directory(directory):
     path = directory / "filtered.summary.json"
     path.unlink()
@@ -1063,6 +1133,18 @@ _STALE = {
     "rate_a_string": _edit_summary(lambda doc: doc.update(sample_rate_hz="20000")),
     "settling_residual": _edit_summary(lambda doc: doc.update(settling_residual=0.5)),
     "rms_doubled": _edit_summary(lambda doc: doc.update(rms=2.0 * doc["rms"])),
+    # Edits whose summary still matches its digests: report's own checks of
+    # the figures and of the spectrum CSV refuse them.
+    "rebound_rate_nan": _rebind_summary(
+        _edit_summary(lambda doc: doc.update(sample_rate_hz=math.nan))
+    ),
+    "rebound_rate_zero": _rebind_summary(
+        _edit_summary(lambda doc: doc.update(sample_rate_hz=0.0))
+    ),
+    "rebound_residual_a_string": _rebind_summary(
+        _edit_summary(lambda doc: doc.update(settling_residual=str(doc["settling_residual"])))
+    ),
+    "rebound_spectrum_row_of_three": _rebind_summary(_spectrum_row_of_three),
 }
 
 
@@ -1076,6 +1158,15 @@ def test_report_reads_a_csv_whose_analysis_does_not_match(
     assert _report(analysed_pair, capsys) == expected
     assert reads == ["filtered.csv"]
     assert expected[0] == 0
+
+
+def test_report_takes_a_rebound_summary_that_was_not_edited(analysed_pair, capsys, monkeypatch):
+    # The rebinding above refuses nothing by itself.
+    expected = _report(analysed_pair, capsys)
+    _rebind_summary(lambda directory: None)(analysed_pair)
+    reads = _reads(monkeypatch)
+    assert _report(analysed_pair, capsys) == expected
+    assert reads == []
 
 
 @pytest.mark.parametrize(
@@ -1824,7 +1915,7 @@ def test_samples_too_large_to_square_exit_2(tmp_path, capsys, command, peak):
     rc = main(argv + ["-o", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == "error: spectrum rms_total must be finite\n"
+    assert err == f"error: {path}: spectrum rms_total must be finite\n"
     assert list(tmp_path.iterdir()) == [path]
 
 
